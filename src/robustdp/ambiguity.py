@@ -20,7 +20,6 @@ from .measures import DiscreteMeasure, optimal_coupling, w_q_discrete
 
 __all__ = [
     "ConstantKernel",
-    "Empirical0",
     "KernelWeighted",
     "AdaptiveEmpirical",
     "TabularKernel",
@@ -28,18 +27,16 @@ __all__ = [
     "ConstantRadius",
     "Adaptive1DRadius",
     "AdaptiveMultiDRadius",
-    "PathLipschitzRadius",
     "adaptive_radius_1d",
     "adaptive_radius_multidim",
     "NormalDiagFamily",
     "ExponentialFamily",
-    "family_distance",
-    "estimate_theta",
     "WassersteinBall",
     "ParametricBall",
     "Singleton",
     "FiniteSet",
     "membership",
+    "dual_inner_value",
     "sample_measures",
     "transport_between_balls",
     "v_lambda",
@@ -81,15 +78,6 @@ class ConstantKernel:
 
     def __call__(self, path):
         return self.measure
-
-
-class Empirical0(ConstantKernel):
-    """Uniform empirical measure built from a return history (stage 0)."""
-
-    def __init__(self, history, space=None):
-        history = as_path(history)
-        super().__init__(DiscreteMeasure.empirical(history, space=space))
-        self.history = history
 
 
 class KernelWeighted:
@@ -306,20 +294,6 @@ class AdaptiveMultiDRadius:
         return self(np.zeros((0, self.d)))
 
 
-class PathLipschitzRadius:
-    """User-supplied radius map with a declared Lipschitz constant and cap."""
-
-    def __init__(self, fn, lipschitz, cap):
-        if lipschitz < 0 or cap < 0:
-            raise ValueError("Lipschitz constant and cap must be nonnegative")
-        self.fn = fn
-        self.lipschitz = float(lipschitz)
-        self.cap = float(cap)
-
-    def __call__(self, path):
-        return float(min(max(self.fn(as_path(path)), 0.0), self.cap))
-
-
 # ---------------------------------------------------------------------------
 # parametric families
 # ---------------------------------------------------------------------------
@@ -467,14 +441,6 @@ class ExponentialFamily:
         return m
 
 
-def family_distance(family, theta1, theta2, order):
-    return family.distance(theta1, theta2, order)
-
-
-def estimate_theta(family, path):
-    return family.estimate(path)
-
-
 # ---------------------------------------------------------------------------
 # ambiguity kernels
 # ---------------------------------------------------------------------------
@@ -565,6 +531,30 @@ class FiniteSet:
         if any(l is None for l in ls):
             return None
         return max(ls)
+
+
+def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):
+    """Inner dual objective of the Wasserstein-ball minimization:
+
+        E_reference[ min_j { psi(z_j) + lambda ||X - z_j|| } ] - lambda eps^q.
+
+    psi_next maps a single point (d,) or a stack (N, d) to values; z_grid
+    is a nonempty subset of the local space.
+    """
+    if lambda_ <= 0:
+        raise ValueError("lambda must be positive")
+    z = np.atleast_2d(np.asarray(z_grid, dtype=float))
+    if z.shape[0] == 0:
+        raise ValueError("empty z grid")
+    try:
+        psi_vals = np.asarray(psi_next(z), dtype=float).reshape(z.shape[0])
+    except Exception:
+        psi_vals = np.array([float(psi_next(zj)) for zj in z])
+    dists = np.linalg.norm(
+        reference.support[:, None, :] - z[None, :, :], axis=-1
+    )
+    inner = np.min(psi_vals[None, :] + lambda_ * dists, axis=1)
+    return float(reference.weights @ inner - lambda_ * eps**q)
 
 
 def membership(kernel, path, candidate):

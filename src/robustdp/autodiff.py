@@ -2,7 +2,7 @@
 
 Just enough machinery to differentiate rectifier networks composed with
 the minimax training objectives: broadcast-aware arithmetic, matmul,
-relu/tanh, axis reductions, and min/max along an axis with ties resolved
+relu/tanh, axis reductions, and min along an axis with ties resolved
 to the lowest index (whose subgradient convention the tests rely on).
 """
 
@@ -20,11 +20,9 @@ __all__ = [
     "tanh",
     "absolute",
     "pow_pos",
-    "l2norm",
     "vsum",
     "vmean",
     "vmin",
-    "vmax",
     "concat",
     "repeat_rows",
     "reshape",
@@ -185,9 +183,9 @@ def log(a):
 
 def relu(a):
     a = as_var(a)
-    mask = a.value > 0
-    out = Var(np.where(mask, a.value, 0.0), (a,))
-    out.bw = lambda g: _accum(a, g * mask)
+    # np.maximum is one pass; np.where with a scalar is several times slower
+    out = Var(np.maximum(a.value, 0.0), (a,))
+    out.bw = lambda g: _accum(a, g * (a.value > 0))
     return out
 
 
@@ -224,23 +222,6 @@ def pow_pos(a, p):
     return out
 
 
-def l2norm(a, axis=-1):
-    """Euclidean norm along an axis; subgradient 0 at the origin."""
-    a = as_var(a)
-    n = np.linalg.norm(a.value, axis=axis)
-    out = Var(n, (a,))
-
-    def bw(g):
-        safe = np.where(n > 0, n, 1.0)
-        _accum(
-            a,
-            np.expand_dims(g / safe * (n > 0), axis) * a.value,
-        )
-
-    out.bw = bw
-    return out
-
-
 def vsum(a, axis=None):
     a = as_var(a)
     out = Var(a.value.sum(axis=axis), (a,))
@@ -261,10 +242,11 @@ def vmean(a, axis=None):
     return vsum(a, axis) * (1.0 / count)
 
 
-def _select_extreme(a, axis, argfn, npfn):
+def vmin(a, axis=-1):
+    """Min along an axis; gradient flows to the first (lowest-index) argmin."""
     a = as_var(a)
-    idx = argfn(a.value, axis=axis)
-    out = Var(npfn(a.value, axis=axis), (a,))
+    idx = np.argmin(a.value, axis=axis)
+    out = Var(np.min(a.value, axis=axis), (a,))
 
     def bw(g):
         full = np.zeros_like(a.value)
@@ -274,15 +256,6 @@ def _select_extreme(a, axis, argfn, npfn):
 
     out.bw = bw
     return out
-
-
-def vmin(a, axis=-1):
-    """Min along an axis; gradient flows to the first (lowest-index) argmin."""
-    return _select_extreme(a, axis, np.argmin, np.min)
-
-
-def vmax(a, axis=-1):
-    return _select_extreme(a, axis, np.argmax, np.max)
 
 
 def concat(vars_, axis=-1):

@@ -23,6 +23,7 @@ from .ambiguity import (
     FiniteSet,
     Singleton,
     WassersteinBall,
+    dual_inner_value,
     sample_measures,
     membership,
 )
@@ -307,8 +308,6 @@ def backward_induction_exact(
                     for ai in range(len(agrid)):
                         fk = ak + (ai,)
                         if use_dual:
-                            from .neural import dual_inner_value
-
                             ref = kernel.center(path)
                             cont = np.array(
                                 [

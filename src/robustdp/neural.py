@@ -1,20 +1,26 @@
 """Neural max-min training: value and action networks per stage.
 
-Two training loops, sharing one backward structure.  The sampled-measure
-loop ascends min over a fixed per-stage candidate set of Monte Carlo
-means of the next value network; the Wasserstein-dual loop replaces the
-minimum over measures by the dual objective
+One backward loop (stage T-1 down to 0) solves the one-step max-min
+problems of the dynamic programming principle.  At each stage it ascends
+an inner objective in the action network's parameters, then regresses the
+stage value network on that same objective at the trained parameters.
+Two inner problems plug into it:
 
-    (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j|| } - lambda eps^q
+* Algorithm 1 (sampled measure set): the minimum over a fixed per-stage
+  candidate set of Monte Carlo means of the next value.  Candidates are
+  drawn once per stage and held fixed across iterations, so the trained
+  value matches the exact solver run on the same sets, which is what the
+  oracle comparisons require.
+* Algorithm 2 (Wasserstein dual): the minimum over the ball replaced by
 
-with lambda > 0 trained through an exponential reparameterization (one
-lambda per stage, updated jointly with the action network).  Everything
-runs on the numpy tape in autodiff.py, so gradients are exact including
-through the min selections, and runs are bit-reproducible from the seed.
+      (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j|| } - lambda eps^q
 
-Candidate measures are drawn once per stage and then held fixed across
-iterations: the trained value then matches the exact solver run on the
-same sets, which is what the oracle comparisons require.
+  with lambda > 0 trained through an exponential reparameterization (one
+  lambda per stage, updated jointly with the action network).
+
+Everything runs on the numpy tape in autodiff.py, so gradients are exact
+including through the min selections, and runs are bit-reproducible from
+the seed.
 """
 
 from __future__ import annotations
@@ -41,10 +47,8 @@ __all__ = [
     "Mlp",
     "AdamState",
     "TrainConfig",
-    "forward",
     "grad",
     "adam_step",
-    "dual_inner_value",
     "train_algorithm1",
     "train_algorithm2",
     "NeuralPolicy",
@@ -144,11 +148,6 @@ class Mlp:
         return h
 
 
-def forward(net, x):
-    """Plain deterministic forward pass."""
-    return net.forward(x)
-
-
 def grad(net, loss_closure):
     """Exact reverse-mode gradient of a scalar loss in the net parameters.
 
@@ -157,11 +156,11 @@ def grad(net, loss_closure):
     Subgradient 0 is used at rectifier kinks and min/max ties.
     """
     pvars = [ad.Var(p) for p in net.parameters()]
+    return _backprop(loss_closure(lambda x: net.forward_var(x, pvars)), pvars)
 
-    def apply_fn(x):
-        return net.forward_var(x, pvars)
 
-    loss = loss_closure(apply_fn)
+def _backprop(loss, pvars):
+    """Gradients of a scalar loss Var in each of pvars (zero where unused)."""
     if np.isnan(loss.value).any():
         raise FloatingPointError("loss is NaN")
     ad.backward(loss)
@@ -243,35 +242,10 @@ class TrainConfig:
             )
 
 
-
 def _lr_at(config, it, total):
     if config.lr_decay >= 1.0 or total <= 1:
         return config.lr
     return config.lr * config.lr_decay ** (it / (total - 1))
-
-
-def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):
-    """Inner dual objective of the Wasserstein-ball minimization:
-
-        E_reference[ min_j { psi(z_j) + lambda ||X - z_j|| } ] - lambda eps^q.
-
-    psi_next maps a single point (d,) or a stack (N, d) to values; z_grid
-    is a nonempty subset of the local space.
-    """
-    if lambda_ <= 0:
-        raise ValueError("lambda must be positive")
-    z = np.atleast_2d(np.asarray(z_grid, dtype=float))
-    if z.shape[0] == 0:
-        raise ValueError("empty z grid")
-    try:
-        psi_vals = np.asarray(psi_next(z), dtype=float).reshape(z.shape[0])
-    except Exception:
-        psi_vals = np.array([float(psi_next(zj)) for zj in z])
-    dists = np.linalg.norm(
-        reference.support[:, None, :] - z[None, :, :], axis=-1
-    )
-    inner = np.min(psi_vals[None, :] + lambda_ * dists, axis=1)
-    return float(reference.weights @ inner - lambda_ * eps**q)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +290,13 @@ def _sample_paths_reference(kernels, t, batch, rng, d):
     return omega
 
 
-def _draw_training_paths(problem, kernels, t, config, rng):
-    if config.path_sampling == "reference":
-        return _sample_paths_reference(
-            kernels, t, config.batch_size, rng, problem.local_space.dimension
-        )
-    return _sample_paths(problem.local_space, t, config.batch_size, rng)
-
-
 def _sample_prefix_actions(specs, batch, rng):
-    out = []
+    """Past actions drawn uniformly from their boxes, side by side (batch, width)."""
+    out = [np.zeros((batch, 0))]
     for spec in specs:
         low, high = _action_box(spec)
         out.append(rng.uniform(low, high, size=(batch, len(low))))
-    return out
+    return np.concatenate(out, axis=1)
 
 
 def _draw_states(measure, batch, n_mc, rng):
@@ -385,22 +352,19 @@ def _stage_candidates(kernel, t, d, config, rng):
     return sample_measures(kernel, probe, config.n_measures, rng)
 
 
-
 def _input_scale(problem, t):
     """Per-input standardization: returns scaled by 1/C, actions by their
     half-width, so first-layer activations are O(1) regardless of units.
     Feature-map outputs are expected pre-normalized and get scale 1."""
+    if _features_only(problem):
+        return np.ones(_n_features(problem, t))
     d = problem.local_space.dimension
-    parts = []
-    if t > 0:
-        parts.append(np.full(t * d, 1.0 / problem.local_space.bound))
+    parts = [np.full(t * d, 1.0 / problem.local_space.bound)] if t > 0 else []
     for spec in problem.action_specs[:t]:
         low, high = _action_box(spec)
         parts.append(2.0 / np.maximum(high - low, 1e-12))
     parts.append(np.ones(_n_features(problem, t)))
-    if _features_only(problem) and getattr(problem, "feature_tape", None) is not None:
-        return np.ones(_n_features(problem, t))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate(parts)
 
 
 def _n_features(problem, t):
@@ -414,7 +378,8 @@ def _n_features(problem, t):
 
 
 def _features_only(problem):
-    return getattr(problem, "net_inputs", "both") == "features"
+    return (getattr(problem, "net_inputs", "both") == "features"
+            and getattr(problem, "feature_tape", None) is not None)
 
 
 def _stage_input_tape(problem, t, omega_flat, actions):
@@ -425,7 +390,7 @@ def _stage_input_tape(problem, t, omega_flat, actions):
     d = problem.local_space.dimension
     fm = getattr(problem, "feature_tape", None)
     parts = []
-    if not (fm is not None and _features_only(problem)):
+    if not _features_only(problem):
         parts = [ad.as_var(omega_flat)] + [ad.as_var(a) for a in actions]
     if fm is not None:
         flat = np.asarray(
@@ -435,14 +400,8 @@ def _stage_input_tape(problem, t, omega_flat, actions):
     return ad.concat(parts, axis=1)
 
 
-def _stage_input_np(problem, t, omega_flat, prefix_np):
-    actions = _split_actions(problem, prefix_np)
-    return _stage_input_tape(problem, t, omega_flat, actions).value
-
-
-
 def _stage_in_dim(problem, t):
-    if _features_only(problem) and getattr(problem, "feature_tape", None) is not None:
+    if _features_only(problem):
         return _n_features(problem, t)
     d = problem.local_space.dimension
     return t * d + _prefix_width(problem, t) + _n_features(problem, t)
@@ -459,33 +418,33 @@ def _maybe_warm_start(net, prev, config):
     net.set_parameters([p.copy() for p in prev.parameters()])
 
 
-class _PsiNext:
-    """Uniform view of the stage-(t+1) value: a net or the terminal map."""
+def _next_value(problem, t_next, net):
+    """The stage-(t+1) value as a tape function of (paths, past actions,
+    stage action Var) -> Var (N,): the value net, or the terminal objective
+    at the horizon."""
+    T, d = problem.horizon, problem.local_space.dimension
 
-    def __init__(self, problem, t_next, net):
-        self.problem = problem
-        self.t_next = t_next
-        self.net = net
-        self.is_terminal = t_next == problem.horizon
+    def psi(omega_flat, prefix_np, a_var):
+        actions = _split_actions(problem, prefix_np) + [a_var]
+        if t_next == T:
+            return problem.terminal_tape(omega_flat.reshape(-1, T, d), actions)
+        x = _stage_input_tape(problem, t_next, omega_flat, actions)
+        return ad.reshape(net.forward_var(x), (-1,))
 
-    def tape(self, omega_flat, prefix_np, a_var):
-        """Var of shape (N,) given constants and the stage action Var."""
-        actions = _split_actions(self.problem, prefix_np) + [a_var]
-        if self.is_terminal:
-            T = self.problem.horizon
-            d = self.problem.local_space.dimension
-            return self.problem.terminal_tape(omega_flat.reshape(-1, T, d), actions)
-        x = _stage_input_tape(self.problem, self.t_next, omega_flat, actions)
-        return ad.reshape(self.net.forward_var(x), (-1,))
+    return psi
 
-    def numpy(self, omega_flat, prefix_np, a_np):
-        actions = _split_actions(self.problem, prefix_np) + [a_np]
-        if self.is_terminal:
-            T = self.problem.horizon
-            d = self.problem.local_space.dimension
-            return self.problem.terminal_tape(omega_flat.reshape(-1, T, d), actions).value
-        x = _stage_input_tape(self.problem, self.t_next, omega_flat, actions).value
-        return self.net.forward(x)[:, 0]
+
+def _continuation(psi, omega_b, prefix, a_rep, nxt):
+    """psi at every path of omega_b (b, t, d) extended by each of its next
+    states nxt (b, n, d); a_rep is the stage action repeated n times per
+    row.  Returns a Var (b, n)."""
+    b, t, d = omega_b.shape
+    n = nxt.shape[1]
+    omega_next = np.concatenate(
+        [np.repeat(omega_b.reshape(b, t * d), n, axis=0), nxt.reshape(b * n, d)],
+        axis=1,
+    )
+    return ad.reshape(psi(omega_next, np.repeat(prefix, n, axis=0), a_rep), (b, n))
 
 
 def _split_actions(problem, prefix_np):
@@ -591,12 +550,192 @@ class TrainResult:
     lambdas: list = None
 
 
-def _require_tape(problem):
+def _prepare(problem, kernels, config):
     if getattr(problem, "terminal_tape", None) is None:
         raise ValueError(
             "neural training needs problem.terminal_tape "
             "(a batched, tape-differentiable terminal objective)"
         )
+    return config or TrainConfig(), kernels if kernels is not None else problem.kernels
+
+
+class _SampledSetMin:
+    """Algorithm 1's inner problem: the minimum over a stage's fixed
+    candidate measures of the Monte Carlo mean of the next value.  A
+    singleton kernel has no candidates; its draws come per path from the
+    reference (the non-robust special case)."""
+
+    def __init__(self, problem, kernels, config, rng):
+        d = problem.local_space.dimension
+        self.kernels = kernels
+        self.candidate_sets = {
+            t: _stage_candidates(kernels[t], t, d, config, rng)
+            for t in range(problem.horizon)
+        }
+
+    def parameters(self, t):
+        return []
+
+    def log_lambda(self, t):
+        return ""
+
+    def draw(self, t, omega_b, n_mc, rng, final=False):
+        """One (b, n_mc, d) block of next states per candidate."""
+        cands = self.candidate_sets[t]
+        if cands is None:
+            return [_reference_states(self.kernels[t], omega_b, n_mc, rng)]
+        return [_draw_states(m, omega_b.shape[0], n_mc, rng) for m in cands]
+
+    def objective(self, t, psi, a, omega_b, prefix, blocks, own):
+        """Var (b,): per path, the least candidate mean of psi."""
+        b, n_mc = blocks[0].shape[:2]
+        a_rep = ad.repeat_rows(a, n_mc)
+        means = [
+            ad.reshape(ad.vmean(_continuation(psi, omega_b, prefix, a_rep, blk), axis=1),
+                       (1, b))
+            for blk in blocks
+        ]
+        return ad.vmin(ad.concat(means, axis=0), axis=0)
+
+
+class _WassersteinDual:
+    """Algorithm 2's inner problem: the dual of the minimum over a
+    Wasserstein ball (Gao & Kleywegt, arXiv:1604.02199),
+
+        mean_i min_j { psi(z_j) + lambda ||x_i - z_j|| } - lambda eps^q,
+
+    on reference draws x_i and a z grid, with one lambda = exp(raw) per
+    stage trained jointly with the action net."""
+
+    def __init__(self, problem, kernels, config):
+        for k in kernels:
+            if not isinstance(k, WassersteinBall):
+                raise ValueError("dual training needs Wasserstein-ball kernels")
+        self.kernels = kernels
+        self.space = problem.local_space
+        self.n_z = config.dual_grid
+        self.raw = [np.array([0.0]) for _ in kernels]
+
+    def parameters(self, t):
+        return [self.raw[t]]
+
+    def log_lambda(self, t):
+        return float(np.exp(self.raw[t][0]))
+
+    def draw(self, t, omega_b, n_mc, rng, final=False):
+        """Reference draws (b, n_mc, d), then a z grid drawn uniformly from
+        the local space; the final estimate uses four times as many points,
+        on the regular grid (at most 256) when d = 1."""
+        states = _reference_states(self.kernels[t], omega_b, n_mc, rng)
+        n_z = self.n_z * (4 if final else 1)
+        if final and self.space.dimension == 1:
+            return states, self.space.grid(min(256, n_z))
+        bound = self.space.bound
+        return states, rng.uniform(-bound, bound, size=(n_z, self.space.dimension))
+
+    def objective(self, t, psi, a, omega_b, prefix, draws, own):
+        """Var (b,): the dual per path, at lambda = exp(own[0])."""
+        states, z = draws
+        b, n_z = omega_b.shape[0], z.shape[0]
+        nxt = np.broadcast_to(z, (b,) + z.shape)
+        psi_z = ad.reshape(
+            _continuation(psi, omega_b, prefix, ad.repeat_rows(a, n_z), nxt), (b, 1, n_z)
+        )
+        dist = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :], axis=-1)
+        lam = ad.exp(own[0])
+        inner = ad.vmin(psi_z + lam * ad.const(dist), axis=2)  # (b, n_mc)
+        kernel = self.kernels[t]
+        eps = np.array([kernel.eps(w) for w in omega_b])
+        return ad.vmean(inner, axis=1) - lam * ad.const(eps**kernel.order)
+
+
+def _train_backward(problem, kernels, config, rng, inner):
+    """The backward recursion of both trainers, stage T-1 down to 0.
+
+    Each stage ascends the batch mean of inner.objective in the action
+    net's parameters and the inner problem's own, then regresses the value
+    net on the same objective at the trained parameters.  The stage-0
+    objective on eval_mc draws is the value estimate.  inner supplies its
+    parameters(t), draw(t, omega_b, n_mc, rng, final), the per-path
+    objective(t, psi, action, omega_b, prefix, draws, own parameter Vars)
+    and log_lambda(t) for the log's lambda column.
+    """
+    T, d = problem.horizon, problem.local_space.dimension
+    action_nets = [None] * T
+    value_nets = [None] * (T + 1)
+    log = []
+
+    def stage_input(t, omega_b, prefix):
+        omega_flat = omega_b.reshape(len(omega_b), t * d)
+        return _stage_input_tape(problem, t, omega_flat, _split_actions(problem, prefix)).value
+
+    def draw_batch(t):
+        if config.path_sampling == "reference":
+            omega_b = _sample_paths_reference(kernels, t, config.batch_size, rng, d)
+        else:
+            omega_b = _sample_paths(problem.local_space, t, config.batch_size, rng)
+        prefix = _sample_prefix_actions(problem.action_specs[:t], config.batch_size, rng)
+        draws = inner.draw(t, omega_b, config.n_mc, rng)
+        return omega_b, prefix, stage_input(t, omega_b, prefix), draws
+
+    for t in range(T - 1, -1, -1):
+        in_dim = _stage_in_dim(problem, t)
+        box = _action_box(problem.action_specs[t])
+        scale = _input_scale(problem, t)
+        net_a = Mlp(in_dim, len(box[0]), config.hidden_layers,
+                    config.hidden_units, rng, out_box=box, in_scale=scale)
+        _maybe_warm_start(net_a, action_nets[t + 1] if t + 1 < T else None, config)
+        psi = _next_value(problem, t + 1, value_nets[t + 1])
+        k = len(net_a.parameters())
+        params = net_a.parameters() + inner.parameters(t)  # then the inner's own
+
+        def objective(pvars, omega_b, prefix, x_t, draws):
+            a = net_a.forward_var(x_t, pvars[:k])
+            return inner.objective(t, psi, a, omega_b, prefix, draws, pvars[k:])
+
+        adam = AdamState.init(params, lr=config.lr)
+        for it in range(config.iter_a):
+            adam.lr = _lr_at(config, it, config.iter_a)
+            pvars = [ad.Var(p) for p in params]
+            obj = ad.vmean(objective(pvars, *draw_batch(t)))
+            adam_step(adam, params, _backprop(-obj, pvars))
+            log.append((t, "action", it, float(obj.value), inner.log_lambda(t)))
+
+        frozen = [ad.const(p) for p in params]
+        net_psi = Mlp(in_dim, 1, config.hidden_layers, config.hidden_units, rng,
+                      in_scale=scale)
+        _maybe_warm_start(net_psi, value_nets[t + 1] if t + 1 < T else None, config)
+        adam_psi = AdamState.init(net_psi.parameters(), lr=config.lr)
+        for it in range(config.iter_psi if t > 0 else 0):
+            adam_psi.lr = _lr_at(config, it, config.iter_psi)
+            batch = draw_batch(t)
+            target = ad.const(objective(frozen, *batch).value)
+            held = []
+
+            def mse(apply_fn):
+                pred = ad.reshape(apply_fn(batch[2]), (-1,))
+                held.append(ad.vmean((pred - target) ** 2))
+                return held[0]
+
+            adam_step(adam_psi, net_psi.parameters(), grad(net_psi, mse))
+            if it % 50 == 0:
+                log.append((t, "value", it, float(held[0].value), inner.log_lambda(t)))
+
+        action_nets[t] = net_a
+        value_nets[t] = net_psi
+
+    # the loop ends at stage 0, whose objective at the empty path is the value
+    omega0, prefix0 = np.zeros((1, 0, d)), np.zeros((1, 0))
+    draws0 = inner.draw(0, omega0, config.eval_mc, rng, final=True)
+    x0 = stage_input(0, omega0, prefix0)
+    value_estimate = float(objective(frozen, omega0, prefix0, x0, draws0).value[0])
+    return TrainResult(
+        action_nets=action_nets,
+        value_nets=value_nets,
+        policy=policy_for(problem, action_nets),
+        value_estimate=value_estimate,
+        log=log,
+    )
 
 
 def train_algorithm1(problem, kernels=None, config=None, rng=None):
@@ -607,158 +746,12 @@ def train_algorithm1(problem, kernels=None, config=None, rng=None):
     stage value network on the achieved minimum.  Singleton kernels fall
     back to per-path reference sampling (the non-robust special case).
     """
-    _require_tape(problem)
-    config = config or TrainConfig()
-    kernels = kernels if kernels is not None else problem.kernels
+    config, kernels = _prepare(problem, kernels, config)
     rng = rng or np.random.default_rng(config.seed)
-    T, d = problem.horizon, problem.local_space.dimension
-
-    candidate_sets = {
-        t: _stage_candidates(kernels[t], t, d, config, rng) for t in range(T)
-    }
-
-    def next_state_block(t, omega_b, n_mc):
-        """List over candidates of (B, n_mc, d) draws; singletons give one."""
-        cands = candidate_sets[t]
-        if cands is None:
-            return [_reference_states(kernels[t], omega_b, n_mc, rng)]
-        return [_draw_states(m, omega_b.shape[0], n_mc, rng) for m in cands]
-
-    action_nets = [None] * T
-    value_nets = [None] * (T + 1)
-    log = []
-
-    for t in range(T - 1, -1, -1):
-        in_dim = _stage_in_dim(problem, t)
-        box = _action_box(problem.action_specs[t])
-        scale = _input_scale(problem, t)
-        net_a = Mlp(in_dim, len(box[0]), config.hidden_layers,
-                    config.hidden_units, rng, out_box=box, in_scale=scale)
-        _maybe_warm_start(net_a, action_nets[t + 1] if t + 1 < T else None, config)
-        psi_next = _PsiNext(problem, t + 1, value_nets[t + 1])
-
-        def j_tape(apply_fn, omega_b, prefix, blocks):
-            b = omega_b.shape[0]
-            n_mc = blocks[0].shape[1]
-            x_t = _stage_input_np(problem, t, omega_b.reshape(b, t * d), prefix)
-            a = apply_fn(x_t)
-            a_rep = ad.repeat_rows(a, n_mc)
-            per_k = []
-            for blk in blocks:
-                omega_next = np.concatenate(
-                    [
-                        np.repeat(omega_b.reshape(b, t * d), n_mc, axis=0),
-                        blk.reshape(b * n_mc, d),
-                    ],
-                    axis=1,
-                )
-                prefix_rep = np.repeat(prefix, n_mc, axis=0)
-                vals = psi_next.tape(omega_next, prefix_rep, a_rep)
-                per_k.append(ad.reshape(ad.vmean(ad.reshape(vals, (b, n_mc)), axis=1), (1, b)))
-            stacked = per_k[0] if len(per_k) == 1 else ad.concat(per_k, axis=0)
-            return ad.vmin(stacked, axis=0)  # (b,)
-
-        adam = AdamState.init(net_a.parameters(), lr=config.lr)
-        for it in range(config.iter_a):
-            adam.lr = _lr_at(config, it, config.iter_a)
-            omega_b = _draw_training_paths(problem, kernels, t, config, rng)
-            prefix = np.concatenate(
-                _sample_prefix_actions(problem.action_specs[:t], config.batch_size, rng)
-                + [np.zeros((config.batch_size, 0))],
-                axis=1,
-            )
-            blocks = next_state_block(t, omega_b, config.n_mc)
-            obj_holder = {}
-
-            def loss_fn(apply_fn):
-                obj = ad.vmean(j_tape(apply_fn, omega_b, prefix, blocks))
-                obj_holder["value"] = float(obj.value)
-                return -obj
-
-            grads = grad(net_a, loss_fn)
-            adam_step(adam, net_a.parameters(), grads)
-            log.append((t, "action", it, obj_holder["value"], ""))
-
-        def j_numpy(omega_b, prefix, blocks):
-            b = omega_b.shape[0]
-            n_mc = blocks[0].shape[1]
-            x_t = _stage_input_np(problem, t, omega_b.reshape(b, t * d), prefix)
-            a = net_a.forward(x_t)
-            a_rep = np.repeat(a, n_mc, axis=0)
-            per_k = []
-            for blk in blocks:
-                omega_next = np.concatenate(
-                    [
-                        np.repeat(omega_b.reshape(b, t * d), n_mc, axis=0),
-                        blk.reshape(b * n_mc, d),
-                    ],
-                    axis=1,
-                )
-                prefix_rep = np.repeat(prefix, n_mc, axis=0)
-                per_k.append(
-                    psi_next.numpy(omega_next, prefix_rep, a_rep).reshape(b, n_mc).mean(axis=1)
-                )
-            return np.min(np.stack(per_k, axis=0), axis=0)
-
-        net_psi = Mlp(in_dim, 1, config.hidden_layers, config.hidden_units, rng,
-                      in_scale=scale)
-        _maybe_warm_start(net_psi, value_nets[t + 1] if t + 1 < T else None, config)
-        adam_psi = AdamState.init(net_psi.parameters(), lr=config.lr)
-        if t > 0:
-            for it in range(config.iter_psi):
-                adam_psi.lr = _lr_at(config, it, config.iter_psi)
-                omega_b = _draw_training_paths(problem, kernels, t, config, rng)
-                prefix = np.concatenate(
-                    _sample_prefix_actions(problem.action_specs[:t], config.batch_size, rng)
-                    + [np.zeros((config.batch_size, 0))],
-                    axis=1,
-                )
-                blocks = next_state_block(t, omega_b, config.n_mc)
-                target = j_numpy(omega_b, prefix, blocks)
-                x_t = _stage_input_np(problem, t, omega_b.reshape(-1, t * d), prefix)
-
-                def mse(apply_fn):
-                    pred = ad.reshape(apply_fn(x_t), (-1,))
-                    return ad.vmean((pred - ad.const(target)) ** 2)
-
-                grads = grad(net_psi, mse)
-                adam_step(adam_psi, net_psi.parameters(), grads)
-                if it % 50 == 0:
-                    log.append((t, "value", it, float("nan"), ""))
-
-        action_nets[t] = net_a
-        value_nets[t] = net_psi
-
-    # stage-0 value estimate straight from the trained stage-0 objective
-    omega0 = np.zeros((1, 0, d))
-    prefix0 = np.zeros((1, 0))
-    blocks0 = next_state_block(0, omega0, config.eval_mc)
-    x0 = _stage_input_np(problem, 0, np.zeros((1, 0)), prefix0)
-    a0 = action_nets[0].forward(x0)
-    psi1 = _PsiNext(problem, 1, value_nets[1])
-    per_k = []
-    for blk in blocks0:
-        omega_next = blk.reshape(config.eval_mc, d)
-        per_k.append(
-            float(
-                psi1.numpy(
-                    omega_next,
-                    np.zeros((config.eval_mc, 0)),
-                    np.repeat(a0, config.eval_mc, axis=0),
-                ).mean()
-            )
-        )
-    value_estimate = min(per_k)
-
-    policy = policy_for(problem, action_nets)
-    return TrainResult(
-        action_nets=action_nets,
-        value_nets=value_nets,
-        policy=policy,
-        value_estimate=value_estimate,
-        candidate_sets=candidate_sets,
-        log=log,
-    )
+    inner = _SampledSetMin(problem, kernels, config, rng)
+    result = _train_backward(problem, kernels, config, rng, inner)
+    result.candidate_sets = inner.candidate_sets
+    return result
 
 
 def train_algorithm2(problem, kernels=None, config=None, rng=None):
@@ -769,172 +762,12 @@ def train_algorithm2(problem, kernels=None, config=None, rng=None):
     draws and a z grid resampled every iteration from the local space,
     with one positive lambda per stage trained through exp().
     """
-    _require_tape(problem)
-    config = config or TrainConfig()
-    kernels = kernels if kernels is not None else problem.kernels
-    for k in kernels:
-        if not isinstance(k, WassersteinBall):
-            raise ValueError("dual training needs Wasserstein-ball kernels")
+    config, kernels = _prepare(problem, kernels, config)
+    inner = _WassersteinDual(problem, kernels, config)
     rng = rng or np.random.default_rng(config.seed)
-    T, d = problem.horizon, problem.local_space.dimension
-    space = problem.local_space
-
-    action_nets = [None] * T
-    value_nets = [None] * (T + 1)
-    lambdas = [None] * T
-    log = []
-
-    for t in range(T - 1, -1, -1):
-        in_dim = _stage_in_dim(problem, t)
-        box = _action_box(problem.action_specs[t])
-        scale = _input_scale(problem, t)
-        net_a = Mlp(in_dim, len(box[0]), config.hidden_layers,
-                    config.hidden_units, rng, out_box=box, in_scale=scale)
-        _maybe_warm_start(net_a, action_nets[t + 1] if t + 1 < T else None, config)
-        psi_next = _PsiNext(problem, t + 1, value_nets[t + 1])
-        raw_lambda = np.array([0.0])
-        kernel = kernels[t]
-
-        def eps_of(omega_b):
-            return np.array([kernel.eps(w) for w in omega_b])
-
-        def dual_tape(apply_fn, lam_var, omega_b, prefix, states, z):
-            b = omega_b.shape[0]
-            n_mc = states.shape[1]
-            n_z = z.shape[0]
-            x_t = _stage_input_np(problem, t, omega_b.reshape(b, t * d), prefix)
-            a = apply_fn(x_t)
-            a_rep = ad.repeat_rows(a, n_z)
-            omega_next = np.concatenate(
-                [
-                    np.repeat(omega_b.reshape(b, t * d), n_z, axis=0),
-                    np.tile(z, (b, 1)),
-                ],
-                axis=1,
-            )
-            prefix_rep = np.repeat(prefix, n_z, axis=0)
-            psi_z = ad.reshape(
-                psi_next.tape(omega_next, prefix_rep, a_rep), (b, 1, n_z)
-            )
-            dist = np.linalg.norm(
-                states[:, :, None, :] - z[None, None, :, :], axis=-1
-            )  # (b, n_mc, n_z)
-            lam = ad.exp(lam_var)
-            inner = ad.vmin(psi_z + lam * ad.const(dist), axis=2)  # (b, n_mc)
-            per_b = ad.vmean(inner, axis=1) - lam * ad.const(
-                eps_of(omega_b) ** kernel.order
-            )
-            return ad.vmean(per_b)
-
-        params_lam = [raw_lambda]
-        adam = AdamState.init(net_a.parameters() + params_lam, lr=config.lr)
-        for it in range(config.iter_a):
-            adam.lr = _lr_at(config, it, config.iter_a)
-            omega_b = _draw_training_paths(problem, kernels, t, config, rng)
-            prefix = np.concatenate(
-                _sample_prefix_actions(problem.action_specs[:t], config.batch_size, rng)
-                + [np.zeros((config.batch_size, 0))],
-                axis=1,
-            )
-            states = _reference_states(kernel, omega_b, config.n_mc, rng)
-            z = rng.uniform(-space.bound, space.bound, size=(config.dual_grid, d))
-            obj_holder = {}
-
-            pvars = [ad.Var(p) for p in net_a.parameters()]
-            lam_var = ad.Var(raw_lambda)
-
-            def apply_fn(x):
-                return net_a.forward_var(x, pvars)
-
-            obj = dual_tape(apply_fn, lam_var, omega_b, prefix, states, z)
-            obj_holder["value"] = float(obj.value)
-            loss = -obj
-            ad.backward(loss)
-            grads = [
-                pv.grad if pv.grad is not None else np.zeros_like(pv.value)
-                for pv in pvars
-            ] + [lam_var.grad if lam_var.grad is not None else np.zeros(1)]
-            adam_step(adam, net_a.parameters() + params_lam, grads)
-            log.append((t, "action", it, obj_holder["value"],
-                        float(np.exp(raw_lambda[0]))))
-
-        lam_trained = float(np.exp(raw_lambda[0]))
-
-        def dual_numpy(omega_b, prefix, states, z):
-            b = omega_b.shape[0]
-            n_z = z.shape[0]
-            x_t = _stage_input_np(problem, t, omega_b.reshape(b, t * d), prefix)
-            a = net_a.forward(x_t)
-            a_rep = np.repeat(a, n_z, axis=0)
-            omega_next = np.concatenate(
-                [
-                    np.repeat(omega_b.reshape(b, t * d), n_z, axis=0),
-                    np.tile(z, (b, 1)),
-                ],
-                axis=1,
-            )
-            prefix_rep = np.repeat(prefix, n_z, axis=0)
-            psi_z = psi_next.numpy(omega_next, prefix_rep, a_rep).reshape(b, 1, n_z)
-            dist = np.linalg.norm(
-                states[:, :, None, :] - z[None, None, :, :], axis=-1
-            )
-            inner = np.min(psi_z + lam_trained * dist, axis=2)
-            return inner.mean(axis=1) - lam_trained * eps_of(omega_b) ** kernel.order
-
-        net_psi = Mlp(in_dim, 1, config.hidden_layers, config.hidden_units, rng,
-                      in_scale=scale)
-        _maybe_warm_start(net_psi, value_nets[t + 1] if t + 1 < T else None, config)
-        adam_psi = AdamState.init(net_psi.parameters(), lr=config.lr)
-        if t > 0:
-            for it in range(config.iter_psi):
-                adam_psi.lr = _lr_at(config, it, config.iter_psi)
-                omega_b = _draw_training_paths(problem, kernels, t, config, rng)
-                prefix = np.concatenate(
-                    _sample_prefix_actions(problem.action_specs[:t], config.batch_size, rng)
-                    + [np.zeros((config.batch_size, 0))],
-                    axis=1,
-                )
-                states = _reference_states(kernel, omega_b, config.n_mc, rng)
-                z = rng.uniform(-space.bound, space.bound, size=(config.dual_grid, d))
-                target = dual_numpy(omega_b, prefix, states, z)
-                x_t = _stage_input_np(problem, t, omega_b.reshape(-1, t * d), prefix)
-
-                def mse(apply_fn):
-                    pred = ad.reshape(apply_fn(x_t), (-1,))
-                    return ad.vmean((pred - ad.const(target)) ** 2)
-
-                grads = grad(net_psi, mse)
-                adam_step(adam_psi, net_psi.parameters(), grads)
-
-        action_nets[t] = net_a
-        value_nets[t] = net_psi
-        lambdas[t] = lam_trained
-
-    omega0 = np.zeros((1, 0, d))
-    prefix0 = np.zeros((1, 0))
-    states0 = _reference_states(kernels[0], omega0, config.eval_mc, rng)
-    z0 = space.grid(min(256, config.dual_grid * 4)) if d == 1 else rng.uniform(
-        -space.bound, space.bound, size=(config.dual_grid * 4, d)
-    )
-    psi1 = _PsiNext(problem, 1, value_nets[1])
-    a0 = action_nets[0].forward(_stage_input_np(problem, 0, np.zeros((1, 0)), np.zeros((1, 0))))
-    psi_z = psi1.numpy(
-        z0, np.zeros((z0.shape[0], 0)), np.repeat(a0, z0.shape[0], axis=0)
-    )
-    dist = np.linalg.norm(states0[0][:, None, :] - z0[None, :, :], axis=-1)
-    lam0 = lambdas[0]
-    inner = np.min(psi_z[None, :] + lam0 * dist, axis=1)
-    value_estimate = float(inner.mean() - lam0 * kernels[0].eps(np.zeros((0, d))) ** kernels[0].order)
-
-    policy = policy_for(problem, action_nets)
-    return TrainResult(
-        action_nets=action_nets,
-        value_nets=value_nets,
-        policy=policy,
-        value_estimate=value_estimate,
-        log=log,
-        lambdas=lambdas,
-    )
+    result = _train_backward(problem, kernels, config, rng, inner)
+    result.lambdas = [inner.log_lambda(t) for t in range(problem.horizon)]
+    return result
 
 
 def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):

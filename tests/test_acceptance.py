@@ -203,7 +203,7 @@ def test_criterion_5_duality_gap():
         lam_grid = np.concatenate(
             [np.geomspace(1e-4, 50.0, 120), [max(lam_star, 1e-6)]]
         )
-        dual = max(nn.dual_inner_value(psi, ref, eps, 1, l, z) for l in lam_grid)
+        dual = max(amb.dual_inner_value(psi, ref, eps, 1, l, z) for l in lam_grid)
         assert dual <= primal + 1e-9  # weak duality, always
         worst = max(worst, primal - dual)
     ok = worst <= 1e-3

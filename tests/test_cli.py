@@ -184,6 +184,20 @@ def test_train_and_evaluate_and_backtest(tmp_path):
     assert "black_scholes" in report["summary"]
 
 
+@pytest.mark.parametrize("kind", ["algorithm1", "algorithm2"])
+def test_train_logs_value_regression_loss(tmp_path, kind):
+    train = {"iter_a": 3, "iter_psi": 60, "n_mc": 4, "batch_size": 4, "hidden_layers": 1,
+             "hidden_units": 4, "eval_mc": 8, "n_measures": 2, "dual_grid": 4}
+    cfg = dict(BASE_CONFIG, solver={"kind": kind, "train": train})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "training_log.csv").read_text().splitlines()[1:]]
+    value_rows = [row for row in rows if row[1] == "value"]
+    assert [(row[0], row[2]) for row in value_rows] == [("1", "0"), ("1", "50")]
+    assert all(np.isfinite(float(row[3])) for row in value_rows)
+
+
 @pytest.mark.parametrize("train, named", [
     ({"iters": 3}, "solver.train.iters"),
     ({"seed": 3}, "solver.train.seed"),

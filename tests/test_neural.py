@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import primal_ball_lp
 from robustdp import ambiguity as amb
@@ -211,24 +214,24 @@ def test_dual_exact_representation_at_zero_radius():
     ref = DiscreteMeasure([[-0.4], [0.1], [0.6]], [0.2, 0.5, 0.3])
     psi = lambda z: np.sin(3 * np.atleast_2d(z)[:, 0])
     z_grid = np.vstack([ref.support, np.linspace(-1, 1, 9)[:, None]])
-    val = nn.dual_inner_value(psi, ref, 0.0, 1, 1e6, z_grid)
+    val = amb.dual_inner_value(psi, ref, 0.0, 1, 1e6, z_grid)
     expect = float(ref.weights @ np.sin(3 * ref.support[:, 0]))
     assert val == pytest.approx(expect, abs=1e-6)
 
 
 def test_dual_constant_psi():
     ref = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    val = nn.dual_inner_value(lambda z: np.full(len(np.atleast_2d(z)), 2.0),
-                              ref, 0.3, 1, 1.5, np.array([[0.0], [1.0]]))
+    val = amb.dual_inner_value(lambda z: np.full(len(np.atleast_2d(z)), 2.0),
+                               ref, 0.3, 1, 1.5, np.array([[0.0], [1.0]]))
     assert val == pytest.approx(2.0 - 1.5 * 0.3)
 
 
 def test_dual_requires_positive_lambda_and_grid():
     ref = DiscreteMeasure.dirac([0.0])
     with pytest.raises(ValueError):
-        nn.dual_inner_value(lambda z: np.zeros(1), ref, 0.1, 1, 0.0, [[0.0]])
+        amb.dual_inner_value(lambda z: np.zeros(1), ref, 0.1, 1, 0.0, [[0.0]])
     with pytest.raises(ValueError):
-        nn.dual_inner_value(lambda z: np.zeros(0), ref, 0.1, 1, 1.0, np.zeros((0, 1)))
+        amb.dual_inner_value(lambda z: np.zeros(0), ref, 0.1, 1, 1.0, np.zeros((0, 1)))
 
 
 def test_weak_duality_against_primal_lp():
@@ -244,7 +247,112 @@ def test_weak_duality_against_primal_lp():
         eps = float(rng.uniform(0.01, 0.4))
         primal, lam_star = primal_ball_lp(psi_vals, ref, z, eps)
         for lam in [0.1, 0.5, 1.0, 5.0, max(lam_star, 1e-6)]:
-            assert nn.dual_inner_value(psi, ref, eps, 1, lam, z) <= primal + 1e-9
+            assert amb.dual_inner_value(psi, ref, eps, 1, lam, z) <= primal + 1e-9
+
+
+# -- inner objectives against plain-numpy oracles ---------------------------------
+
+
+def psi_numpy(omega_flat, prefix, a):
+    """A next value that reads the path, the past actions and the action."""
+    return (np.tanh(3.0 * omega_flat.sum(axis=1)) + prefix.sum(axis=1)
+            + (a * omega_flat[:, -1:]).sum(axis=1))
+
+
+def psi_tape(omega_flat, prefix, a_var):
+    const = np.tanh(3.0 * omega_flat.sum(axis=1)) + prefix.sum(axis=1)
+    return ad.const(const) + ad.vsum(a_var * ad.const(omega_flat[:, -1:]), axis=1)
+
+
+def sampled_set_oracle(a, omega_b, prefix, blocks):
+    """min over candidates of the Monte Carlo mean of the next value."""
+    b, t, d = omega_b.shape
+    n_mc = blocks[0].shape[1]
+    per_k = []
+    for blk in blocks:
+        omega_next = np.concatenate(
+            [np.repeat(omega_b.reshape(b, t * d), n_mc, axis=0), blk.reshape(b * n_mc, d)],
+            axis=1,
+        )
+        vals = psi_numpy(omega_next, np.repeat(prefix, n_mc, axis=0), np.repeat(a, n_mc, axis=0))
+        per_k.append(vals.reshape(b, n_mc).mean(axis=1))
+    return np.min(np.stack(per_k), axis=0)
+
+
+def dual_oracle(a, omega_b, prefix, states, z, lam, eps, q):
+    """mean_i min_j {psi(z_j) + lam ||x_i - z_j||} - lam eps^q, per path."""
+    b, t, d = omega_b.shape
+    n_z = z.shape[0]
+    omega_next = np.concatenate(
+        [np.repeat(omega_b.reshape(b, t * d), n_z, axis=0), np.tile(z, (b, 1))], axis=1
+    )
+    psi_z = psi_numpy(omega_next, np.repeat(prefix, n_z, axis=0),
+                      np.repeat(a, n_z, axis=0)).reshape(b, 1, n_z)
+    dist = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :], axis=-1)
+    return np.min(psi_z + lam * dist, axis=2).mean(axis=1) - lam * eps**q
+
+
+def toy_problem(t, d):
+    return SimpleNamespace(horizon=t + 1, local_space=LocalSpace(d, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2), st.integers(1, 2), st.integers(1, 4),
+       st.integers(1, 5), st.integers(1, 4))
+def test_sampled_set_objective_matches_oracle(seed, t, d, b, n_mc, n_cands):
+    rng = np.random.default_rng(seed)
+    ref = DiscreteMeasure(rng.uniform(-1, 1, (3, d)), rng.dirichlet(np.ones(3)))
+    kern = amb.FiniteSet([amb.ConstantKernel(ref)] * n_cands)
+    inner = nn._SampledSetMin(toy_problem(t, d), [kern] * (t + 1), nn.TrainConfig(), rng)
+    omega_b = rng.uniform(-1, 1, (b, t, d))
+    prefix = rng.uniform(-1, 1, (b, 2 * t))
+    a = rng.uniform(-1, 1, (b, 1))
+    blocks = [rng.uniform(-1, 1, (b, n_mc, d)) for _ in range(n_cands)]
+    got = inner.objective(t, psi_tape, ad.Var(a), omega_b, prefix, blocks, [])
+    np.testing.assert_allclose(got.value, sampled_set_oracle(a, omega_b, prefix, blocks),
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2), st.integers(1, 2), st.integers(1, 4),
+       st.integers(1, 5), st.integers(1, 6), st.floats(-3.0, 3.0), st.integers(1, 2))
+def test_dual_objective_matches_oracle(seed, t, d, b, n_mc, n_z, raw, q):
+    rng = np.random.default_rng(seed)
+    eps = float(rng.uniform(0.0, 0.5))
+    ref = DiscreteMeasure(rng.uniform(-1, 1, (3, d)), rng.dirichlet(np.ones(3)))
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps), q)
+    inner = nn._WassersteinDual(toy_problem(t, d), [ball] * (t + 1),
+                                nn.TrainConfig(dual_grid=n_z))
+    omega_b = rng.uniform(-1, 1, (b, t, d))
+    prefix = rng.uniform(-1, 1, (b, 2 * t))
+    a = rng.uniform(-1, 1, (b, 1))
+    states, z = inner.draw(t, omega_b, n_mc, rng)
+    assert states.shape == (b, n_mc, d) and z.shape == (n_z, d)
+    got = inner.objective(t, psi_tape, ad.Var(a), omega_b, prefix, (states, z),
+                          [ad.Var(np.array([raw]))])
+    expect = dual_oracle(a, omega_b, prefix, states, z, np.exp(raw), eps, q)
+    np.testing.assert_allclose(got.value, expect, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 6), st.integers(1, 8),
+       st.floats(-3.0, 3.0))
+def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, raw):
+    # one empty path whose states are the atoms of a uniform reference: the
+    # trainer's dual is the exact solver's dual at the same lambda
+    rng = np.random.default_rng(seed)
+    eps = float(rng.uniform(0.0, 0.5))
+    ref = DiscreteMeasure(rng.uniform(-1, 1, (n_atoms, d)), np.full(n_atoms, 1.0 / n_atoms))
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps))
+    inner = nn._WassersteinDual(toy_problem(0, d), [ball], nn.TrainConfig())
+    z = rng.uniform(-1, 1, (n_z, d))
+    f = lambda pts: np.tanh(3.0 * np.atleast_2d(pts).sum(axis=1))
+    psi = lambda omega_flat, prefix, a_var: ad.const(f(omega_flat[:, -d:]))
+    got = inner.objective(0, psi, ad.Var(np.zeros((1, 1))), np.zeros((1, 0, d)),
+                          np.zeros((1, 0)), (ref.support[None], z), [ad.Var(np.array([raw]))])
+    expect = amb.dual_inner_value(f, ref, eps, 1, float(np.exp(raw)), z)
+    assert got.value.shape == (1,)
+    assert abs(got.value[0] - expect) <= 1e-12
 
 
 # -- training --------------------------------------------------------------------
@@ -287,6 +395,38 @@ def test_algorithm1_seed_determinism():
     for p, q in zip(r1.action_nets[0].parameters(), r2.action_nets[0].parameters()):
         assert np.array_equal(p, q)
     assert r1.value_estimate == r2.value_estimate
+
+
+def test_algorithm2_seed_determinism():
+    from robustdp import hedging as hg
+
+    hp = hg.HedgingProblem(d=1, horizon=2, return_bound=0.1, payoff=hg.CallPayoff(1.0))
+    ref = DiscreteMeasure([[-0.05], [0.0], [0.05]], [0.3, 0.4, 0.3])
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(0.01))
+    prob = hg.make_control_problem(hp, [ball] * 2)
+    cfg = nn.TrainConfig(iter_a=20, iter_psi=60, n_mc=8, batch_size=8, hidden_layers=2,
+                         hidden_units=8, eval_mc=64, dual_grid=8, seed=5)
+    r1 = nn.train_algorithm2(prob, config=cfg)
+    r2 = nn.train_algorithm2(prob, config=cfg)
+    assert r1.value_estimate == r2.value_estimate
+    assert r1.lambdas == r2.lambdas
+    assert r1.log == r2.log
+    nets1 = r1.action_nets + r1.value_nets[:2]
+    nets2 = r2.action_nets + r2.value_nets[:2]
+    for n1, n2 in zip(nets1, nets2):
+        for p, q in zip(n1.parameters(), n2.parameters()):
+            assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("train", [nn.train_algorithm1, nn.train_algorithm2])
+def test_nan_objective_raises(train):
+    prob = quadratic_problem()
+    ref = DiscreteMeasure([[-0.5], [0.5]], [0.5, 0.5])
+    prob.kernels = [amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(0.1))]
+    terminal_tape = prob.terminal_tape
+    prob.terminal_tape = lambda omega, actions: terminal_tape(omega, actions) * np.nan
+    with pytest.raises(FloatingPointError):
+        train(prob, config=FAST)
 
 
 def test_single_measure_training_is_nonrobust():
