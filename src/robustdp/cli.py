@@ -391,9 +391,9 @@ def cmd_train(cfg, out_dir, seed):
         raise ConfigError("solver.kind: expected 'algorithm1' or 'algorithm2'")
     for t, net in enumerate(result.action_nets):
         _write(out_dir, f"action_net_{t}.txt", nn.net_to_text(net))
-    for t, net in enumerate(result.value_nets[: problem.horizon]):
-        if net is not None:
-            _write(out_dir, f"value_net_{t}.txt", nn.net_to_text(net))
+    # no phase trains the stage-0 value net: the stage-0 value is the estimate
+    for t in range(1, problem.horizon):
+        _write(out_dir, f"value_net_{t}.txt", nn.net_to_text(result.value_nets[t]))
     _write(out_dir, "training_log.csv", nn.log_to_csv(result.log))
     _write(out_dir, "train.json", _json_text({
         "schema_version": 1,
@@ -432,15 +432,9 @@ def cmd_evaluate(cfg, out_dir, seed):
     policy = _load_policy(out_dir, hp)
     n_paths = _get(cfg, "evaluate.paths", int, default=2000, required=False)
     rng = substream(seed, "evaluation")
-    n_meas = _get(cfg, "solver.n_measures", int, default=3, required=False)
-    cands = {
-        t: nn._stage_candidates(kernels[t], t, hp.d,
-                                nn.TrainConfig(n_measures=n_meas), rng)
-        for t in range(hp.horizon)
-    }
-    for t in range(hp.horizon):
-        if cands[t] is None:
-            cands[t] = [kernels[t].center(np.zeros((t, hp.d)))]
+    sampler = dp.sampler_from_kernel(
+        _get(cfg, "solver.n_measures", int, default=3, required=False))
+    cands = {t: sampler(kernels[t], np.zeros((t, hp.d)), t, rng) for t in range(hp.horizon)}
     values = nn.mc_policy_values(problem, policy, cands, n_paths, rng)
     _write(out_dir, "evaluate.json", _json_text({
         "schema_version": 1,

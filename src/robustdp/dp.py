@@ -41,6 +41,7 @@ __all__ = [
     "backward_induction_exact",
     "brute_force_value",
     "evaluate_policy",
+    "rollout",
     "holder_constant_recursion",
     "nearest_index",
     "serialize_tables",
@@ -169,6 +170,25 @@ class TabularPolicy:
 
     def __call__(self, t, path, past_actions=None):
         return self.action(t, path, past_actions)
+
+
+def rollout(policy, omega):
+    """Stage actions of a policy along full paths omega (N, T, d), as a
+    list of T arrays (N, m_t).
+
+    A policy with actions_batch(omega) acts on all paths at once; any
+    other is asked action(t, path[:t], actions so far) path by path."""
+    omega = np.asarray(omega, dtype=float)
+    if hasattr(policy, "actions_batch"):
+        return policy.actions_batch(omega)
+    T = omega.shape[1]
+    per_path = []
+    for path in omega:
+        actions = []
+        for t in range(T):
+            actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
+        per_path.append(actions)
+    return [np.stack([acts[t] for acts in per_path]) for t in range(T)]
 
 
 class WorstCaseKernel:

@@ -19,7 +19,7 @@ from scipy.stats import norm
 
 from . import autodiff as ad
 from .controls import ConstantSet
-from .dp import ControlProblem
+from .dp import ControlProblem, rollout
 from .measures import LocalSpace
 
 __all__ = [
@@ -190,14 +190,18 @@ def prices_from_returns(returns, s0):
 
 
 def wealth_from_returns(returns, actions, s0):
-    """Terminal value of the self-financing strategy on one path."""
+    """Terminal value d_0 + (p_0 + p_1 + ...) of the self-financing
+    strategy, with p_t = Delta_t . (S_{t+1} - S_t).
+
+    One path (T, d) takes actions[t] of shape (m_t,) and gives a float;
+    paths (N, T, d) take actions[t] of shape (N, m_t) and give (N,)."""
     prices = prices_from_returns(returns, s0)
-    incr = np.diff(prices, axis=0)
-    d0 = float(np.atleast_1d(actions[0])[0])
-    deltas = [np.atleast_1d(actions[0])[1:]] + [
-        np.atleast_1d(a) for a in actions[1:]
-    ]
-    return d0 + sum(float(dl @ inc) for dl, inc in zip(deltas, incr))
+    incr = np.diff(prices, axis=-2)
+    a0 = np.atleast_1d(np.asarray(actions[0], dtype=float))
+    deltas = [a0[..., 1:]] + [np.atleast_1d(np.asarray(a, dtype=float)) for a in actions[1:]]
+    return a0[..., 0] + sum(
+        (dl[..., None, :] @ incr[..., j, :, None])[..., 0, 0] for j, dl in enumerate(deltas)
+    )
 
 
 def hedging_objective(problem, path, actions):
@@ -220,20 +224,25 @@ def hedging_objective(problem, path, actions):
     return -prospect_loss(err, problem.loss)
 
 
+def _wealth_tape(prices, actions):
+    """Var (N,): the wealth after the given stage actions, at prices (N, T+1, d)."""
+    incr = np.diff(prices, axis=1)  # (N, T, d)
+    a0 = ad.as_var(actions[0])
+    wealth = ad.reshape(a0[:, 0:1], (-1,))
+    deltas = [a0[:, 1:]] + [ad.as_var(a) for a in actions[1:]]
+    for j, dl in enumerate(deltas):
+        wealth = wealth + ad.vsum(dl * ad.const(incr[:, j, :]), axis=1)
+    return wealth
+
+
 def _terminal_tape(problem):
     """Batched, tape-differentiable total objective for the trainers."""
 
     def terminal(omega, actions):
         omega = np.asarray(omega, dtype=float)
         prices = prices_from_returns(omega, problem.s0)  # (N, T+1, d)
-        incr = np.diff(prices, axis=1)  # (N, T, d)
         payoff = np.asarray(problem.payoff(prices), dtype=float)
-        a0 = ad.as_var(actions[0])
-        wealth = ad.reshape(a0[:, 0:1], (-1,))
-        deltas = [a0[:, 1:]] + [ad.as_var(a) for a in actions[1:]]
-        for j, dl in enumerate(deltas):
-            wealth = wealth + ad.vsum(dl * ad.const(incr[:, j, :]), axis=1)
-        err = wealth - ad.const(payoff)
+        err = _wealth_tape(prices, actions) - ad.const(payoff)
         return -_prospect_loss_tape(err, problem.loss)
 
     return terminal
@@ -253,13 +262,7 @@ def _feature_tape(problem):
             return ad.const(np.zeros((n, 0)))
         prices = prices_from_returns(np.asarray(omega, dtype=float), problem.s0)
         s_t = (prices[:, -1, :] - problem.s0) / C
-        incr = np.diff(prices, axis=1)
-        a0 = ad.as_var(actions[0])
-        wealth = ad.reshape(a0[:, 0:1], (-1,))
-        deltas = [a0[:, 1:]] + [ad.as_var(a) for a in actions[1:]]
-        for j, dl in enumerate(deltas):
-            wealth = wealth + ad.vsum(dl * ad.const(incr[:, j, :]), axis=1)
-        w_feat = ad.reshape(wealth, (-1, 1)) * (1.0 / (4.0 * C))
+        w_feat = ad.reshape(_wealth_tape(prices, actions), (-1, 1)) * (1.0 / (4.0 * C))
         return ad.concat([ad.const(s_t), w_feat], axis=1)
 
     return features
@@ -379,13 +382,6 @@ class BSDeltaPolicy:
     def __call__(self, t, path, past_actions=None):
         return self.action(t, path, past_actions)
 
-    def actions_along(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        actions = []
-        for t in range(self.problem.horizon):
-            actions.append(self.action(t, omega[:t], actions))
-        return actions
-
 
 def bs_delta_hedge(problem, annual_vol, strike, day_count=252):
     return BSDeltaPolicy(problem, annual_vol, strike, day_count)
@@ -456,7 +452,7 @@ def _stats(values):
 @dataclass
 class BacktestReport:
     horizon: int
-    outcomes: dict  # policy -> {"error": [...], "abs": [...], "prospect": [...]}
+    outcomes: dict  # policy -> {"error": (n,), "abs": (n,), "prospect": (n,)} arrays
     summary: dict  # policy -> {"abs": stats, "prospect": stats}
 
     def to_json(self):
@@ -479,30 +475,25 @@ class BacktestReport:
         return "\n".join(lines) + "\n"
 
 
-def backtest(problem, policies, series, window=None):
+def backtest(problem, policies, series):
     """Roll a fresh hedge from every start date in the series.
 
     Each start consumes the next T returns, so a series of length n yields
-    n - T outcomes per policy.  Records the raw hedging error, its absolute
-    value, and the prospect loss, with summary statistics per policy.
+    n - T windows, stacked into one paths array (n - T, T, d) along which
+    every policy acts through dp.rollout.  Records per policy the raw
+    hedging error, its absolute value and the prospect loss, one array
+    each in window order, with summary statistics.
     """
-    T = window or problem.horizon
+    T = problem.horizon
     if len(series) < T + 1:
         raise ValueError("series shorter than one hedge window")
-    n_windows = len(series) - T
-    outcomes = {name: {"error": [], "abs": [], "prospect": []} for name in policies}
-    for s in range(n_windows):
-        path = series.values[s : s + T]
-        prices = prices_from_returns(path, problem.s0)
-        payoff = float(problem.payoff(prices))
-        for name, policy in policies.items():
-            actions = []
-            for t in range(T):
-                actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
-            err = wealth_from_returns(path, actions, problem.s0) - payoff
-            outcomes[name]["error"].append(err)
-            outcomes[name]["abs"].append(abs(err))
-            outcomes[name]["prospect"].append(prospect_loss(err, problem.loss))
+    paths = np.stack([series.values[s : s + T] for s in range(len(series) - T)])
+    payoff = np.asarray(problem.payoff(prices_from_returns(paths, problem.s0)), dtype=float)
+    outcomes = {}
+    for name, policy in policies.items():
+        err = wealth_from_returns(paths, rollout(policy, paths), problem.s0) - payoff
+        outcomes[name] = {"error": err, "abs": np.abs(err),
+                          "prospect": prospect_loss(err, problem.loss)}
     summary = {
         name: {
             "abs": _stats(rec["abs"]),

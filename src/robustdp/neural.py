@@ -35,13 +35,12 @@ from . import autodiff as ad
 from .ambiguity import (
     AdaptiveEmpirical,
     ConstantKernel,
-    FiniteSet,
     KernelWeighted,
     Singleton,
     WassersteinBall,
-    sample_measures,
 )
-from .controls import ConstantSet, clamp_to
+from .controls import ConstantSet
+from .dp import rollout, sampler_from_kernel
 
 __all__ = [
     "Mlp",
@@ -344,12 +343,9 @@ def _reference_states(kernel, omega_b, n_mc, rng):
 
 def _stage_candidates(kernel, t, d, config, rng):
     """Fixed candidate measures for one stage (element 0 = reference)."""
-    probe = np.zeros((t, d))
     if isinstance(kernel, Singleton):
         return None  # per-path reference draws instead
-    if isinstance(kernel, FiniteSet):
-        return kernel.evaluate_all(probe)
-    return sample_measures(kernel, probe, config.n_measures, rng)
+    return sampler_from_kernel(config.n_measures)(kernel, np.zeros((t, d)), t, rng)
 
 
 def _input_scale(problem, t):
@@ -473,70 +469,47 @@ def _prefix_width(problem, t):
 
 
 class NeuralPolicy:
-    """Stage networks composed into a policy; outputs are squashed into the
-    action box and clamped, so they are always admissible."""
+    """Stage networks composed into a policy.  Each net is fed the stage
+    input training gave it (_stage_input_tape of the problem), and its
+    output, squashed into the action box, is clipped to the box."""
 
-    def __init__(self, action_nets, action_specs, dimension, feature_tape=None,
-                 feature_only=False):
+    def __init__(self, problem, action_nets):
+        self.problem = problem
         self.action_nets = action_nets
-        self.action_specs = action_specs
-        self.dimension = dimension
-        self.feature_tape = feature_tape
-        self.feature_only = feature_only and feature_tape is not None
+
+    def _stage(self, t, omega_b, actions):
+        """Stage-t actions (N, m_t) along paths omega_b (N, >= t, d) after
+        the past actions, a list of (N, m_s) arrays."""
+        n, d = omega_b.shape[0], self.problem.local_space.dimension
+        x = _stage_input_tape(self.problem, t, omega_b[:, :t].reshape(n, t * d), actions)
+        low, high = _action_box(self.problem.action_specs[t])
+        return np.clip(self.action_nets[t].forward(x.value), low, high)
 
     def action(self, t, path, past_actions=None):
-        path = np.asarray(path, dtype=float).reshape(t, self.dimension)
+        d = self.problem.local_space.dimension
+        path = np.asarray(path, dtype=float).reshape(t, d)
         if past_actions is None:
-            past = []
+            past_actions = []
             for s in range(t):
-                past.append(self.action(s, path[:s], past))
-        else:
-            past = past_actions
-        parts = [] if self.feature_only else (
-            [path.ravel()] + [np.ravel(a) for a in past]
-        )
-        if self.feature_tape is not None:
-            feats = self.feature_tape(
-                t, path[None], [np.atleast_1d(a)[None] for a in past]
-            ).value
-            parts.append(feats[0])
-        x = np.concatenate(parts) if parts else np.zeros(0)
-        a = self.action_nets[t].forward(x)
-        return clamp_to(self.action_specs[t], path, a)
+                past_actions.append(self.action(s, path[:s], past_actions))
+        past = [np.atleast_1d(a)[None] for a in past_actions]
+        return self._stage(t, path[None], past)[0]
 
     def __call__(self, t, path, past_actions=None):
         return self.action(t, path, past_actions)
 
-    def actions_along(self, omega):
-        """All stage actions for a full path (T, d)."""
-        omega = np.asarray(omega, dtype=float)
+    def actions_batch(self, omega):
+        """Stage actions along full paths omega (N, T, d), a list of (N, m_t)."""
         actions = []
         for t in range(len(self.action_nets)):
-            actions.append(self.action(t, omega[:t], actions))
-        return actions
-
-    def actions_batch(self, omega_b):
-        """Vectorized actions along a batch of full paths (N, T, d)."""
-        n, T, d = omega_b.shape
-        actions = []
-        for t in range(len(self.action_nets)):
-            parts = [] if self.feature_only else (
-                [omega_b[:, :t].reshape(n, t * d)] + actions
-            )
-            if self.feature_tape is not None:
-                parts.append(self.feature_tape(t, omega_b[:, :t], actions).value)
-            a = self.action_nets[t].forward(np.concatenate(parts, axis=1))
-            actions.append(a)
+            actions.append(self._stage(t, omega, actions))
         return actions
 
 
 def policy_for(problem, action_nets):
     """The policy of trained stage nets, fed the inputs training gave them
     (path, past actions and the problem's features, or the features alone)."""
-    return NeuralPolicy(action_nets, problem.action_specs,
-                        problem.local_space.dimension,
-                        getattr(problem, "feature_tape", None),
-                        feature_only=_features_only(problem))
+    return NeuralPolicy(problem, action_nets)
 
 
 @dataclass
@@ -791,27 +764,9 @@ def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):
             cum = np.cumsum(m.weights)
             idx = np.searchsorted(cum, u[:, t], side="right").clip(0, m.n_atoms - 1)
             omega[:, t] = m.support[idx]
-        if hasattr(policy, "actions_batch"):
-            actions = policy.actions_batch(omega)
-        else:
-            per_path = [policy_actions_along(policy, omega[i]) for i in range(n_paths)]
-            actions = [
-                np.stack([np.atleast_1d(p[t]) for p in per_path])
-                for t in range(T)
-            ]
-        vals = problem.terminal_tape(omega, actions).value
+        vals = problem.terminal_tape(omega, rollout(policy, omega)).value
         values.append(float(vals.mean()))
     return values
-
-
-def policy_actions_along(policy, omega):
-    """Stage actions of any policy object along one full path."""
-    if hasattr(policy, "actions_along"):
-        return policy.actions_along(omega)
-    actions = []
-    for t in range(omega.shape[0]):
-        actions.append(np.atleast_1d(policy.action(t, omega[:t], actions)))
-    return actions
 
 
 # ---------------------------------------------------------------------------

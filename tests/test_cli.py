@@ -174,6 +174,8 @@ def test_train_and_evaluate_and_backtest(tmp_path):
     out = str(tmp_path / "run")
     assert cli.main(["train", "--config", path, "--out", out]) == 0
     assert (Path(out) / "action_net_0.txt").exists()
+    assert not (Path(out) / "value_net_0.txt").exists()
+    assert (Path(out) / "value_net_1.txt").exists()
     assert (Path(out) / "training_log.csv").exists()
     assert cli.main(["evaluate", "--config", path, "--out", out]) == 0
     eval_data = json.loads((Path(out) / "evaluate.json").read_text())

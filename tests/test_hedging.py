@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from robustdp import dp, hedging as hg
+from robustdp import dp, hedging as hg, neural as nn
 from robustdp import ambiguity as amb
 from robustdp.measures import DiscreteMeasure
 
@@ -108,6 +108,21 @@ def test_self_financing_identity():
         float(d @ (prices[j + 1] - prices[j])) for j, d in enumerate(deltas)
     )
     assert w1 == pytest.approx(w2, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+def test_wealth_on_a_batch_equals_per_path_calls(seed, d, T, n):
+    rng = np.random.default_rng(seed)
+    paths = rng.uniform(-0.1, 0.1, size=(n, T, d))
+    actions = [rng.uniform(-1, 1, size=(n, 1 + d))] + [
+        rng.uniform(-1, 1, size=(n, d)) for _ in range(T - 1)
+    ]
+    s0 = rng.uniform(0.5, 2.0, size=d)
+    batch = hg.wealth_from_returns(paths, actions, s0)
+    assert batch.shape == (n,)
+    for i in range(n):
+        assert batch[i] == hg.wealth_from_returns(paths[i], [a[i] for a in actions], s0)
 
 
 def test_holder_audit_on_difference_quotients():
@@ -241,6 +256,54 @@ class ZeroPolicy:
 
     def action(self, t, path, past_actions=None):
         return np.zeros(1 + self.prob.d) if t == 0 else np.zeros(self.prob.d)
+
+
+def backtest_oracle(problem, policies, series):
+    """The per-window backtest: every policy acts window by window and
+    stage by stage, and each error is scored on its own."""
+    T = problem.horizon
+    outcomes = {name: {"error": [], "abs": [], "prospect": []} for name in policies}
+    for s in range(len(series) - T):
+        path = series.values[s : s + T]
+        payoff = float(problem.payoff(hg.prices_from_returns(path, problem.s0)))
+        for name, policy in policies.items():
+            actions = []
+            for t in range(T):
+                actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
+            err = hg.wealth_from_returns(path, actions, problem.s0) - payoff
+            outcomes[name]["error"].append(err)
+            outcomes[name]["abs"].append(abs(err))
+            outcomes[name]["prospect"].append(hg.prospect_loss(err, problem.loss))
+    return outcomes
+
+
+def trained_hedge_policy(prob, net_inputs, seed=2):
+    ref = amb.ConstantKernel(DiscreteMeasure([[-0.05], [0.0], [0.05]], [0.3, 0.4, 0.3]))
+    cp = hg.make_control_problem(prob, [amb.Singleton(ref)] * prob.horizon)
+    cp.net_inputs = net_inputs
+    cfg = nn.TrainConfig(iter_a=5, iter_psi=5, n_mc=4, batch_size=4, hidden_layers=1,
+                         hidden_units=4, eval_mc=8, seed=seed)
+    return nn.train_algorithm1(cp, config=cfg).policy
+
+
+@pytest.mark.parametrize("which", ["delta", "zero", "trained-both", "trained-features"])
+def test_backtest_matches_per_window_oracle(which):
+    prob = call_problem(T=4, C=0.2)
+    if which == "delta":
+        policy = hg.bs_delta_hedge(prob, 0.25, 1.0)
+    elif which == "zero":
+        policy = ZeroPolicy(prob)
+    else:
+        policy = trained_hedge_policy(prob, which.split("-")[1])
+    series, _ = hg.simulate_gbm_returns(30, 1, 0.3, bound=0.2,
+                                        rng=np.random.default_rng(11))
+    rep = hg.backtest(prob, {which: policy}, series)
+    oracle = backtest_oracle(prob, {which: policy}, series)[which]
+    for metric in ("error", "abs", "prospect"):
+        got = rep.outcomes[which][metric]
+        assert len(got) == len(oracle[metric]) == 26
+        assert np.max(np.abs(got - np.array(oracle[metric]))) <= 1e-12
+    assert rep.summary[which]["abs"]["count"] == rep.summary[which]["prospect"]["count"] == 26
 
 
 def test_backtest_zero_payoff_zero_policy():

@@ -551,6 +551,55 @@ def test_policy_for_rebuilds_trained_hedging_policy(net_inputs):
     assert np.array_equal(res.policy.action(1, omega[0, :1]), loaded.action(1, omega[0, :1]))
 
 
+class ActionOnly:
+    """A policy that offers action alone, so dp.rollout loops path by path."""
+
+    def __init__(self, policy):
+        self.action = policy.action
+
+
+def per_path_actions(policy, omega):
+    """Stage actions (N, m_t) from policy.action, path by path and stage by stage."""
+    per_path = []
+    for path in omega:
+        actions = []
+        for t in range(omega.shape[1]):
+            actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
+        per_path.append(actions)
+    return [np.stack([acts[t] for acts in per_path]) for t in range(omega.shape[1])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 3), st.integers(1, 5),
+       st.integers(0, 2), st.sampled_from(["both", "features"]), st.booleans())
+def test_rollout_matches_per_path_actions(seed, d, T, n, layers, net_inputs, squash):
+    # unsquashed nets overshoot the action box, so the clip is exercised too
+    from robustdp import hedging as hg
+
+    rng = np.random.default_rng(seed)
+    hp = hg.HedgingProblem(d=d, horizon=T, return_bound=0.1, payoff=hg.BasketPayoff(d))
+    dirac = amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(d)))
+    prob = hg.make_control_problem(hp, [amb.Singleton(dirac)] * T)
+    prob.net_inputs = net_inputs
+    nets = [
+        nn.Mlp(nn._stage_in_dim(prob, t), spec.dim, layers, 4, rng,
+               out_box=(spec.low, spec.high) if squash else None,
+               in_scale=nn._input_scale(prob, t))
+        for t, spec in enumerate(prob.action_specs)
+    ]
+    policy = nn.policy_for(prob, nets)
+    omega = rng.uniform(-0.1, 0.1, size=(n, T, d))
+    loop = per_path_actions(policy, omega)
+    for t, (batch, spec) in enumerate(zip(dp.rollout(policy, omega), prob.action_specs)):
+        assert batch.shape == loop[t].shape == (n, spec.dim)
+        assert np.max(np.abs(batch - loop[t])) <= 1e-12
+        assert np.all((spec.low <= batch) & (batch <= spec.high))
+        # with no past actions given, action recomputes them
+        assert np.array_equal(policy.action(t, omega[0, :t]), loop[t][0])
+    for batch, looped in zip(dp.rollout(ActionOnly(policy), omega), loop):
+        assert np.array_equal(batch, looped)
+
+
 def test_bad_path_sampling_rejected():
     with pytest.raises(ValueError, match="path_sampling"):
         nn.TrainConfig(path_sampling="refernce")
