@@ -603,16 +603,10 @@ def _displacement_blend(center, candidate, eps, q):
     if dist <= eps:
         return candidate
     r = (eps / dist) * (1.0 - 1e-12)
-    pts, wts = [], []
-    for i in range(plan.shape[0]):
-        for j in range(plan.shape[1]):
-            if plan[i, j] > 1e-15:
-                pts.append(
-                    (1.0 - r) * center.support[i] + r * candidate.support[j]
-                )
-                wts.append(plan[i, j])
-    wts = np.array(wts)
-    return DiscreteMeasure(np.array(pts), wts / wts.sum(), space=center.space)
+    i, j = np.nonzero(plan > 1e-15)  # row-major: the pieces in (i, j) order
+    pts = (1.0 - r) * center.support[i] + r * candidate.support[j]
+    wts = plan[i, j]
+    return DiscreteMeasure(pts, wts / wts.sum(), space=center.space)
 
 
 def sample_measures(kernel, path, count, rng):
@@ -682,16 +676,17 @@ def v_lambda(a, b, c, lam):
 
         ||v - c|| <= ||b - a|| + lam * ||c - a||,
         ||v - b|| <= (1 - lam) * ||c - a||.
+
+    Points are the last axis, so rows of (N, d) arrays map row by row.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     cprime = lam * a + (1.0 - lam) * c
-    dc = np.linalg.norm(cprime - a)
-    db = np.linalg.norm(b - a)
-    if dc + db == 0.0:
-        return a.copy()
-    w = dc / (dc + db)
+    dc = np.linalg.norm(cprime - a, axis=-1, keepdims=True)
+    db = np.linalg.norm(b - a, axis=-1, keepdims=True)
+    # dc + db == 0 means a = b = c': w = 0 returns b, which is a
+    w = np.divide(dc, dc + db, out=np.zeros_like(dc), where=dc + db > 0.0)
     return w * cprime + (1.0 - w) * b
 
 
@@ -716,28 +711,20 @@ def transport_between_balls(
     lam = 0.0 if eps1 == 0.0 else max(eps1 - eps2, 0.0) / eps1
     plan_ab, _ = optimal_coupling(ref1, ref2, q)
     plan_ac, _ = optimal_coupling(ref1, mu1, q)
-    pts, wts, details = [], [], []
-    for i in range(ref1.n_atoms):
-        wi = ref1.weights[i]
-        if wi <= 1e-15:
-            continue
-        a = ref1.support[i]
-        for j in np.nonzero(plan_ab[i] > 1e-15)[0]:
-            b = ref2.support[j]
-            for k in np.nonzero(plan_ac[i] > 1e-15)[0]:
-                c = mu1.support[k]
-                mass = plan_ab[i, j] * plan_ac[i, k] / wi
-                v = v_lambda(a, b, c, lam)
-                pts.append(v)
-                wts.append(mass)
-                if return_details:
-                    details.append((a, b, c, v, mass))
-    wts = np.array(wts)
-    mu2 = DiscreteMeasure(
-        np.array(pts), wts / wts.sum(), space=ref2.space or mu1.space
+    # every (i, j, k) with mass on both plans at a ref1 atom of mass,
+    # in row-major (i, j, k) order
+    glued = (
+        (ref1.weights > 1e-15)[:, None, None]
+        & (plan_ab > 1e-15)[:, :, None]
+        & (plan_ac > 1e-15)[:, None, :]
     )
+    i, j, k = np.nonzero(glued)
+    a, b, c = ref1.support[i], ref2.support[j], mu1.support[k]
+    mass = plan_ab[i, j] * plan_ac[i, k] / ref1.weights[i]
+    v = v_lambda(a, b, c, lam)
+    mu2 = DiscreteMeasure(v, mass / mass.sum(), space=ref2.space or mu1.space)
     if return_details:
-        return mu2, lam, details
+        return mu2, lam, list(zip(a, b, c, v, mass))
     return mu2
 
 

@@ -379,6 +379,21 @@ class BSDeltaPolicy:
             return np.array([d0, delta])
         return np.array([delta])
 
+    def actions_batch(self, omega):
+        """The actions of `action` along all paths omega (N, T, 1) at
+        once, one norm.cdf call per stage (see dp.rollout)."""
+        prices = prices_from_returns(omega, self.problem.s0)[..., 0]
+        a, out = self.problem.a_bound, []
+        for t in range(omega.shape[1]):
+            tau = (self.problem.horizon - t) / self.day_count
+            d1 = (np.log(prices[:, t] / self.strike) + 0.5 * self.sigma**2 * tau) / (
+                self.sigma * math.sqrt(tau)
+            )
+            out.append(np.clip(norm.cdf(d1), -a, a)[:, None])
+        d0 = np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
+        out[0] = np.hstack([np.full_like(out[0], d0), out[0]])
+        return out
+
     def __call__(self, t, path, past_actions=None):
         return self.action(t, path, past_actions)
 

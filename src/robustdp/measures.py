@@ -2,23 +2,25 @@
 
 Every ambiguity set in this package is built on top of two primitives:
 finitely supported measures (weighted point masses) and the exact optimal
-transport distance between them.  Transport problems are solved as linear
-programs (HiGHS); supports at desk scale (up to a few hundred atoms) make
-exactness cheap.
+transport distance between them.  On the line (d = 1) the optimal plan is
+the sorted north-west-corner (quantile) coupling, exact for every order
+q >= 1 and built without solving anything; in higher dimension the plan
+comes from the transport linear program (HiGHS, sparse marginal
+constraints), which supports at desk scale (up to a few hundred atoms)
+keep cheap.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 __all__ = [
     "LocalSpace",
     "DiscreteMeasure",
-    "w_q_1d",
     "w_q_discrete",
     "optimal_coupling",
-    "kr_dual_check",
     "moment",
 ]
 
@@ -147,52 +149,52 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({self.n_atoms} atoms, d={self.dimension})"
 
 
-def _check_pair(mu, nu):
-    if mu.dimension != nu.dimension:
-        raise ValueError(
-            f"dimension mismatch: {mu.dimension} vs {nu.dimension}"
-        )
-
-
-def w_q_1d(mu, nu, q):
-    """Wasserstein-q distance between one-dimensional discrete measures.
-
-    Uses the quantile coupling: sort both supports (stable, so ties break
-    deterministically) and match cumulative mass from the left.  Exact up
-    to floating point.
-    """
-    _check_pair(mu, nu)
-    if mu.dimension != 1:
-        raise ValueError("w_q_1d requires one-dimensional measures")
-    if q < 1 or int(q) != q:
-        raise ValueError("order q must be a positive integer")
-    xs = mu.support[:, 0]
-    ys = nu.support[:, 0]
-    ix = np.argsort(xs, kind="stable")
-    iy = np.argsort(ys, kind="stable")
-    xs, wx = xs[ix], mu.weights[ix]
-    ys, wy = ys[iy], nu.weights[iy]
-
-    cost = 0.0
-    i = j = 0
-    rem_x, rem_y = wx[0], wy[0]
-    while i < len(xs) and j < len(ys):
-        m = min(rem_x, rem_y)
-        cost += m * abs(xs[i] - ys[j]) ** q
-        rem_x -= m
-        rem_y -= m
-        if rem_x <= 1e-15:
-            i += 1
-            rem_x = wx[i] if i < len(xs) else 0.0
-        if rem_y <= 1e-15:
-            j += 1
-            rem_y = wy[j] if j < len(ys) else 0.0
-    return cost ** (1.0 / q)
-
-
 def _cost_matrix(mu, nu, q):
     diff = mu.support[:, None, :] - nu.support[None, :, :]
     return np.linalg.norm(diff, axis=-1) ** q
+
+
+def _quantile_plan(mu, nu):
+    """North-west-corner plan on the line: sort both supports (stable, so
+    ties break deterministically) and match cumulative mass from the left.
+    This quantile coupling is optimal for every cost |x - y|^q, q >= 1."""
+    ix = np.argsort(mu.support[:, 0], kind="stable")
+    iy = np.argsort(nu.support[:, 0], kind="stable")
+    cx = np.cumsum(mu.weights[ix])[:-1]
+    cy = np.cumsum(nu.weights[iy])[:-1]
+    # each piece [edges[k], edges[k+1]) of [0, 1] goes from the sorted atom
+    # whose cumulative mass interval holds it to the matching one of nu;
+    # the clip keeps a cumulative sum that rounds past 1 from adding a piece
+    edges = np.unique(np.clip(np.concatenate([[0.0, 1.0], cx, cy]), 0.0, 1.0))
+    i = np.searchsorted(cx, edges[:-1], side="right")
+    j = np.searchsorted(cy, edges[:-1], side="right")
+    plan = np.zeros((mu.n_atoms, nu.n_atoms))
+    plan[ix[i], iy[j]] = np.diff(edges)
+    return plan
+
+
+def _lp_plan(mu, nu, cost):
+    """Optimal plan from the transport linear program (HiGHS)."""
+    m, n = cost.shape
+    # marginal constraints; one row constraint is redundant and dropped to
+    # keep the LP full rank
+    a_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(m - 1, m), np.ones((1, n))),
+            sparse.kron(np.ones((1, m)), sparse.eye(n)),
+        ],
+        format="csr",
+    )
+    res = linprog(
+        cost.ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([mu.weights[:-1], nu.weights]),
+        bounds=(0, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return np.clip(res.x.reshape(m, n), 0.0, None)
 
 
 def optimal_coupling(mu, nu, q):
@@ -200,91 +202,31 @@ def optimal_coupling(mu, nu, q):
 
     Returns (plan, distance) where plan is an (m, n) matrix with row sums
     mu.weights and column sums nu.weights minimizing sum plan*cost, and
-    distance = (optimal cost)^(1/q).
+    distance = (optimal cost)^(1/q).  A single atom on either side has one
+    plan; on the line the plan is the quantile coupling; otherwise it
+    comes from the transport LP.
     """
-    _check_pair(mu, nu)
+    if mu.dimension != nu.dimension:
+        raise ValueError(f"dimension mismatch: {mu.dimension} vs {nu.dimension}")
     if q < 1 or int(q) != q:
         raise ValueError("order q must be a positive integer")
-    m, n = mu.n_atoms, nu.n_atoms
     cost = _cost_matrix(mu, nu, q)
-    if m == 1:
+    if mu.n_atoms == 1:
         plan = nu.weights[None, :].copy()
-        return plan, float((plan * cost).sum()) ** (1.0 / q)
-    if n == 1:
+    elif nu.n_atoms == 1:
         plan = mu.weights[:, None].copy()
-        return plan, float((plan * cost).sum()) ** (1.0 / q)
-
-    # marginal constraints; one row constraint is redundant and dropped to
-    # keep the LP full rank
-    a_eq = []
-    b_eq = []
-    for i in range(m - 1):
-        row = np.zeros((m, n))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(mu.weights[i])
-    for j in range(n):
-        col = np.zeros((m, n))
-        col[:, j] = 1.0
-        a_eq.append(col.ravel())
-        b_eq.append(nu.weights[j])
-    res = linprog(
-        cost.ravel(),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = np.clip(res.x.reshape(m, n), 0.0, None)
+    elif mu.dimension == 1:
+        plan = _quantile_plan(mu, nu)
+    else:
+        plan = _lp_plan(mu, nu, cost)
     return plan, float((plan * cost).sum()) ** (1.0 / q)
 
 
 def w_q_discrete(mu, nu, q):
-    """Exact Wasserstein-q distance via the transport linear program."""
+    """Exact Wasserstein-q distance from the optimal plan of
+    optimal_coupling (quantile coupling for d = 1, LP otherwise)."""
     _, dist = optimal_coupling(mu, nu, q)
     return dist
-
-
-def kr_dual_check(mu, nu):
-    """W_1 lower bound via the dual: maximize sum f_i (mu_i - nu_i) over
-    potentials f restricted to the joint support, subject to the pairwise
-    Lipschitz constraints |f_i - f_j| <= ||x_i - x_j||.
-
-    On finite supports strong duality holds, so this equals w_q_discrete
-    with q = 1 up to solver tolerance.
-    """
-    _check_pair(mu, nu)
-    points = np.vstack([mu.support, nu.support])
-    signed = np.concatenate([mu.weights, -nu.weights])
-    k = points.shape[0]
-    dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-
-    rows, rhs = [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            row = np.zeros(k)
-            row[i], row[j] = 1.0, -1.0
-            rows.append(row)
-            rhs.append(dists[i, j])
-            rows.append(-row)
-            rhs.append(dists[i, j])
-    # fix the gauge f_0 = 0 (objective is invariant to constants)
-    a_eq = np.zeros((1, k))
-    a_eq[0, 0] = 1.0
-    res = linprog(
-        -signed,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        A_eq=a_eq,
-        b_eq=[0.0],
-        bounds=(None, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"KR dual LP failed: {res.message}")
-    return float(-res.fun)
 
 
 def moment(mu, p):

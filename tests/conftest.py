@@ -7,6 +7,84 @@ from robustdp.controls import ConstantSet
 from robustdp.measures import DiscreteMeasure, LocalSpace
 
 
+def dense_lp_coupling(mu, nu, q):
+    """Oracle: the optimal plan and distance from the transport LP with
+    dense marginal constraints, one m*n row per constraint."""
+    m, n = mu.n_atoms, nu.n_atoms
+    diff = mu.support[:, None, :] - nu.support[None, :, :]
+    cost = np.linalg.norm(diff, axis=-1) ** q
+    if m == 1:
+        plan = nu.weights[None, :].copy()
+        return plan, float((plan * cost).sum()) ** (1.0 / q)
+    if n == 1:
+        plan = mu.weights[:, None].copy()
+        return plan, float((plan * cost).sum()) ** (1.0 / q)
+
+    # one row constraint is redundant and dropped to keep the LP full rank
+    a_eq = []
+    b_eq = []
+    for i in range(m - 1):
+        row = np.zeros((m, n))
+        row[i, :] = 1.0
+        a_eq.append(row.ravel())
+        b_eq.append(mu.weights[i])
+    for j in range(n):
+        col = np.zeros((m, n))
+        col[:, j] = 1.0
+        a_eq.append(col.ravel())
+        b_eq.append(nu.weights[j])
+    res = linprog(
+        cost.ravel(),
+        A_eq=np.array(a_eq),
+        b_eq=np.array(b_eq),
+        bounds=(0, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    plan = np.clip(res.x.reshape(m, n), 0.0, None)
+    return plan, float((plan * cost).sum()) ** (1.0 / q)
+
+
+def kr_dual_check(mu, nu):
+    """Oracle: W_1 from the dual, maximize sum f_i (mu_i - nu_i) over
+    potentials f restricted to the joint support, subject to the pairwise
+    Lipschitz constraints |f_i - f_j| <= ||x_i - x_j||.
+
+    On finite supports strong duality holds, so this equals w_q_discrete
+    with q = 1 up to solver tolerance.
+    """
+    points = np.vstack([mu.support, nu.support])
+    signed = np.concatenate([mu.weights, -nu.weights])
+    k = points.shape[0]
+    dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+
+    rows, rhs = [], []
+    for i in range(k):
+        for j in range(i + 1, k):
+            row = np.zeros(k)
+            row[i], row[j] = 1.0, -1.0
+            rows.append(row)
+            rhs.append(dists[i, j])
+            rows.append(-row)
+            rhs.append(dists[i, j])
+    # fix the gauge f_0 = 0 (objective is invariant to constants)
+    a_eq = np.zeros((1, k))
+    a_eq[0, 0] = 1.0
+    res = linprog(
+        -signed,
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        A_eq=a_eq,
+        b_eq=[0.0],
+        bounds=(None, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"KR dual LP failed: {res.message}")
+    return float(-res.fun)
+
+
 def primal_ball_lp(psi_vals, reference, z_grid, eps):
     """Oracle: min E_nu[psi] over measures nu supported on z_grid with
     W_1(reference, nu) <= eps, as an explicit transport LP.

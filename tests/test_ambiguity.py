@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from robustdp import ambiguity as amb
-from robustdp.measures import DiscreteMeasure, LocalSpace, w_q_discrete
+from robustdp.measures import (
+    DiscreteMeasure,
+    LocalSpace,
+    optimal_coupling,
+    w_q_discrete,
+)
 
 
 # -- reference kernels ---------------------------------------------------------
@@ -320,6 +326,112 @@ def test_transport_random_instances_satisfy_both_bounds(q):
         assert w_q_discrete(ref2, mu2, q) <= eps2 + 1e-9
         bound = w_q_discrete(ref1, ref2, q) + lam * w_q_discrete(ref1, mu1, q)
         assert w_q_discrete(mu1, mu2, q) <= bound + 1e-9
+
+
+def displacement_blend_loop(center, candidate, eps, q):
+    """Oracle: the blend as a double loop over the plan entries."""
+    plan, dist = optimal_coupling(center, candidate, q)
+    if dist <= eps:
+        return candidate
+    r = (eps / dist) * (1.0 - 1e-12)
+    pts, wts = [], []
+    for i in range(plan.shape[0]):
+        for j in range(plan.shape[1]):
+            if plan[i, j] > 1e-15:
+                pts.append(
+                    (1.0 - r) * center.support[i] + r * candidate.support[j]
+                )
+                wts.append(plan[i, j])
+    wts = np.array(wts)
+    return DiscreteMeasure(np.array(pts), wts / wts.sum(), space=center.space)
+
+
+def v_lambda_scalar(a, b, c, lam):
+    """Oracle: the three-point map on one triple of points."""
+    cprime = lam * a + (1.0 - lam) * c
+    dc = np.linalg.norm(cprime - a)
+    db = np.linalg.norm(b - a)
+    if dc + db == 0.0:
+        return a.copy()
+    w = dc / (dc + db)
+    return w * cprime + (1.0 - w) * b
+
+
+def transport_loop(mu1, ref1, eps1, ref2, eps2, q, v_map):
+    """Oracle: the gluing transport as a triple loop over plan entries,
+    mapping each triple through v_map."""
+    lam = 0.0 if eps1 == 0.0 else max(eps1 - eps2, 0.0) / eps1
+    plan_ab, _ = optimal_coupling(ref1, ref2, q)
+    plan_ac, _ = optimal_coupling(ref1, mu1, q)
+    pts, wts, details = [], [], []
+    for i in range(ref1.n_atoms):
+        wi = ref1.weights[i]
+        if wi <= 1e-15:
+            continue
+        a = ref1.support[i]
+        for j in np.nonzero(plan_ab[i] > 1e-15)[0]:
+            b = ref2.support[j]
+            for k in np.nonzero(plan_ac[i] > 1e-15)[0]:
+                c = mu1.support[k]
+                mass = plan_ab[i, j] * plan_ac[i, k] / wi
+                v = v_map(a, b, c, lam)
+                pts.append(v)
+                wts.append(mass)
+                details.append((a, b, c, v, mass))
+    wts = np.array(wts)
+    mu2 = DiscreteMeasure(np.array(pts), wts / wts.sum(), space=ref2.space or mu1.space)
+    return mu2, lam, details
+
+
+def random_ball_instance(rng, d, q, n_max=5):
+    n1, n2 = (int(k) for k in rng.integers(1, n_max + 1, size=2))
+    ref1 = DiscreteMeasure(np.round(rng.uniform(-1, 1, (n1, d)), 2), rng.dirichlet(np.ones(n1)))
+    ref2 = DiscreteMeasure(np.round(rng.uniform(-1, 1, (n2, d)), 2), rng.dirichlet(np.ones(n2)))
+    eps1 = float(rng.uniform(0.05, 0.6))
+    eps2 = float(rng.choice([0.0, eps1, rng.uniform(0.0, 0.6)]))
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref1), amb.ConstantRadius(eps1), q)
+    mu1 = amb.sample_measures(ball, np.zeros((0, d)), 2, rng)[1]
+    return mu1, ref1, eps1, ref2, eps2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
+def test_displacement_blend_equals_double_loop(seed, d, q):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    center = DiscreteMeasure(np.round(rng.uniform(-1, 1, (n, d)), 2), rng.dirichlet(np.ones(n)))
+    cand = DiscreteMeasure(rng.uniform(-2, 2, (n + 1, d)), rng.dirichlet(np.ones(n + 1)))
+    eps = float(rng.uniform(0.01, 0.5))
+    got = amb._displacement_blend(center, cand, eps, q)
+    want = displacement_blend_loop(center, cand, eps, q)
+    assert np.array_equal(got.support, want.support)
+    assert np.array_equal(got.weights, want.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2))
+def test_transport_equals_triple_loop(seed, d, q):
+    rng = np.random.default_rng(seed)
+    mu1, ref1, eps1, ref2, eps2 = random_ball_instance(rng, d, q)
+    mu2, lam, details = amb.transport_between_balls(
+        mu1, ref1, eps1, ref2, eps2, q, return_details=True
+    )
+    want, lam_loop, details_loop = transport_loop(
+        mu1, ref1, eps1, ref2, eps2, q, amb.v_lambda
+    )
+    assert lam == lam_loop
+    assert np.array_equal(mu2.support, want.support)
+    assert np.array_equal(mu2.weights, want.weights)
+    assert len(details) == len(details_loop)
+    for got, want in zip(details, details_loop):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the per-triple map of the old scalar code, whose np.linalg.norm of a
+    # vector is a BLAS dot, while the row-wise norm sums squares: the two
+    # may round apart in the last bit once d >= 2
+    scalar, _, _ = transport_loop(mu1, ref1, eps1, ref2, eps2, q, v_lambda_scalar)
+    if d == 1:
+        assert np.array_equal(mu2.support, scalar.support)
+    assert np.max(np.abs(mu2.support - scalar.support)) <= 1e-15
 
 
 # -- Lipschitz audit -------------------------------------------------------------------

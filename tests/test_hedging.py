@@ -306,6 +306,27 @@ def test_backtest_matches_per_window_oracle(which):
     assert rep.summary[which]["abs"]["count"] == rep.summary[which]["prospect"]["count"] == 26
 
 
+class ActionOnly:
+    """A policy seen through its per-path action only, so dp.rollout loops."""
+
+    def __init__(self, policy):
+        self.action = policy.action
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.sampled_from([0.05, 0.25, 0.8]),
+       st.sampled_from([0.8, 1.0, 1.2]))
+def test_delta_actions_batch_matches_per_path_loop(seed, T, vol, strike):
+    prob = call_problem(T=T, C=0.2, a_bound=0.9, b_bound=0.05)
+    policy = hg.bs_delta_hedge(prob, vol, strike)
+    omega = np.random.default_rng(seed).uniform(-0.2, 0.2, size=(40, T, 1))
+    batch = dp.rollout(policy, omega)
+    loop = dp.rollout(ActionOnly(policy), omega)
+    assert [a.shape for a in batch] == [a.shape for a in loop]
+    for got, want in zip(batch, loop):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_backtest_zero_payoff_zero_policy():
     prob = hg.HedgingProblem(
         d=1, horizon=5, return_bound=0.2,

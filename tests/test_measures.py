@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_lp_coupling, kr_dual_check
 from robustdp.measures import (
     DiscreteMeasure,
     LocalSpace,
-    kr_dual_check,
     moment,
     optimal_coupling,
-    w_q_1d,
     w_q_discrete,
 )
 
@@ -51,13 +50,13 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         w_q_discrete(mu, nu, 1)
     with pytest.raises(ValueError):
-        w_q_1d(mu, nu, 1)
+        optimal_coupling(mu, nu, 1)
 
 
 def test_bad_order_rejected():
     mu = dirac(0.0)
     with pytest.raises(ValueError):
-        w_q_1d(mu, mu, 0)
+        w_q_discrete(mu, mu, 0)
 
 
 # -- 1-d quantile coupling ---------------------------------------------------
@@ -65,11 +64,11 @@ def test_bad_order_rejected():
 
 def test_identical_measures_zero_distance():
     mu = dirac(0.0)
-    assert w_q_1d(mu, mu, 1) == 0.0
+    assert w_q_discrete(mu, mu, 1) == 0.0
 
 
 def test_single_atom_transport():
-    assert w_q_1d(dirac(0.0), dirac(3.0), 1) == pytest.approx(3.0, abs=1e-12)
+    assert w_q_discrete(dirac(0.0), dirac(3.0), 1) == pytest.approx(3.0, abs=1e-12)
 
 
 def brute_force_two_by_two(xs, ys, wx, wy, q):
@@ -95,7 +94,7 @@ def test_two_atom_pair_against_coupling_enumeration():
     nu = DiscreteMeasure([[1.0], [3.0]], [0.5, 0.5])
     oracle = brute_force_two_by_two([0, 2], [1, 3], [0.5, 0.5], [0.5, 0.5], 1)
     assert oracle == pytest.approx(1.0, abs=1e-9)
-    assert w_q_1d(mu, nu, 1) == pytest.approx(1.0, abs=1e-12)
+    assert w_q_discrete(mu, nu, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- transport LP ------------------------------------------------------------
@@ -201,8 +200,8 @@ def test_quantile_coupling_matches_lp_in_1d(seed, q):
     rng = np.random.default_rng(seed)
     mu = random_measure(rng, 1)
     nu = random_measure(rng, 1)
-    assert w_q_1d(mu, nu, q) == pytest.approx(
-        w_q_discrete(mu, nu, q), abs=1e-9
+    assert w_q_discrete(mu, nu, q) == pytest.approx(
+        dense_lp_coupling(mu, nu, q)[1], abs=1e-9
     )
 
 
@@ -211,7 +210,73 @@ def test_quantile_tie_break_invariance():
     mu1 = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5])
     mu2 = DiscreteMeasure([[1.0], [0.0], [0.0]], [0.5, 0.25, 0.25])
     nu = DiscreteMeasure([[0.5], [2.0]], [0.7, 0.3])
-    assert w_q_1d(mu1, nu, 1) == pytest.approx(w_q_1d(mu2, nu, 1), abs=1e-12)
+    assert w_q_discrete(mu1, nu, 1) == pytest.approx(
+        w_q_discrete(mu2, nu, 1), abs=1e-12
+    )
+
+
+# -- optimal_coupling against the dense LP -------------------------------------
+
+
+def tied_measure(rng, d, max_atoms=6):
+    """Supports rounded to 2 decimals, so atoms tie within and across
+    measures; some weights are zero."""
+    n = int(rng.integers(1, max_atoms + 1))
+    w = rng.dirichlet(np.ones(n)) * (rng.uniform(size=n) > 0.2)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return DiscreteMeasure(np.round(rng.uniform(-1, 1, (n, d)), 2), w / w.sum())
+
+
+def plan_cost(plan, mu, nu, q):
+    diff = mu.support[:, None, :] - nu.support[None, :, :]
+    return float((plan * np.linalg.norm(diff, axis=-1) ** q).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
+def test_plan_marginals_equal_weights(seed, d, q):
+    rng = np.random.default_rng(seed)
+    mu, nu = tied_measure(rng, d), tied_measure(rng, d)
+    plan, _ = optimal_coupling(mu, nu, q)
+    assert plan.shape == (mu.n_atoms, nu.n_atoms) and plan.min() >= 0.0
+    assert np.max(np.abs(plan.sum(axis=1) - mu.weights)) <= 1e-12
+    assert np.max(np.abs(plan.sum(axis=0) - nu.weights)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_1d_plan_cost_equals_lp_optimum(seed, q):
+    rng = np.random.default_rng(seed)
+    mu, nu = tied_measure(rng, 1, 12), tied_measure(rng, 1, 12)
+    plan, dist = optimal_coupling(mu, nu, q)
+    oracle_plan, _ = dense_lp_coupling(mu, nu, q)
+    cost = plan_cost(plan, mu, nu, q)
+    assert abs(cost - plan_cost(oracle_plan, mu, nu, q)) <= 1e-12
+    assert dist == cost ** (1.0 / q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
+def test_triangle_inequality(seed, d, q):
+    rng = np.random.default_rng(seed)
+    mu, nu, rho = (tied_measure(rng, d, 5) for _ in range(3))
+    tol = 1e-12 if d == 1 else 1e-9
+    assert w_q_discrete(mu, nu, q) <= (
+        w_q_discrete(mu, rho, q) + w_q_discrete(rho, nu, q) + tol
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 3))
+def test_sparse_lp_cost_equals_dense_lp(seed, d, q):
+    rng = np.random.default_rng(seed)
+    mu, nu = tied_measure(rng, d), tied_measure(rng, d)
+    plan, _ = optimal_coupling(mu, nu, q)
+    oracle_plan, _ = dense_lp_coupling(mu, nu, q)
+    assert abs(
+        plan_cost(plan, mu, nu, q) - plan_cost(oracle_plan, mu, nu, q)
+    ) <= 1e-9
 
 
 # -- serialization ------------------------------------------------------------
