@@ -9,6 +9,15 @@ the oracle the solver is tested against.
 Paths are tuples of indices into a finite local grid; candidate measures
 with off-grid atoms are snapped to the nearest grid point (lowest index on
 ties) for continuation lookups, so solver and oracle share one convention.
+
+The solver keeps one array per stage and table.  Nodes and action keys
+become mixed-radix ids (see SolveResult), action grids of different sizes
+are padded to the largest one of their stage, and each candidate's snapped
+support becomes (index, weight) arrays built once.  The terminal layer is
+one batched call of the problem's terminal_batch; a stage step gathers
+the child values, adds them atom by atom in support order (the order of
+the scalar sum, so values are bit-identical to it), then takes the
+first-index argmin over candidates and argmax over real actions.
 """
 
 from __future__ import annotations
@@ -54,6 +63,10 @@ class ControlProblem:
 
     terminal(omega, actions) evaluates the objective on a full path
     (array of shape (T, d)) and the list of per-stage action vectors.
+    terminal_batch, when supplied, does the same on paths (N, T, d) with
+    actions[t] of shape (N, m_t) and returns (N,) values equal to the
+    per-path terminal calls; the exact solver then fills its terminal
+    layer with one call.
     holder, when supplied, carries the declared regularity data
     {"L_psi", "alpha", "C_psi"} consumed by the bounds module.
     """
@@ -67,6 +80,7 @@ class ControlProblem:
     holder: dict = None
     growth_c_p: list = None
     name: str = ""
+    terminal_batch: object = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -197,11 +211,17 @@ class WorstCaseKernel:
     def __init__(self, local_grid, candidates, argmin_tables, composed):
         self.local_grid = local_grid
         self.candidates = candidates
-        self.argmin_tables = argmin_tables  # [t][(node, akey)] -> index
+        # [t] -> (n^t, P_t, K_t) candidate index, laid out as the J tables
+        self.argmin_tables = argmin_tables
         self.composed = composed  # [t][node] -> measure (optimal-policy path)
 
     def index_for(self, t, node, akey):
-        return self.argmin_tables[t][(node, akey)]
+        u = p = 0
+        for i in node:
+            u = u * len(self.local_grid) + i
+        for a, table in zip(akey[:-1], self.argmin_tables):
+            p = p * table.shape[2] + a
+        return int(self.argmin_tables[t][u, p, akey[-1]])
 
     def measure_for(self, t, node, akey):
         return self.candidates[(t, node)][self.index_for(t, node, akey)]
@@ -214,6 +234,19 @@ class WorstCaseKernel:
 
 @dataclass
 class SolveResult:
+    """Solution of the discretized problem.
+
+    psi_tables[t] has shape (n^t, P_t) and j_tables[t] shape (n^t, P_t, K_t):
+    a row is a node (i_0, ..., i_{t-1}) of grid indices, with mixed-radix
+    id sum_s i_s n^(t-1-s); a column is an action key (a_0, ..., a_{t-1}),
+    with radices K_s, the largest stage-s action grid over nodes.  Where an
+    action grid is smaller than K_s the key is padding: valid[t] (n^t, P_t)
+    marks the entries that exist, and the J entries of stage t are valid
+    exactly where valid[t + 1][::n] is.  Padded entries hold arbitrary
+    numbers.  argmax_tables[t] (n^t, P_t) is the controller's action index
+    after every action key; worst_case.argmin_tables holds the adversary's.
+    """
+
     value: float
     psi_tables: list
     j_tables: list
@@ -223,6 +256,8 @@ class SolveResult:
     local_grid: object
     dual_lower_bound: float = None
     chosen_idx: list = field(default_factory=list)
+    valid: list = field(default_factory=list)
+    argmax_tables: list = field(default_factory=list)
 
 
 def _action_grids(problem, local_grid):
@@ -236,14 +271,123 @@ def _action_grids(problem, local_grid):
     return grids
 
 
-def _prefix_keys(grids, node):
-    """All action-index tuples for the stages strictly before len(node)."""
-    ranges = [range(len(grids[(s, node[:s])])) for s in range(len(node))]
-    return itertools.product(*ranges)
-
-
 def _actions_from_key(grids, node, akey):
     return [grids[(s, node[:s])][akey[s]] for s in range(len(akey))]
+
+
+def _stage_actions(grids, t, n):
+    """Stage-t action grids zero-padded to (n^t, K_t, m_t), and the number
+    of real actions per node (n^t,)."""
+    rows = [grids[(t, node)] for node in itertools.product(range(n), repeat=t)]
+    counts = np.array([len(r) for r in rows])
+    out = np.zeros((len(rows), counts.max(), rows[0].shape[1]))
+    for u, r in enumerate(rows):
+        out[u, : len(r)] = r
+    return out, counts
+
+
+def _snapped_supports(local_grid, cands_by_node):
+    """Candidates of one stage as (n^t, C, L) arrays: the grid index each
+    atom snaps to, its weight, and whether the atom exists.  Short supports
+    and short candidate lists are padded with weight 0 and live False."""
+    C = max(len(cands) for cands in cands_by_node)
+    L = max(m.n_atoms for cands in cands_by_node for m in cands)
+    shape = (len(cands_by_node), C, L)
+    idx = np.zeros(shape, dtype=np.intp)
+    w = np.zeros(shape)
+    live = np.zeros(shape, dtype=bool)
+    for u, cands in enumerate(cands_by_node):
+        for c, m in enumerate(cands):
+            # nearest_index on all atoms at once: lowest index wins ties
+            dist = np.linalg.norm(local_grid[None] - m.support[:, None], axis=2)
+            idx[u, c, : m.n_atoms] = np.argmin(dist, axis=1)
+            w[u, c, : m.n_atoms] = m.weights
+            live[u, c, : m.n_atoms] = True
+    return idx, w, live
+
+
+def _candidate_min(child, idx, w, live):
+    """Adversary step: expected child value of every candidate, then the
+    minimum over candidates and its lowest index.
+
+    child is (n^t, n, Q), the next-stage table with rows split into parent
+    node and last grid index.  Atoms are added one position at a time in
+    support order, as the scalar sum  0.0 + w_0 psi_0 + w_1 psi_1 + ...,
+    so every value is bit-identical to that loop; a padded atom adds +0.0
+    even where its gathered value is infinite.  Returns (n^t, Q) values and
+    indices."""
+    rows = np.arange(len(child))[:, None]
+    acc = np.zeros(idx.shape[:2] + child.shape[2:])  # (n^t, C, Q)
+    for l in range(idx.shape[2]):
+        term = w[:, :, l, None] * child[rows, idx[:, :, l]]
+        acc += np.where(live[:, :, l, None], term, 0.0)
+    acc[~live[:, :, 0]] = np.inf
+    best = np.argmin(acc, axis=1)
+    return np.take_along_axis(acc, best[:, None], axis=1)[:, 0], best
+
+
+def _controller_max(j, counts):
+    """Controller step on (n^t, P_t, K_t) values: the maximum over each
+    node's real actions and its lowest index."""
+    real = np.arange(j.shape[2]) < counts[:, None, None]
+    best = np.argmax(np.where(real, j, -np.inf), axis=2)
+    return np.take_along_axis(j, best[..., None], axis=2)[..., 0], best
+
+
+def _terminal_layer(problem, local_grid, stage, valid):
+    """psi_T on its (n^T, P_T) layout: one batched terminal call on the
+    valid entries (per-path calls without terminal_batch), zeros on
+    padding."""
+    T = problem.horizon
+    n = len(local_grid)
+    u, p = np.nonzero(valid)
+    nodes = np.stack(np.unravel_index(u, (n,) * T), axis=1)
+    keys = np.unravel_index(p, [acts.shape[1] for acts, _ in stage])
+    omega = local_grid[nodes]  # (N, T, d)
+    actions = [acts[u // n ** (T - s), keys[s]] for s, (acts, _) in enumerate(stage)]
+    if problem.terminal_batch is not None:
+        vals = np.asarray(problem.terminal_batch(omega, actions), dtype=float)
+    else:
+        vals = np.array(
+            [
+                float(problem.terminal(path, [a[i] for a in actions]))
+                for i, path in enumerate(omega)
+            ]
+        )
+    if np.isnan(vals).any():
+        raise ValueError("terminal utility returned NaN")
+    psi = np.zeros(valid.shape)
+    psi[u, p] = vals
+    return psi
+
+
+def _dual_lower(problem, local_grid, t, child, low, valid_j, lambda_grid):
+    """Replace the candidate minimum by the dual value on the local grid at
+    every valid entry of a node whose stage-t kernel is a Wasserstein ball
+    of positive radius (in place on low, (n^t, Q))."""
+    kernel = problem.kernels[t]
+    if not isinstance(kernel, WassersteinBall):
+        return
+    n = len(local_grid)
+    for u, node in enumerate(itertools.product(range(n), repeat=t)):
+        path = local_grid[list(node)]
+        eps = kernel.eps(path)
+        if not eps > 0:
+            continue
+        ref = kernel.center(path)
+        for q in np.flatnonzero(valid_j[u]):
+            cont = child[u, :, q]
+            low[u, q] = max(
+                dual_inner_value(
+                    lambda z, c=cont: c[nearest_index(local_grid, z)],
+                    ref,
+                    eps,
+                    kernel.order,
+                    lam,
+                    local_grid,
+                )
+                for lam in lambda_grid
+            )
 
 
 def backward_induction_exact(
@@ -257,143 +401,74 @@ def backward_induction_exact(
     parallel recursion replaces each Wasserstein-ball minimum by the dual
     value on the local grid, yielding a certified lower bound on the
     grid-ball robust value (reported alongside the sampled-set value).
+    The tables are arrays laid out as described on SolveResult.
     """
     T = problem.horizon
     n = len(local_grid)
     grids = _action_grids(problem, local_grid)
+    stage = [_stage_actions(grids, t, n) for t in range(T)]
 
-    psi = [dict() for _ in range(T + 1)]
-    jt = [dict() for _ in range(T)]
-    argmax = [dict() for _ in range(T)]
-    argmin = [dict() for _ in range(T)]
-    psi_low = [dict() for _ in range(T + 1)] if dual_bound else None
+    valid = [np.ones((1, 1), dtype=bool)]
+    for acts, counts in stage:
+        real = np.arange(acts.shape[1]) < counts[:, None]
+        v = valid[-1][:, :, None] & real[:, None, :]
+        valid.append(np.repeat(v.reshape(len(counts), -1), n, axis=0))
+
+    psi = [None] * (T + 1)
+    jt = [None] * T
+    argmin = [None] * T
+    argmax = [None] * T
+    psi[T] = _terminal_layer(problem, local_grid, stage, valid[T])
+    psi_low = psi.copy() if dual_bound else None
     if dual_bound and lambda_grid is None:
         lambda_grid = np.geomspace(1e-3, 1e4, 31)
 
-    # terminal layer: direct evaluation
-    for node in itertools.product(range(n), repeat=T):
-        omega = local_grid[list(node)]
-        for akey in _prefix_keys(grids, node):
-            val = float(problem.terminal(omega, _actions_from_key(grids, node, akey)))
-            if math.isnan(val):
-                raise ValueError("terminal utility returned NaN")
-            psi[T][(node, akey)] = val
-            if dual_bound:
-                psi_low[T][(node, akey)] = val
-
-    snap_cache = {}
-
-    def snapped(t, node, ci, m):
-        key = (t, node, ci)
-        if key not in snap_cache:
-            snap_cache[key] = [nearest_index(local_grid, x) for x in m.support]
-        return snap_cache[key]
-
     for t in range(T - 1, -1, -1):
-        for node in itertools.product(range(n), repeat=t):
-            cands = candidates[(t, node)]
-            agrid = grids[(t, node)]
-            kernel = problem.kernels[t]
-            path = local_grid[list(node)]
-            for ak in _prefix_keys(grids, node):
-                best_psi = None
-                best_ai = None
-                for ai in range(len(agrid)):
-                    fk = ak + (ai,)
-                    best_j = None
-                    best_ci = None
-                    for ci, m in enumerate(cands):
-                        idx = snapped(t, node, ci, m)
-                        val = 0.0
-                        for w, gi in zip(m.weights, idx):
-                            val += w * psi[t + 1][(node + (gi,), fk)]
-                        # strict comparisons: exact ties keep the lowest index
-                        if best_j is None or val < best_j:
-                            best_j, best_ci = val, ci
-                    jt[t][(node, fk)] = best_j
-                    argmin[t][(node, fk)] = best_ci
-                    if best_psi is None or best_j > best_psi:
-                        best_psi, best_ai = best_j, ai
-                psi[t][(node, ak)] = best_psi
-                argmax[t][(node, ak)] = best_ai
-
-                if dual_bound:
-                    eps = (
-                        kernel.eps(path)
-                        if isinstance(kernel, WassersteinBall)
-                        else 0.0
-                    )
-                    use_dual = isinstance(kernel, WassersteinBall) and eps > 0
-                    low_best = None
-                    for ai in range(len(agrid)):
-                        fk = ak + (ai,)
-                        if use_dual:
-                            ref = kernel.center(path)
-                            cont = np.array(
-                                [
-                                    psi_low[t + 1][(node + (j,), fk)]
-                                    for j in range(n)
-                                ]
-                            )
-                            low = max(
-                                dual_inner_value(
-                                    lambda z, c=cont: c[
-                                        nearest_index(local_grid, z)
-                                    ],
-                                    ref,
-                                    eps,
-                                    kernel.order,
-                                    lam,
-                                    local_grid,
-                                )
-                                for lam in lambda_grid
-                            )
-                        else:
-                            low = None
-                            for ci, m in enumerate(cands):
-                                idx = snapped(t, node, ci, m)
-                                val = sum(
-                                    w * psi_low[t + 1][(node + (gi,), fk)]
-                                    for w, gi in zip(m.weights, idx)
-                                )
-                                low = val if low is None else min(low, val)
-                        low_best = low if low_best is None else max(low_best, low)
-                    psi_low[t][(node, ak)] = low_best
-
-    value = psi[0][((), ())]
+        nodes = itertools.product(range(n), repeat=t)
+        snapped = _snapped_supports(local_grid, [candidates[(t, nd)] for nd in nodes])
+        acts, counts = stage[t]
+        shape = (n**t, -1, acts.shape[1])
+        j, best = _candidate_min(psi[t + 1].reshape(n**t, n, -1), *snapped)
+        jt[t] = j.reshape(shape)
+        argmin[t] = best.reshape(shape)
+        psi[t], argmax[t] = _controller_max(jt[t], counts)
+        if dual_bound:
+            child = psi_low[t + 1].reshape(n**t, n, -1)
+            low, _ = _candidate_min(child, *snapped)
+            _dual_lower(
+                problem, local_grid, t, child, low, valid[t + 1][::n], lambda_grid
+            )
+            psi_low[t] = _controller_max(low.reshape(shape), counts)[0]
 
     # compose the optimal policy and the worst-case kernel along it
     chosen = [dict() for _ in range(T)]
-    chosen[0][()] = argmax[0][((), ())]
-    for t in range(1, T):
-        for node in itertools.product(range(n), repeat=t):
-            ak = tuple(chosen[s][node[:s]] for s in range(t))
-            chosen[t][node] = argmax[t][(node, ak)]
-    stage_actions = [
-        {
-            node: grids[(t, node)][chosen[t][node]]
-            for node in itertools.product(range(n), repeat=t)
-        }
-        for t in range(T)
-    ]
+    stage_actions = [dict() for _ in range(T)]
     composed = [dict() for _ in range(T)]
+    prefix = np.zeros(1, dtype=np.intp)  # action-key id chosen along each node
     for t in range(T):
-        for node in itertools.product(range(n), repeat=t):
-            fk = tuple(chosen[s][node[:s]] for s in range(t + 1))
-            composed[t][node] = candidates[(t, node)][argmin[t][(node, fk)]]
+        rows = np.arange(n**t)
+        ai = argmax[t][rows, prefix]
+        ci = argmin[t][rows, prefix, ai]
+        for u, node in enumerate(itertools.product(range(n), repeat=t)):
+            chosen[t][node] = int(ai[u])
+            stage_actions[t][node] = grids[(t, node)][ai[u]]
+            composed[t][node] = candidates[(t, node)][ci[u]]
+        prefix = np.repeat(prefix * jt[t].shape[2] + ai, n)
 
     policy = TabularPolicy(local_grid, stage_actions, problem.action_specs)
     worst = WorstCaseKernel(local_grid, candidates, argmin, composed)
     return SolveResult(
-        value=value,
+        value=float(psi[0][0, 0]),
         psi_tables=psi,
         j_tables=jt,
         policy=policy,
         worst_case=worst,
         action_grids=grids,
         local_grid=local_grid,
-        dual_lower_bound=psi_low[0][((), ())] if dual_bound else None,
+        dual_lower_bound=float(psi_low[0][0, 0]) if dual_bound else None,
         chosen_idx=chosen,
+        valid=valid,
+        argmax_tables=argmax,
     )
 
 
@@ -609,16 +684,28 @@ def holder_constant_recursion(problem, l_p=None, c_p=None, l_a=None):
 
 
 def serialize_tables(result):
-    """Versioned text dump of the value tables: stage, node, key, value."""
+    """Versioned text dump of the value tables: stage, node, key, value.
+
+    Lines run over the valid entries in id order, which is the sorted order
+    of their (node, key) tuples."""
+    n = len(result.local_grid)
+    radices = [table.shape[2] for table in result.j_tables]
     lines = ["robustdp-valuetable v1"]
-    for t, table in enumerate(result.psi_tables):
-        for (node, akey), val in sorted(table.items()):
-            node_s = ",".join(map(str, node))
-            akey_s = ",".join(map(str, akey))
-            lines.append(f"PSI {t} [{node_s}] [{akey_s}] {val:.17g}")
-    for t, table in enumerate(result.j_tables):
-        for (node, akey), val in sorted(table.items()):
-            node_s = ",".join(map(str, node))
-            akey_s = ",".join(map(str, akey))
-            lines.append(f"J {t} [{node_s}] [{akey_s}] {val:.17g}")
+    for label, tables, extra in (("PSI", result.psi_tables, 0), ("J", result.j_tables, 1)):
+        for t, table in enumerate(tables):
+            width = t + extra
+            nodes = [
+                ",".join(map(str, node))
+                for node in itertools.product(range(n), repeat=t)
+            ]
+            keys = [
+                ",".join(map(str, key))
+                for key in itertools.product(*map(range, radices[:width]))
+            ]
+            u, p = np.nonzero(result.valid[width][:: n**extra])
+            vals = table.reshape(len(nodes), len(keys))[u, p]
+            lines += [
+                f"{label} {t} [{nodes[i]}] [{keys[k]}] {v:.17g}"
+                for i, k, v in zip(u.tolist(), p.tolist(), vals.tolist())
+            ]
     return "\n".join(lines) + "\n"

@@ -106,7 +106,10 @@ class BasketPayoff:
     def __call__(self, prices):
         prices = np.asarray(prices, dtype=float)
         s_T = prices[..., -1, :]
-        return np.clip((s_T - self.strikes) @ self.weights, 0.0, None)
+        # one dot product per path: a matrix-vector product over a batch
+        # can round differently from the same path alone when d >= 3
+        basket = ((s_T - self.strikes)[..., None, :] @ self.weights[:, None])[..., 0, 0]
+        return np.clip(basket, 0.0, None)
 
 
 class CustomPayoff:
@@ -205,23 +208,32 @@ def wealth_from_returns(returns, actions, s0):
 
 
 def hedging_objective(problem, path, actions):
-    """The stage objective: minus prospect loss of (wealth - payoff)."""
-    path = np.asarray(path, dtype=float).reshape(problem.horizon, problem.d)
-    if np.any(np.abs(path) > problem.return_bound + 1e-9):
+    """The stage objective: minus prospect loss of (wealth - payoff).
+
+    One path (T, d) takes actions[t] of shape (m_t,) and gives a float;
+    paths (N, T, d) take actions[t] of shape (N, m_t) and give (N,), each
+    equal bit for bit to the call on its own path when the payoff is (the
+    built-in ones are).  The loss powers are taken on Python floats for
+    that reason: numpy's vectorized power on an array can differ from the
+    scalar one in the last bit."""
+    path = np.asarray(path, dtype=float)
+    paths = path.reshape(-1, problem.horizon, problem.d)
+    acts = [np.asarray(a, dtype=float).reshape(len(paths), -1) for a in actions]
+    if np.any(np.abs(paths) > problem.return_bound + 1e-9):
         raise ValueError("return path leaves the declared domain")
-    a0 = np.atleast_1d(actions[0])
-    if abs(a0[0]) > problem.b_bound + 1e-9 or np.any(
-        np.abs(a0[1:]) > problem.a_bound + 1e-9
+    if np.any(np.abs(acts[0][:, 0]) > problem.b_bound + 1e-9) or np.any(
+        np.abs(acts[0][:, 1:]) > problem.a_bound + 1e-9
     ):
         raise ValueError("stage-0 action outside bounds")
-    for a in actions[1:]:
-        if np.any(np.abs(np.atleast_1d(a)) > problem.a_bound + 1e-9):
+    for a in acts[1:]:
+        if np.any(np.abs(a) > problem.a_bound + 1e-9):
             raise ValueError("position outside bounds")
-    prices = prices_from_returns(path, problem.s0)
-    err = wealth_from_returns(path, actions, problem.s0) - float(
-        problem.payoff(prices)
-    )
-    return -prospect_loss(err, problem.loss)
+    prices = prices_from_returns(paths, problem.s0)
+    err = wealth_from_returns(paths, acts, problem.s0) - problem.payoff(prices)
+    a = problem.loss.a
+    powers = np.array([x**a for x in np.abs(err).tolist()])
+    out = -np.where(err >= 0, powers, problem.loss.b * powers)
+    return float(out[0]) if path.ndim < 3 else out
 
 
 def _wealth_tape(prices, actions):
@@ -292,6 +304,7 @@ def make_control_problem(problem, kernels, action_resolution=5, holder=None):
         horizon=problem.horizon,
         local_space=problem.space,
         terminal=terminal,
+        terminal_batch=terminal,
         action_specs=specs,
         kernels=kernels,
         growth_p=0,

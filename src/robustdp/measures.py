@@ -46,9 +46,14 @@ class LocalSpace:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dimension,):
             return False
+        return bool(self.contains_rows(point[None], tol)[0])
+
+    def contains_rows(self, points, tol=1e-9):
+        """Membership of each row of points (k, d), as a (k,) mask."""
+        points = np.asarray(points, dtype=float)
         if self.bound is None:
-            return True
-        return bool(np.all(np.abs(point) <= self.bound + tol))
+            return np.ones(len(points), dtype=bool)
+        return np.all(np.abs(points) <= self.bound + tol, axis=1)
 
     def clip(self, points):
         """Project points onto the box (identity when unbounded)."""
@@ -93,9 +98,10 @@ class DiscreteMeasure:
         if space is not None:
             if space.dimension != support.shape[1]:
                 raise ValueError("support dimension does not match space")
-            for x in support:
-                if not space.contains(x):
-                    raise ValueError(f"support point {x} outside local space")
+            outside = ~space.contains_rows(support)
+            if outside.any():
+                x = support[np.argmax(outside)]
+                raise ValueError(f"support point {x} outside local space")
         self.support = support
         self.weights = weights / weights.sum()
         self.space = space

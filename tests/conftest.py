@@ -1,3 +1,7 @@
+import itertools
+import math
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -171,3 +175,169 @@ def random_tabular_instance(rng, max_horizon=3, enum_guard=200_000):
     )
     candidates = dp.build_candidates(problem, g, dp.sampler_from_kernel(1))
     return problem, g, candidates
+
+
+def _prefix_keys(grids, node):
+    """All action-index tuples for the stages strictly before len(node)."""
+    ranges = [range(len(grids[(s, node[:s])])) for s in range(len(node))]
+    return itertools.product(*ranges)
+
+
+def dict_backward_induction(
+    problem, local_grid, candidates, dual_bound=False, lambda_grid=None
+):
+    """Oracle: backward induction on dict tables keyed by (node, action key),
+    one scalar terminal call and one Python loop per entry.
+
+    Returns a namespace with the value, the dict tables psi, j, argmin and
+    argmax, chosen (action index per node of the optimal policy), composed
+    (worst-case measure per node along it) and dual_lower_bound.
+    """
+    T = problem.horizon
+    n = len(local_grid)
+    grids = dp._action_grids(problem, local_grid)
+
+    psi = [dict() for _ in range(T + 1)]
+    jt = [dict() for _ in range(T)]
+    argmax = [dict() for _ in range(T)]
+    argmin = [dict() for _ in range(T)]
+    psi_low = [dict() for _ in range(T + 1)] if dual_bound else None
+    if dual_bound and lambda_grid is None:
+        lambda_grid = np.geomspace(1e-3, 1e4, 31)
+
+    for node in itertools.product(range(n), repeat=T):
+        omega = local_grid[list(node)]
+        for akey in _prefix_keys(grids, node):
+            val = float(
+                problem.terminal(omega, dp._actions_from_key(grids, node, akey))
+            )
+            if math.isnan(val):
+                raise ValueError("terminal utility returned NaN")
+            psi[T][(node, akey)] = val
+            if dual_bound:
+                psi_low[T][(node, akey)] = val
+
+    snap_cache = {}
+
+    def snapped(t, node, ci, m):
+        key = (t, node, ci)
+        if key not in snap_cache:
+            snap_cache[key] = [dp.nearest_index(local_grid, x) for x in m.support]
+        return snap_cache[key]
+
+    for t in range(T - 1, -1, -1):
+        for node in itertools.product(range(n), repeat=t):
+            cands = candidates[(t, node)]
+            agrid = grids[(t, node)]
+            kernel = problem.kernels[t]
+            path = local_grid[list(node)]
+            for ak in _prefix_keys(grids, node):
+                best_psi = None
+                best_ai = None
+                for ai in range(len(agrid)):
+                    fk = ak + (ai,)
+                    best_j = None
+                    best_ci = None
+                    for ci, m in enumerate(cands):
+                        idx = snapped(t, node, ci, m)
+                        val = 0.0
+                        for w, gi in zip(m.weights, idx):
+                            val += w * psi[t + 1][(node + (gi,), fk)]
+                        if best_j is None or val < best_j:
+                            best_j, best_ci = val, ci
+                    jt[t][(node, fk)] = best_j
+                    argmin[t][(node, fk)] = best_ci
+                    if best_psi is None or best_j > best_psi:
+                        best_psi, best_ai = best_j, ai
+                psi[t][(node, ak)] = best_psi
+                argmax[t][(node, ak)] = best_ai
+
+                if dual_bound:
+                    eps = (
+                        kernel.eps(path)
+                        if isinstance(kernel, amb.WassersteinBall)
+                        else 0.0
+                    )
+                    use_dual = isinstance(kernel, amb.WassersteinBall) and eps > 0
+                    low_best = None
+                    for ai in range(len(agrid)):
+                        fk = ak + (ai,)
+                        if use_dual:
+                            ref = kernel.center(path)
+                            cont = np.array(
+                                [psi_low[t + 1][(node + (j,), fk)] for j in range(n)]
+                            )
+                            low = max(
+                                amb.dual_inner_value(
+                                    lambda z, c=cont: c[
+                                        dp.nearest_index(local_grid, z)
+                                    ],
+                                    ref,
+                                    eps,
+                                    kernel.order,
+                                    lam,
+                                    local_grid,
+                                )
+                                for lam in lambda_grid
+                            )
+                        else:
+                            low = None
+                            for ci, m in enumerate(cands):
+                                idx = snapped(t, node, ci, m)
+                                val = sum(
+                                    w * psi_low[t + 1][(node + (gi,), fk)]
+                                    for w, gi in zip(m.weights, idx)
+                                )
+                                low = val if low is None else min(low, val)
+                        low_best = low if low_best is None else max(low_best, low)
+                    psi_low[t][(node, ak)] = low_best
+
+    chosen = [dict() for _ in range(T)]
+    chosen[0][()] = argmax[0][((), ())]
+    for t in range(1, T):
+        for node in itertools.product(range(n), repeat=t):
+            ak = tuple(chosen[s][node[:s]] for s in range(t))
+            chosen[t][node] = argmax[t][(node, ak)]
+    composed = [dict() for _ in range(T)]
+    for t in range(T):
+        for node in itertools.product(range(n), repeat=t):
+            fk = tuple(chosen[s][node[:s]] for s in range(t + 1))
+            composed[t][node] = candidates[(t, node)][argmin[t][(node, fk)]]
+    return SimpleNamespace(
+        value=psi[0][((), ())],
+        psi=psi,
+        j=jt,
+        argmin=argmin,
+        argmax=argmax,
+        chosen=chosen,
+        composed=composed,
+        dual_lower_bound=psi_low[0][((), ())] if dual_bound else None,
+    )
+
+
+def dict_serialize_tables(psi, j):
+    """Oracle: the value-table text written straight from dict tables."""
+    lines = ["robustdp-valuetable v1"]
+    for label, tables in (("PSI", psi), ("J", j)):
+        for t, table in enumerate(tables):
+            for (node, akey), val in sorted(table.items()):
+                node_s = ",".join(map(str, node))
+                akey_s = ",".join(map(str, akey))
+                lines.append(f"{label} {t} [{node_s}] [{akey_s}] {val:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def table_dict(result, tables, t):
+    """The valid entries of the stage-t array table of a SolveResult as the
+    dict {(node, action key): value} that the dict solver builds.  Tables
+    laid out as psi (2-D) take keys of length t, as J (3-D) of length t+1."""
+    n = len(result.local_grid)
+    width = t + (np.ndim(tables[t]) == 3)
+    mask = result.valid[width][:: n ** (width - t)]
+    radices = [table.shape[2] for table in result.j_tables]
+    nodes = list(itertools.product(range(n), repeat=t))
+    keys = list(itertools.product(*map(range, radices[:width])))
+    flat = np.asarray(tables[t]).reshape(len(nodes), len(keys))
+    return {
+        (nodes[u], keys[p]): flat[u, p].item() for u, p in zip(*np.nonzero(mask))
+    }

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustdp import cli
+from robustdp import cli, dp
+from robustdp.measures import DiscreteMeasure
 
 
 BASE_CONFIG = {
@@ -127,6 +128,55 @@ def test_solve_exact_reproducible_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_solve_exact_t4_five_points(tmp_path, monkeypatch):
+    cfg = dict(
+        BASE_CONFIG,
+        problem=dict(BASE_CONFIG["problem"], horizon=4),
+        solver=dict(BASE_CONFIG["solver"], grid_points=5, n_measures=3),
+    )
+    captured = {}
+    solve = dp.backward_induction_exact
+
+    def capture(problem, local_grid, candidates, *args, **kwargs):
+        result = solve(problem, local_grid, candidates, *args, **kwargs)
+        captured.update(problem=problem, grid=local_grid, result=result)
+        return result
+
+    monkeypatch.setattr(dp, "backward_induction_exact", capture)
+    path = write_config(tmp_path, cfg)
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert cli.main(["solve-exact", "--config", path, "--out", out]) == 0
+    for name in ("value.json", "value_table.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # action radices 9 (cash x position), 3, 3, 3 on 5 grid points: PSI
+    # entries sum_t 5^t P_t with P = 1, 9, 27, 81, 243, J entries
+    # sum_t 5^t P_{t+1}
+    lines = (tmp_path / "a" / "value_table.txt").read_text().splitlines()
+    P = [1, 9, 27, 81, 243]
+    assert sum(l.startswith("PSI ") for l in lines) == sum(5**t * P[t] for t in range(5))
+    assert sum(l.startswith("J ") for l in lines) == sum(5**t * P[t + 1] for t in range(4))
+
+    # saddle chain: the optimal policy under its composed worst case, each
+    # measure pushed onto the grid first, gives back the value
+    res, prob, grid = captured["result"], captured["problem"], captured["grid"]
+    pushed = {}
+
+    def pstar(t, path, actions):
+        m = res.worst_case.measure(t, path)
+        if id(m) not in pushed:
+            idx = [dp.nearest_index(grid, x) for x in m.support]
+            w = np.bincount(idx, weights=m.weights, minlength=len(grid))
+            keep = np.flatnonzero(w)
+            pushed[id(m)] = DiscreteMeasure(grid[keep], w[keep])
+        return pushed[id(m)]
+
+    at_pstar = dp.evaluate_policy(prob, res.policy, pstar, local_grid=grid)
+    assert at_pstar == pytest.approx(res.value, abs=1e-12)
+    assert json.loads((tmp_path / "a" / "value.json").read_text())["value"] == res.value
 
 
 def test_solve_exact_zero_radius_matches_singleton(tmp_path):

@@ -2,11 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_tabular_instance
+from conftest import (
+    dict_backward_induction,
+    dict_serialize_tables,
+    random_tabular_instance,
+    table_dict,
+)
 from robustdp import ambiguity as amb
 from robustdp import dp
-from robustdp.controls import ConstantSet
+from robustdp.controls import BallSet, ConstantSet
 from robustdp.measures import DiscreteMeasure, LocalSpace
 
 SPACE = LocalSpace(1, 1.0)
@@ -60,21 +66,124 @@ def test_oracle_equivalence_randomized():
         assert res.value == pytest.approx(oracle, abs=1e-12)
 
 
+def ragged_instance(rng):
+    """Random tiny instance with what the padded array tables must handle.
+
+    Stage action sets alternate at random between finite lists and 2-D
+    BallSets clipped to [-1, 1]^2, whose grids keep 3 to 5 of 9 points
+    depending on the path.  Nodes get 1 to 3 candidates of 1 to 12 atoms,
+    sometimes a repeated candidate (an exact argmin tie); atoms lie on grid
+    points, on midpoints (a snapping tie) or anywhere; terminal coefficients
+    in {-1, 0, 1} make actions tie.  Kernels are Wasserstein balls (radius
+    0 or 0.3) or singletons, which only the dual-bound recursion reads.
+    """
+    horizon = int(rng.integers(1, 4))
+    n_grid = int(rng.integers(2, 6 - horizon))
+    pool = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    g = np.sort(rng.choice(pool, size=n_grid, replace=False))[:, None]
+    mids = 0.5 * (g[1:] + g[:-1])
+    coefs = rng.integers(-1, 2, size=(horizon, 4)).astype(float)
+
+    def terminal(omega, actions, c=coefs):
+        total = 0.0
+        for t, a in enumerate(actions):
+            a = np.atleast_1d(a)
+            w = float(omega[t, 0])
+            total += (
+                c[t, 0] * a[0] * w + c[t, 1] * abs(a[-1] - w) + c[t, 2] * w
+                + c[t, 3] * a[0] * a[-1]
+            )
+        return total
+
+    specs = []
+    for _ in range(horizon):
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, 4))
+            specs.append(ConstantSet(points=np.sort(rng.uniform(-1, 1, (k, 1)), axis=0)))
+        else:
+            spec = BallSet(
+                lambda path: np.array([0.6 * path[:, 0].sum(), 0.8]), 1.0,
+                amb.ConstantRadius(0.5), dim=2,
+                ambient_low=np.array([-1.0, -1.0]), ambient_high=np.array([1.0, 1.0]),
+            )
+            spec.resolution = 3
+            specs.append(spec)
+
+    def draw_measure():
+        k = int(rng.integers(1, 5 if rng.random() < 0.8 else 13))
+        source = rng.integers(0, 3, size=k)
+        pts = np.where(
+            source[:, None] == 0, g[rng.integers(0, n_grid, k)],
+            np.where(
+                source[:, None] == 1, mids[rng.integers(0, n_grid - 1, k)],
+                rng.uniform(-1, 1, (k, 1)),
+            ),
+        )
+        w = np.full(k, 1.0 / k) if rng.random() < 0.5 else rng.dirichlet(np.ones(k))
+        return DiscreteMeasure(pts, w)
+
+    def sampler(kernel, path, t, rng_):
+        out = [draw_measure()]
+        for _ in range(int(rng.integers(0, 3))):
+            out.append(out[-1] if rng.random() < 0.3 else draw_measure())
+        return out
+
+    ref = amb.ConstantKernel(DiscreteMeasure(g, np.full(n_grid, 1.0 / n_grid)))
+    kernels = [
+        amb.WassersteinBall(ref, amb.ConstantRadius(float(rng.choice([0.0, 0.3]))))
+        if rng.random() < 0.5 else amb.Singleton(ref)
+        for _ in range(horizon)
+    ]
+    problem = dp.ControlProblem(horizon, SPACE, terminal, specs, kernels)
+    return problem, g, dp.build_candidates(problem, g, sampler)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_array_solver_equals_dict_oracle(seed):
+    prob, g, cands = ragged_instance(np.random.default_rng(seed))
+    res = dp.backward_induction_exact(prob, g, cands, dual_bound=True)
+    oracle = dict_backward_induction(prob, g, cands, dual_bound=True)
+    T = prob.horizon
+    for t in range(T + 1):
+        assert table_dict(res, res.psi_tables, t) == oracle.psi[t]
+    for t in range(T):
+        assert table_dict(res, res.j_tables, t) == oracle.j[t]
+        assert table_dict(res, res.worst_case.argmin_tables, t) == oracle.argmin[t]
+        for (node, fk), ci in oracle.argmin[t].items():
+            assert res.worst_case.index_for(t, node, fk) == ci
+        assert table_dict(res, res.argmax_tables, t) == oracle.argmax[t]
+        for node, m in oracle.composed[t].items():
+            assert res.worst_case.composed[t][node] is m
+    assert res.chosen_idx == oracle.chosen
+    assert res.value == oracle.value
+    assert res.dual_lower_bound == oracle.dual_lower_bound
+    assert dp.serialize_tables(res) == dict_serialize_tables(oracle.psi, oracle.j)
+
+    sizes = [
+        (len(res.action_grids[(t, node)]), len(cands[(t, node)]))
+        for t in range(T) for node in itertools.product(range(len(g)), repeat=t)
+    ]
+    if np.prod([a * c for a, c in sizes]) <= 20_000:
+        assert dp.brute_force_value(prob, g, cands) == pytest.approx(res.value, abs=1e-12)
+
+
 def test_value_table_invariants():
     rng = np.random.default_rng(5)
     prob, g, cands = random_tabular_instance(rng, max_horizon=2)
     res = dp.backward_induction_exact(prob, g, cands)
     T = prob.horizon
     # terminal layer equals direct evaluation
-    for (node, akey), val in res.psi_tables[T].items():
+    for (node, akey), val in table_dict(res, res.psi_tables, T).items():
         omega = g[list(node)]
         acts = [res.action_grids[(s, node[:s])][akey[s]] for s in range(T)]
         assert val == pytest.approx(float(prob.terminal(omega, acts)), abs=1e-12)
     # interior layers equal the max over stored J entries
     for t in range(T):
-        for (node, akey), val in res.psi_tables[t].items():
+        j_table = table_dict(res, res.j_tables, t)
+        for (node, akey), val in table_dict(res, res.psi_tables, t).items():
             n_act = len(res.action_grids[(t, node)])
-            js = [res.j_tables[t][(node, akey + (ai,))] for ai in range(n_act)]
+            js = [j_table[(node, akey + (ai,))] for ai in range(n_act)]
             assert val == pytest.approx(max(js), abs=1e-12)
 
 
@@ -83,9 +192,12 @@ def test_worst_case_kernel_attains_stage_minimum():
     prob, g, cands = random_tabular_instance(rng, max_horizon=2)
     res = dp.backward_induction_exact(prob, g, cands)
     for t in range(prob.horizon):
-        for (node, fk), ci in res.worst_case.argmin_tables[t].items():
-            assert res.j_tables[t][(node, fk)] <= min(
-                res.j_tables[t][(node, fk)] for _ in [0]
+        j_table = table_dict(res, res.j_tables, t)
+        psi_next = table_dict(res, res.psi_tables, t + 1)
+        argmin = table_dict(res, res.worst_case.argmin_tables, t)
+        for (node, fk), ci in argmin.items():
+            assert j_table[(node, fk)] <= min(
+                j_table[(node, fk)] for _ in [0]
             ) + 1e-15
             # chosen index is the lowest achieving the minimum
             vals = []
@@ -93,7 +205,7 @@ def test_worst_case_kernel_attains_stage_minimum():
                 idx = [dp.nearest_index(g, x) for x in m.support]
                 vals.append(
                     sum(
-                        w * res.psi_tables[t + 1][(node + (gi,), fk)]
+                        w * psi_next[(node + (gi,), fk)]
                         for w, gi in zip(m.weights, idx)
                     )
                 )

@@ -93,6 +93,64 @@ def test_objective_rejects_out_of_domain():
         hg.hedging_objective(prob, np.array([[0.0]]), [np.array([0.0, 99.0])])
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4), st.integers(1, 8))
+def test_objective_on_a_batch_equals_per_path_calls(seed, d, T, n):
+    rng = np.random.default_rng(seed)
+    payoff = hg.CallPayoff(1.0) if d == 1 else hg.BasketPayoff(d)
+    prob = hg.HedgingProblem(d=d, horizon=T, return_bound=0.1, payoff=payoff)
+    paths = rng.uniform(-0.1, 0.1, size=(n, T, d))
+    actions = [
+        np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1.5, 1.5, (n, d))])
+    ] + [rng.uniform(-1.5, 1.5, (n, d)) for _ in range(T - 1)]
+    batch = hg.hedging_objective(prob, paths, actions)
+    assert batch.shape == (n,)
+    for i in range(n):
+        row = [a[i] for a in actions]
+        prices = hg.prices_from_returns(paths[i], prob.s0)
+        err = hg.wealth_from_returns(paths[i], row, prob.s0) - float(prob.payoff(prices))
+        single = hg.hedging_objective(prob, paths[i], row)
+        assert batch[i] == single == -hg.prospect_loss(err, prob.loss)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (lambda p, a: p.__setitem__((2, 1, 0), 0.2), "return path leaves"),
+        (lambda p, a: a[0].__setitem__((2, 0), 1.2), "stage-0 action outside"),
+        (lambda p, a: a[0].__setitem__((2, 1), -1.6), "stage-0 action outside"),
+        (lambda p, a: a[1].__setitem__((2, 0), 1.6), "position outside bounds"),
+    ],
+)
+def test_objective_batch_with_one_bad_row_raises(row, message):
+    prob = call_problem(T=2, C=0.05)
+    paths = np.zeros((4, 2, 1))
+    actions = [np.zeros((4, 2)), np.zeros((4, 1))]
+    row(paths, actions)
+    with pytest.raises(ValueError, match=message):
+        hg.hedging_objective(prob, paths, actions)
+    with pytest.raises(ValueError, match=message):
+        hg.hedging_objective(prob, paths[2], [a[2] for a in actions])
+    assert hg.hedging_objective(prob, paths[1], [a[1] for a in actions]) == 0.0
+
+
+def test_exact_solver_batched_terminal_matches_per_path_fallback():
+    hp = call_problem(T=2, C=0.05, a_bound=1.0, b_bound=0.05)
+    ref = amb.ConstantKernel(
+        DiscreteMeasure([[-0.04], [0.01], [0.03]], [0.3, 0.5, 0.2], space=hp.space)
+    )
+    ball = amb.WassersteinBall(ref, amb.ConstantRadius(0.005), 1, space=hp.space)
+    prob = hg.make_control_problem(hp, [ball] * 2, action_resolution=3)
+    grid = hp.space.grid(3)
+    cands = dp.build_candidates(
+        prob, grid, dp.sampler_from_kernel(3), np.random.default_rng(4)
+    )
+    batched = dp.backward_induction_exact(prob, grid, cands)
+    prob.terminal_batch = None
+    per_path = dp.backward_induction_exact(prob, grid, cands)
+    assert dp.serialize_tables(batched) == dp.serialize_tables(per_path)
+
+
 def test_self_financing_identity():
     rng = np.random.default_rng(1)
     prob = hg.HedgingProblem(d=2, horizon=6, return_bound=0.1,

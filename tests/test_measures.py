@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def test_support_outside_local_space_rejected():
     space = LocalSpace(1, 0.5)
     with pytest.raises(ValueError):
         DiscreteMeasure([[0.9]], [1.0], space=space)
+
+
+def test_support_error_names_the_first_atom_outside():
+    space = LocalSpace(2, 0.5)
+    pts = [[0.1, 0.2], [0.5 + 1e-10, -0.5], [0.1, 0.7], [0.9, 0.0]]
+    message = f"support point {np.array([0.1, 0.7])} outside local space"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DiscreteMeasure(pts, np.full(4, 0.25), space=space)
+    # atoms within the 1e-9 tolerance of the box are inside
+    assert DiscreteMeasure(pts[:2], [0.5, 0.5], space=space).n_atoms == 2
 
 
 def test_dimension_mismatch_rejected():
