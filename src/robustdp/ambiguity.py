@@ -534,26 +534,23 @@ class FiniteSet:
 
 
 def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):
-    """Inner dual objective of the Wasserstein-ball minimization:
+    """Inner dual objective of the minimization over the W_q ball,
 
-        E_reference[ min_j { psi(z_j) + lambda ||X - z_j|| } ] - lambda eps^q.
+        E_reference[ min_j { psi(z_j) + lambda ||X - z_j||^q } ] - lambda eps^q
 
-    psi_next maps a single point (d,) or a stack (N, d) to values; z_grid
-    is a nonempty subset of the local space.
+    (Gao & Kleywegt, arXiv:1604.02199, Thm 1), a lower bound on the ball
+    minimum over measures on z_grid for every lambda > 0.  psi_next maps the
+    stack z_grid (N, d) to its N values; z_grid is a nonempty subset of the
+    local space.
     """
     if lambda_ <= 0:
         raise ValueError("lambda must be positive")
     z = np.atleast_2d(np.asarray(z_grid, dtype=float))
     if z.shape[0] == 0:
         raise ValueError("empty z grid")
-    try:
-        psi_vals = np.asarray(psi_next(z), dtype=float).reshape(z.shape[0])
-    except Exception:
-        psi_vals = np.array([float(psi_next(zj)) for zj in z])
-    dists = np.linalg.norm(
-        reference.support[:, None, :] - z[None, :, :], axis=-1
-    )
-    inner = np.min(psi_vals[None, :] + lambda_ * dists, axis=1)
+    psi_vals = np.asarray(psi_next(z), dtype=float).reshape(z.shape[0])
+    cost = np.linalg.norm(reference.support[:, None, :] - z[None, :, :], axis=-1) ** q
+    inner = np.min(psi_vals[None, :] + lambda_ * cost, axis=1)
     return float(reference.weights @ inner - lambda_ * eps**q)
 
 

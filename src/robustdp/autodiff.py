@@ -2,8 +2,16 @@
 
 Just enough machinery to differentiate rectifier networks composed with
 the minimax training objectives: broadcast-aware arithmetic, matmul,
-relu/tanh, axis reductions, and min along an axis with ties resolved
-to the lowest index (whose subgradient convention the tests rely on).
+relu/tanh, axis reductions, min along an axis with ties resolved to the
+lowest index (whose subgradient convention the tests rely on), and one
+fused node for a whole network forward (`mlp`).
+
+Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
+`as_var` make constant leaves.  An op keeps an edge to a parent only when
+that parent requires a gradient, and an op whose parents are all constant
+is itself a constant with no parents and no backward closure.  So frozen
+parameters, data and whatever is computed from them alone build no tape,
+and no backward step computes a gradient nobody reads.
 """
 
 from __future__ import annotations
@@ -26,18 +34,22 @@ __all__ = [
     "concat",
     "repeat_rows",
     "reshape",
+    "mlp",
     "backward",
 ]
 
 
 class Var:
-    __slots__ = ("value", "grad", "parents", "bw")
+    """A tape value; requires_grad is off only for constant leaves."""
 
-    def __init__(self, value, parents=(), bw=None):
+    __slots__ = ("value", "grad", "parents", "bw", "requires_grad")
+
+    def __init__(self, value, parents=(), bw=None, requires_grad=True):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
         self.parents = parents
         self.bw = bw
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -87,12 +99,27 @@ class Var:
         return float(self.value)
 
 
-def as_var(x):
-    return x if isinstance(x, Var) else Var(x)
-
-
 def const(x):
-    return Var(x)
+    return Var(x, requires_grad=False)
+
+
+def as_var(x):
+    return x if isinstance(x, Var) else const(x)
+
+
+def _op(value, *edges):
+    """The output Var of an op.  Each edge is (parent, vjp), where vjp maps
+    the output's gradient to that parent's; edges into constants are
+    dropped, and with none left the output is a constant."""
+    live = [(p, vjp) for p, vjp in edges if p.requires_grad]
+    if not live:
+        return const(value)
+
+    def bw(g):
+        for p, vjp in live:
+            _accum(p, vjp(g))
+
+    return Var(value, tuple(p for p, _ in live), bw)
 
 
 def _unbroadcast(grad, shape):
@@ -114,94 +141,65 @@ def _accum(var, g):
 
 
 def _add(a, b):
-    out = Var(a.value + b.value, (a, b))
-    out.bw = lambda g: (_accum(a, g), _accum(b, g))
-    return out
+    return _op(a.value + b.value, (a, lambda g: g), (b, lambda g: g))
 
 
 def _neg(a):
-    out = Var(-a.value, (a,))
-    out.bw = lambda g: _accum(a, -g)
-    return out
+    return _op(-a.value, (a, lambda g: -g))
 
 
 def _mul(a, b):
-    out = Var(a.value * b.value, (a, b))
-    out.bw = lambda g: (_accum(a, g * b.value), _accum(b, g * a.value))
-    return out
+    return _op(a.value * b.value, (a, lambda g: g * b.value), (b, lambda g: g * a.value))
 
 
 def _recip(a):
-    out = Var(1.0 / a.value, (a,))
-    out.bw = lambda g: _accum(a, -g / a.value**2)
-    return out
+    return _op(1.0 / a.value, (a, lambda g: -g / a.value**2))
 
 
 def _matmul(a, b):
-    out = Var(a.value @ b.value, (a, b))
-
-    def bw(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
-
-    out.bw = bw
-    return out
+    return _op(a.value @ b.value,
+               (a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g))
 
 
 def _powi(a, p):
-    out = Var(a.value**p, (a,))
-    out.bw = lambda g: _accum(a, g * p * a.value ** (p - 1))
-    return out
+    return _op(a.value**p, (a, lambda g: g * p * a.value ** (p - 1)))
 
 
 def _getitem(a, idx):
-    out = Var(a.value[idx], (a,))
-
-    def bw(g):
+    def vjp(g):
         full = np.zeros_like(a.value)
         np.add.at(full, idx, g)
-        _accum(a, full)
+        return full
 
-    out.bw = bw
-    return out
+    return _op(a.value[idx], (a, vjp))
 
 
 def exp(a):
     a = as_var(a)
     e = np.exp(a.value)
-    out = Var(e, (a,))
-    out.bw = lambda g: _accum(a, g * e)
-    return out
+    return _op(e, (a, lambda g: g * e))
 
 
 def log(a):
     a = as_var(a)
-    out = Var(np.log(a.value), (a,))
-    out.bw = lambda g: _accum(a, g / a.value)
-    return out
+    return _op(np.log(a.value), (a, lambda g: g / a.value))
 
 
 def relu(a):
     a = as_var(a)
     # np.maximum is one pass; np.where with a scalar is several times slower
-    out = Var(np.maximum(a.value, 0.0), (a,))
-    out.bw = lambda g: _accum(a, g * (a.value > 0))
-    return out
+    return _op(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0)))
 
 
 def tanh(a):
     a = as_var(a)
     th = np.tanh(a.value)
-    out = Var(th, (a,))
-    out.bw = lambda g: _accum(a, g * (1.0 - th**2))
-    return out
+    return _op(th, (a, lambda g: g * (1.0 - th**2)))
 
 
 def absolute(a):
     a = as_var(a)
-    out = Var(np.abs(a.value), (a,))
-    out.bw = lambda g: _accum(a, g * np.sign(a.value))
-    return out
+    return _op(np.abs(a.value), (a, lambda g: g * np.sign(a.value)))
 
 
 def pow_pos(a, p):
@@ -212,28 +210,23 @@ def pow_pos(a, p):
     """
     a = as_var(a)
     pos = np.clip(a.value, 0.0, None)
-    out = Var(pos**p, (a,))
 
-    def bw(g):
+    def vjp(g):
         grad = np.where(a.value > 0, p * np.where(a.value > 0, a.value, 1.0) ** (p - 1), 0.0)
-        _accum(a, g * grad)
+        return g * grad
 
-    out.bw = bw
-    return out
+    return _op(pos**p, (a, vjp))
 
 
 def vsum(a, axis=None):
     a = as_var(a)
-    out = Var(a.value.sum(axis=axis), (a,))
 
-    def bw(g):
+    def vjp(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.value.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape))
+            return np.broadcast_to(g, a.value.shape)
+        return np.broadcast_to(np.expand_dims(g, axis), a.value.shape)
 
-    out.bw = bw
-    return out
+    return _op(a.value.sum(axis=axis), (a, vjp))
 
 
 def vmean(a, axis=None):
@@ -246,51 +239,112 @@ def vmin(a, axis=-1):
     """Min along an axis; gradient flows to the first (lowest-index) argmin."""
     a = as_var(a)
     idx = np.argmin(a.value, axis=axis)
-    out = Var(np.min(a.value, axis=axis), (a,))
 
-    def bw(g):
+    def vjp(g):
         full = np.zeros_like(a.value)
         expanded = np.expand_dims(idx, axis)
         np.put_along_axis(full, expanded, np.expand_dims(g, axis), axis=axis)
-        _accum(a, full)
+        return full
 
-    out.bw = bw
-    return out
+    return _op(np.min(a.value, axis=axis), (a, vjp))
 
 
 def concat(vars_, axis=-1):
     vars_ = [as_var(v) for v in vars_]
-    out = Var(np.concatenate([v.value for v in vars_], axis=axis), tuple(vars_))
-    sizes = [v.value.shape[axis] for v in vars_]
-    offsets = np.cumsum([0] + sizes)
+    value = np.concatenate([v.value for v in vars_], axis=axis)
+    axis = axis if axis >= 0 else value.ndim + axis
+    offsets = np.cumsum([0] + [v.value.shape[axis] for v in vars_])
 
-    def bw(g):
-        for v, lo, hi in zip(vars_, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-            _accum(v, g[tuple(sl)])
+    def part(lo, hi):
+        sl = (slice(None),) * axis + (slice(lo, hi),)
+        return lambda g: g[sl]
 
-    out.bw = bw
-    return out
+    return _op(value, *((v, part(lo, hi))
+                        for v, lo, hi in zip(vars_, offsets[:-1], offsets[1:])))
 
 
 def repeat_rows(a, times):
     """Repeat each row `times` times (axis 0); backward sums per group."""
     a = as_var(a)
-    out = Var(np.repeat(a.value, times, axis=0), (a,))
-
-    def bw(g):
-        _accum(a, g.reshape(a.value.shape[0], times, *a.value.shape[1:]).sum(axis=1))
-
-    out.bw = bw
-    return out
+    return _op(
+        np.repeat(a.value, times, axis=0),
+        (a, lambda g: g.reshape(a.value.shape[0], times, *a.value.shape[1:]).sum(axis=1)),
+    )
 
 
 def reshape(a, shape):
     a = as_var(a)
-    out = Var(a.value.reshape(shape), (a,))
-    out.bw = lambda g: _accum(a, g.reshape(a.value.shape))
-    return out
+    return _op(a.value.reshape(shape), (a, lambda g: g.reshape(a.value.shape)))
+
+
+def mlp(x, weights, biases, in_scale=None, box=None):
+    """A whole rectifier network as one tape node.
+
+    The forward is `mlp_forward`.  The backward keeps one activation per
+    layer (the relu mask is post > 0, the same test as pre > 0), computes
+    weight and bias gradients only for the parameters that require them,
+    and carries the gradient down only as far as a layer or the input needs
+    it.  Every gradient is bit-identical to the same network composed of
+    the elementwise ops above.  weights and biases are Vars; x is a Var or
+    an array.
+    """
+    x = as_var(x)
+    out, acts, th = mlp_forward(
+        x.value, [w.value for w in weights], [b.value for b in biases], in_scale, box
+    )
+    params = [p for wb in zip(weights, biases) for p in wb]
+    parents = tuple(p for p in params if p.requires_grad)
+    if x.requires_grad:
+        parents += (x,)
+    if not parents:
+        return const(out)
+    # the lowest layer the gradient must reach
+    lowest = 0 if x.requires_grad else min(
+        i for i, (w, b) in enumerate(zip(weights, biases)) if w.requires_grad or b.requires_grad
+    )
+    last = len(weights) - 1
+
+    def bw(g):
+        if box is not None:
+            g = g * 0.5 * (box[1] - box[0]) * (1.0 - th**2)
+        for i in range(last, lowest - 1, -1):
+            if i < last:
+                g = g * (acts[i + 1] > 0)
+            w, b = weights[i], biases[i]
+            if w.requires_grad:
+                _accum(w, acts[i].T @ g)
+            if b.requires_grad:
+                _accum(b, g)
+            if i > lowest:
+                g = g @ w.value.T
+        if x.requires_grad:
+            g = g @ weights[0].value.T
+            _accum(x, g if in_scale is None else g * in_scale)
+
+    return Var(out, parents, bw)
+
+
+def mlp_forward(x, weights, biases, in_scale=None, box=None):
+    """The network on arrays: per layer z = h @ W; z += b, then relu in
+    place on every layer but the last; then, with box = (low, high), the
+    squash low + (high - low) * (tanh(z) + 1) / 2.  Returns the output, the
+    activations the backward reads (the scaled input and each hidden
+    post-activation) and tanh(z) of the last layer (None without a box)."""
+    h = x if in_scale is None else x * in_scale
+    acts = [h]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        h = z
+    th = None
+    if box is not None:
+        th = np.tanh(h)
+        h = box[0] + (box[1] - box[0]) * (th + 1.0) * 0.5
+    return h, acts, th
 
 
 def backward(root):

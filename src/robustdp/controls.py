@@ -161,10 +161,25 @@ def grid(spec, path, resolution=None):
             axes.append(np.linspace(low[j], high[j], res[j]))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = [p for p in pts if spec.contains(path, p)]
-    if not keep:
+    keep = pts[_contains_rows(spec, path, pts, low, high)]
+    if not len(keep):
         raise ValueError("discretization produced an empty action set")
-    return np.array(keep)
+    return keep
+
+
+def _contains_rows(spec, path, pts, low, high):
+    """spec.contains(path, p) for every row p of pts in one array test: the
+    box [low, high] of a ConstantSet or BoxSet at the path; for a BallSet
+    its ambient box and one norm per row."""
+    if not isinstance(spec, BallSet):
+        return np.all((pts >= low - ADMISSIBLE_TOL) & (pts <= high + ADMISSIBLE_TOL), axis=1)
+    keep = (np.linalg.norm(pts - spec.center(path), axis=1)
+            <= float(spec.radius(path)) + ADMISSIBLE_TOL)
+    if spec.ambient_low is not None:
+        keep &= np.all(pts >= np.asarray(spec.ambient_low) - ADMISSIBLE_TOL, axis=1)
+    if spec.ambient_high is not None:
+        keep &= np.all(pts <= np.asarray(spec.ambient_high) + ADMISSIBLE_TOL, axis=1)
+    return keep
 
 
 def clamp_to(spec, path_target, action, path_source=None):

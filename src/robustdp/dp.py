@@ -106,6 +106,12 @@ def nearest_index(local_grid, x):
     return int(np.argmin(d))
 
 
+def _nearest_rows(local_grid, points):
+    """nearest_index of every row of points (N, d) at once."""
+    dist = np.linalg.norm(local_grid[None] - points[:, None], axis=2)
+    return np.argmin(dist, axis=1)
+
+
 def sampler_from_kernel(n_measures):
     """Sampler drawing n_measures candidates via sample_measures."""
 
@@ -298,9 +304,7 @@ def _snapped_supports(local_grid, cands_by_node):
     live = np.zeros(shape, dtype=bool)
     for u, cands in enumerate(cands_by_node):
         for c, m in enumerate(cands):
-            # nearest_index on all atoms at once: lowest index wins ties
-            dist = np.linalg.norm(local_grid[None] - m.support[:, None], axis=2)
-            idx[u, c, : m.n_atoms] = np.argmin(dist, axis=1)
+            idx[u, c, : m.n_atoms] = _nearest_rows(local_grid, m.support)
             w[u, c, : m.n_atoms] = m.weights
             live[u, c, : m.n_atoms] = True
     return idx, w, live
@@ -376,16 +380,10 @@ def _dual_lower(problem, local_grid, t, child, low, valid_j, lambda_grid):
             continue
         ref = kernel.center(path)
         for q in np.flatnonzero(valid_j[u]):
-            cont = child[u, :, q]
+            # each point of a stack takes the value of its nearest grid node
+            psi = lambda z, c=child[u, :, q]: c[_nearest_rows(local_grid, z)]
             low[u, q] = max(
-                dual_inner_value(
-                    lambda z, c=cont: c[nearest_index(local_grid, z)],
-                    ref,
-                    eps,
-                    kernel.order,
-                    lam,
-                    local_grid,
-                )
+                dual_inner_value(psi, ref, eps, kernel.order, lam, local_grid)
                 for lam in lambda_grid
             )
 

@@ -13,7 +13,7 @@ Two inner problems plug into it:
   oracle comparisons require.
 * Algorithm 2 (Wasserstein dual): the minimum over the ball replaced by
 
-      (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j|| } - lambda eps^q
+      (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j||^q } - lambda eps^q
 
   with lambda > 0 trained through an exponential reparameterization (one
   lambda per stage, updated jointly with the action network).
@@ -65,7 +65,9 @@ class Mlp:
 
     With out_box=(low, high) the output is squashed onto the box through a
     scaled tanh, so action networks always emit admissible actions.  An
-    input dimension of zero makes the network a trainable constant.
+    input dimension of zero makes the network a trainable constant.  Both
+    forward (arrays) and forward_var (one fused tape node) run the one
+    kernel ad.mlp_forward, so their outputs are bit-identical.
     """
 
     def __init__(self, in_dim, out_dim, hidden_layers=5, hidden_units=32,
@@ -112,39 +114,26 @@ class Mlp:
             self.weights[i] = np.asarray(arrays[2 * i], dtype=float)
             self.biases[i] = np.asarray(arrays[2 * i + 1], dtype=float)
 
+    def _box(self):
+        return None if self.out_low is None else (self.out_low, self.out_high)
+
     def forward(self, x):
+        """Outputs on an array of inputs (N, in_dim), or one input (in_dim,)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         h = x[None, :] if single else x
         if h.shape[1] != self.in_dim:
             raise ValueError(f"expected input width {self.in_dim}, got {h.shape[1]}")
-        if self.in_scale is not None:
-            h = h * self.in_scale
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last:
-                h = np.maximum(h, 0.0)
-        if self.out_low is not None:
-            h = self.out_low + (self.out_high - self.out_low) * 0.5 * (np.tanh(h) + 1.0)
+        h = ad.mlp_forward(h, self.weights, self.biases, self.in_scale, self._box())[0]
         return h[0] if single else h
 
     def forward_var(self, x, params=None):
-        """Tape-mode forward; x may be a Var or an ndarray."""
-        h = ad.as_var(x)
-        if self.in_scale is not None:
-            h = h * ad.const(self.in_scale)
+        """Tape-mode forward, one fused node (ad.mlp) with the same arithmetic
+        as forward; x may be a Var or an ndarray, and params the parameter
+        Vars in parameters() order (constants of the net's own by default)."""
         if params is None:
             params = [ad.const(p) for p in self.parameters()]
-        last = len(self.weights) - 1
-        for i in range(len(self.weights)):
-            h = h @ params[2 * i] + params[2 * i + 1]
-            if i < last:
-                h = ad.relu(h)
-        if self.out_low is not None:
-            span = self.out_high - self.out_low
-            h = ad.const(self.out_low) + ad.const(span) * (ad.tanh(h) + 1.0) * 0.5
-        return h
+        return ad.mlp(x, params[0::2], params[1::2], self.in_scale, self._box())
 
 
 def grad(net, loss_closure):
@@ -575,7 +564,7 @@ class _WassersteinDual:
     """Algorithm 2's inner problem: the dual of the minimum over a
     Wasserstein ball (Gao & Kleywegt, arXiv:1604.02199),
 
-        mean_i min_j { psi(z_j) + lambda ||x_i - z_j|| } - lambda eps^q,
+        mean_i min_j { psi(z_j) + lambda ||x_i - z_j||^q } - lambda eps^q,
 
     on reference draws x_i and a z grid, with one lambda = exp(raw) per
     stage trained jointly with the action net."""
@@ -614,10 +603,11 @@ class _WassersteinDual:
         psi_z = ad.reshape(
             _continuation(psi, omega_b, prefix, ad.repeat_rows(a, n_z), nxt), (b, 1, n_z)
         )
-        dist = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :], axis=-1)
-        lam = ad.exp(own[0])
-        inner = ad.vmin(psi_z + lam * ad.const(dist), axis=2)  # (b, n_mc)
         kernel = self.kernels[t]
+        cost = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :],
+                              axis=-1) ** kernel.order
+        lam = ad.exp(own[0])
+        inner = ad.vmin(psi_z + lam * ad.const(cost), axis=2)  # (b, n_mc)
         eps = np.array([kernel.eps(w) for w in omega_b])
         return ad.vmean(inner, axis=1) - lam * ad.const(eps**kernel.order)
 

@@ -6,6 +6,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from robustdp import ambiguity as amb
+from robustdp import autodiff as ad
 from robustdp import dp
 from robustdp.controls import ConstantSet
 from robustdp.measures import DiscreteMeasure, LocalSpace
@@ -50,6 +51,25 @@ def dense_lp_coupling(mu, nu, q):
     return plan, float((plan * cost).sum()) ** (1.0 / q)
 
 
+def composed_forward_var(net, x, params=None):
+    """Oracle: the tape forward of an Mlp composed of elementwise ops, one
+    node per input scaling, matmul, bias add, relu and squash step."""
+    h = ad.as_var(x)
+    if net.in_scale is not None:
+        h = h * ad.const(net.in_scale)
+    if params is None:
+        params = [ad.const(p) for p in net.parameters()]
+    last = len(net.weights) - 1
+    for i in range(len(net.weights)):
+        h = h @ params[2 * i] + params[2 * i + 1]
+        if i < last:
+            h = ad.relu(h)
+    if net.out_low is not None:
+        span = net.out_high - net.out_low
+        h = ad.const(net.out_low) + ad.const(span) * (ad.tanh(h) + 1.0) * 0.5
+    return h
+
+
 def kr_dual_check(mu, nu):
     """Oracle: W_1 from the dual, maximize sum f_i (mu_i - nu_i) over
     potentials f restricted to the joint support, subject to the pairwise
@@ -89,9 +109,10 @@ def kr_dual_check(mu, nu):
     return float(-res.fun)
 
 
-def primal_ball_lp(psi_vals, reference, z_grid, eps):
+def primal_ball_lp(psi_vals, reference, z_grid, eps, q=1):
     """Oracle: min E_nu[psi] over measures nu supported on z_grid with
-    W_1(reference, nu) <= eps, as an explicit transport LP.
+    W_q(reference, nu) <= eps, as an explicit transport LP: the coupling
+    cost sum pi_ij ||x_i - z_j||^q is at most eps^q.
 
     Variables are the coupling entries pi(x_i, z_j); returns the optimal
     value and the dual multiplier of the cost constraint (the lambda at
@@ -101,7 +122,7 @@ def primal_ball_lp(psi_vals, reference, z_grid, eps):
     n_ref, n_z = reference.n_atoms, z.shape[0]
     cost = np.linalg.norm(
         reference.support[:, None, :] - z[None, :, :], axis=-1
-    )
+    ) ** q
     c = np.tile(np.asarray(psi_vals, dtype=float), n_ref)
     a_eq = np.zeros((n_ref, n_ref * n_z))
     for i in range(n_ref):
@@ -109,7 +130,7 @@ def primal_ball_lp(psi_vals, reference, z_grid, eps):
     res = linprog(
         c,
         A_ub=cost.ravel()[None, :],
-        b_ub=[eps],
+        b_ub=[eps**q],
         A_eq=a_eq,
         b_eq=reference.weights,
         bounds=(0, None),
@@ -269,9 +290,9 @@ def dict_backward_induction(
                             )
                             low = max(
                                 amb.dual_inner_value(
-                                    lambda z, c=cont: c[
-                                        dp.nearest_index(local_grid, z)
-                                    ],
+                                    lambda z, c=cont: np.array(
+                                        [c[dp.nearest_index(local_grid, zj)] for zj in z]
+                                    ),
                                     ref,
                                     eps,
                                     kernel.order,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from robustdp.ambiguity import ConstantRadius
 from robustdp.controls import BallSet, BoxSet, ConstantSet, clamp_to, grid
@@ -132,3 +133,42 @@ def test_crossed_bounds_error():
     spec = BoxSet([lambda p: 1.0], [lambda p: 0.0], lipschitz=1.0)
     with pytest.raises(ValueError):
         grid(spec, np.zeros((0, 1)), resolution=2)
+
+
+def per_point_grid(spec, path, res):
+    """Oracle: the uniform mesh over the set's bounds at path, filtered by
+    one spec.contains call per point."""
+    low, high = spec.bounds_at(path)
+    axes = [np.array([0.5 * (lo + hi)]) if res == 1 else np.linspace(lo, hi, res)
+            for lo, hi in zip(low, high)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.array([p for p in pts if spec.contains(path, p)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["constant", "box", "ball"]),
+       st.integers(1, 3), st.integers(1, 6), st.booleans())
+@example(2, "ball", 1, 3, True)  # the ball lies below its ambient box
+@example(4, "ball", 1, 3, True)  # the ball lies above its ambient box
+def test_grid_equals_per_point_contains_filter(seed, kind, dim, res, ambient):
+    rng = np.random.default_rng(seed)
+    path = rng.uniform(-1, 1, size=(2, 1))
+    shift = rng.uniform(-1, 1, size=dim)
+    if kind == "constant":
+        low = rng.uniform(-1, 0, size=dim)
+        spec = ConstantSet(low=low, high=low + rng.uniform(0, 1, size=dim))
+    elif kind == "box":
+        spec = BoxSet([lambda p, s=s: s * float(p.sum()) - 0.5 for s in shift],
+                      [lambda p, s=s: s * float(p.sum()) + 0.5 for s in shift], 0.5)
+    else:
+        # a ball partly or wholly outside its ambient box crosses the bounds
+        bounds = (-0.3 * np.ones(dim), 0.4 * np.ones(dim)) if ambient else (None, None)
+        spec = BallSet(lambda p: shift * float(p.sum()), 0.5,
+                       ConstantRadius(float(rng.uniform(0.05, 0.8))), dim, *bounds)
+    want = per_point_grid(spec, path, res)
+    if not len(want):
+        with pytest.raises(ValueError, match="empty action set"):
+            grid(spec, path, resolution=res)
+        return
+    assert np.array_equal(grid(spec, path, resolution=res), want)

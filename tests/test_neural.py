@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import primal_ball_lp
+from conftest import composed_forward_var, primal_ball_lp
 from robustdp import ambiguity as amb
 from robustdp import autodiff as ad
 from robustdp import dp
@@ -176,6 +176,92 @@ def test_nan_loss_raises():
         nn.grad(net, tape)
 
 
+# -- the fused network node and constant pruning ----------------------------------
+
+
+def _tape_grads(forward, net, x, x_trainable, p_trainable, upstream):
+    """Output, parameter gradients and input gradient of sum(upstream * net(x))."""
+    xv = ad.Var(x) if x_trainable else x
+    pv = [ad.Var(p) if p_trainable else ad.const(p) for p in net.parameters()]
+    out = forward(net, xv, pv)
+    ad.backward(ad.vsum(out * ad.const(upstream)))
+    return out.value, [p.grad for p in pv], xv.grad if x_trainable else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_fused_node_equals_composed_oracle(seed, in_dim, hidden, out_dim, boxed, scaled,
+                                           x_trainable, p_trainable):
+    rng = np.random.default_rng(seed)
+    box = (rng.uniform(-2, 0, out_dim), rng.uniform(0.1, 2, out_dim)) if boxed else None
+    scale = rng.uniform(0.2, 3.0, in_dim) if scaled else None
+    net = nn.Mlp(in_dim, out_dim, hidden, int(rng.integers(1, 6)), rng, out_box=box,
+                 in_scale=scale)
+    net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
+    x = rng.normal(size=(int(rng.integers(1, 8)), in_dim))
+    upstream = rng.normal(size=(len(x), out_dim))
+
+    fused = _tape_grads(lambda n, xv, pv: n.forward_var(xv, pv), net, x, x_trainable,
+                        p_trainable, upstream)
+    oracle = _tape_grads(composed_forward_var, net, x, x_trainable, p_trainable, upstream)
+    assert np.array_equal(fused[0], oracle[0])
+    assert np.array_equal(net.forward(x), net.forward_var(x).value)
+    for got, want in zip(fused[1] + [fused[2]], oracle[1] + [oracle[2]]):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+    assert all((g is not None) == p_trainable for g in fused[1])
+
+
+def test_constant_expression_has_no_parents():
+    a, b = ad.const(np.ones((2, 3))), ad.as_var(np.arange(3.0))
+    net = nn.Mlp(3, 1, 1, 4)
+    exprs = [ad.relu(a * b + 1.0) @ np.ones((3, 1)), ad.vmin(ad.concat([a, a]), axis=0),
+             net.forward_var(a), ad.exp(ad.reshape(ad.vsum(a, axis=1), (1, 2)))]
+    for e in exprs:
+        assert e.parents == () and e.bw is None and not e.requires_grad
+    assert ad.Var(1.0).requires_grad  # a Var made directly is a trainable leaf
+
+
+def test_frozen_net_parameters_receive_no_grad():
+    rng = np.random.default_rng(3)
+    net = nn.Mlp(2, 1, 2, 4, rng, in_scale=[0.5, 2.0])
+    frozen = [ad.const(p) for p in net.parameters()]
+    x = ad.Var(rng.normal(size=(5, 2)))
+    ad.backward(ad.vmean(net.forward_var(x, frozen)))
+    assert all(p.grad is None for p in frozen)
+    assert x.grad is not None and x.grad.shape == (5, 2)
+
+
+def test_frozen_net_input_gradient_equals_oracle_tape():
+    # the next-stage value of the trainers: a frozen net on data concatenated
+    # with a repeated trainable action
+    rng = np.random.default_rng(4)
+    net = nn.Mlp(3, 1, 3, 6, rng, in_scale=[1.0, 0.5, 2.0])
+    net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
+    data = rng.normal(size=(12, 2))
+    a0 = rng.normal(size=(4, 1))
+    grads = []
+    for forward in (lambda x: net.forward_var(x), lambda x: composed_forward_var(net, x)):
+        a = ad.Var(a0)
+        x = ad.concat([ad.const(data), ad.repeat_rows(a, 3)], axis=1)
+        ad.backward(ad.vmean(ad.tanh(forward(x))))
+        grads.append(a.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_backprop_zeros_for_unused_parameters():
+    def fresh():
+        return [ad.Var(np.array([1.5, -2.0])), ad.Var(np.ones((2, 2))), ad.Var(np.array(3.0))]
+
+    pvars = fresh()
+    grads = nn._backprop(ad.vsum(pvars[0] * pvars[0]), pvars)
+    assert np.array_equal(grads[0], [3.0, -4.0])
+    assert np.array_equal(grads[1], np.zeros((2, 2))) and np.array_equal(grads[2], 0.0)
+    grads = nn._backprop(ad.const(np.array(2.0)) * 1.0, fresh())
+    assert [g.shape for g in grads] == [(2,), (2, 2), ()] and not any(g.any() for g in grads)
+
+
 # -- Adam ------------------------------------------------------------------------
 
 
@@ -234,6 +320,50 @@ def test_dual_requires_positive_lambda_and_grid():
         amb.dual_inner_value(lambda z: np.zeros(0), ref, 0.1, 1, 1.0, np.zeros((0, 1)))
 
 
+def test_dual_propagates_errors_of_psi():
+    ref = DiscreteMeasure.dirac([0.0])
+    z = np.array([[0.0], [0.5]])
+
+    def broken(pts):
+        raise KeyError("psi failed")
+
+    with pytest.raises(KeyError):
+        amb.dual_inner_value(broken, ref, 0.1, 1, 1.0, z)
+    # one value for the whole stack is an error, not a retry point by point
+    with pytest.raises(ValueError):
+        amb.dual_inner_value(lambda pts: 0.0, ref, 0.1, 1, 1.0, z)
+
+
+def test_w2_dual_by_hand():
+    # one atom at 0, psi(z) = z, q = 2, eps = 0.3: the ball minimum moves the
+    # atom to -0.3; the dual -1/(4 lam) - 0.09 lam is tight at lam = 5/3.  The
+    # cost lam ||x - z|| gave -0.09 at lam = 1, above the primal.
+    ref = DiscreteMeasure.dirac([0.0])
+    z = np.linspace(-1.0, 1.0, 21)[:, None]
+    psi = lambda pts: pts[:, 0]
+    primal, _ = primal_ball_lp(z[:, 0], ref, z, 0.3, 2)
+    assert primal == pytest.approx(-0.3, abs=1e-9)
+    assert amb.dual_inner_value(psi, ref, 0.3, 2, 1.0, z) <= primal
+    assert amb.dual_inner_value(psi, ref, 0.3, 2, 5.0 / 3.0, z) == pytest.approx(-0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2),
+       st.integers(1, 5))
+def test_wq_dual_is_at_most_the_primal(seed, q, d, n):
+    # weak duality for the W_q ball at every lambda, on a z grid holding the
+    # reference atoms (so the ball contains the reference)
+    rng = np.random.default_rng(seed)
+    ref = DiscreteMeasure(rng.uniform(-1, 1, (n, d)), rng.dirichlet(np.ones(n)))
+    z = np.vstack([ref.support, rng.uniform(-1, 1, (8, d))])
+    psi_vals = rng.normal(size=len(z))
+    eps = float(rng.uniform(0.01, 0.6))
+    primal, lam_star = primal_ball_lp(psi_vals, ref, z, eps, q)
+    for lam in np.append(np.geomspace(1e-3, 1e3, 31), max(lam_star, 1e-6)):
+        dual = amb.dual_inner_value(lambda pts: psi_vals, ref, eps, q, lam, z)
+        assert dual <= primal + 1e-9, (lam, dual, primal)
+
+
 def test_weak_duality_against_primal_lp():
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -280,7 +410,7 @@ def sampled_set_oracle(a, omega_b, prefix, blocks):
 
 
 def dual_oracle(a, omega_b, prefix, states, z, lam, eps, q):
-    """mean_i min_j {psi(z_j) + lam ||x_i - z_j||} - lam eps^q, per path."""
+    """mean_i min_j {psi(z_j) + lam ||x_i - z_j||^q} - lam eps^q, per path."""
     b, t, d = omega_b.shape
     n_z = z.shape[0]
     omega_next = np.concatenate(
@@ -289,7 +419,7 @@ def dual_oracle(a, omega_b, prefix, states, z, lam, eps, q):
     psi_z = psi_numpy(omega_next, np.repeat(prefix, n_z, axis=0),
                       np.repeat(a, n_z, axis=0)).reshape(b, 1, n_z)
     dist = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :], axis=-1)
-    return np.min(psi_z + lam * dist, axis=2).mean(axis=1) - lam * eps**q
+    return np.min(psi_z + lam * dist**q, axis=2).mean(axis=1) - lam * eps**q
 
 
 def toy_problem(t, d):
@@ -315,7 +445,7 @@ def test_sampled_set_objective_matches_oracle(seed, t, d, b, n_mc, n_cands):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 2), st.integers(1, 2), st.integers(1, 4),
-       st.integers(1, 5), st.integers(1, 6), st.floats(-3.0, 3.0), st.integers(1, 2))
+       st.integers(1, 5), st.integers(1, 6), st.floats(-3.0, 3.0), st.integers(1, 3))
 def test_dual_objective_matches_oracle(seed, t, d, b, n_mc, n_z, raw, q):
     rng = np.random.default_rng(seed)
     eps = float(rng.uniform(0.0, 0.5))
@@ -336,21 +466,21 @@ def test_dual_objective_matches_oracle(seed, t, d, b, n_mc, n_z, raw, q):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 6), st.integers(1, 8),
-       st.floats(-3.0, 3.0))
-def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, raw):
+       st.floats(-3.0, 3.0), st.integers(1, 3))
+def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, raw, q):
     # one empty path whose states are the atoms of a uniform reference: the
     # trainer's dual is the exact solver's dual at the same lambda
     rng = np.random.default_rng(seed)
     eps = float(rng.uniform(0.0, 0.5))
     ref = DiscreteMeasure(rng.uniform(-1, 1, (n_atoms, d)), np.full(n_atoms, 1.0 / n_atoms))
-    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps))
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps), q)
     inner = nn._WassersteinDual(toy_problem(0, d), [ball], nn.TrainConfig())
     z = rng.uniform(-1, 1, (n_z, d))
     f = lambda pts: np.tanh(3.0 * np.atleast_2d(pts).sum(axis=1))
     psi = lambda omega_flat, prefix, a_var: ad.const(f(omega_flat[:, -d:]))
     got = inner.objective(0, psi, ad.Var(np.zeros((1, 1))), np.zeros((1, 0, d)),
                           np.zeros((1, 0)), (ref.support[None], z), [ad.Var(np.array([raw]))])
-    expect = amb.dual_inner_value(f, ref, eps, 1, float(np.exp(raw)), z)
+    expect = amb.dual_inner_value(f, ref, eps, q, float(np.exp(raw)), z)
     assert got.value.shape == (1,)
     assert abs(got.value[0] - expect) <= 1e-12
 
