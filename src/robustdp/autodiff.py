@@ -11,7 +11,7 @@ Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
 that parent requires a gradient, and an op whose parents are all constant
 is itself a constant with no parents and no backward closure.  So frozen
 parameters, data and whatever is computed from them alone build no tape,
-and no backward step computes a gradient nobody reads.
+and no backward step computes a parameter gradient nobody reads.
 """
 
 from __future__ import annotations
@@ -283,8 +283,8 @@ def mlp(x, weights, biases, in_scale=None, box=None):
     The forward is `mlp_forward`.  The backward keeps one activation per
     layer (the relu mask is post > 0, the same test as pre > 0), computes
     weight and bias gradients only for the parameters that require them,
-    and carries the gradient down only as far as a layer or the input needs
-    it.  Every gradient is bit-identical to the same network composed of
+    and carries the gradient into the input only when the input needs it.
+    Every gradient is bit-identical to the same network composed of
     the elementwise ops above.  weights and biases are Vars; x is a Var or
     an array.
     """
@@ -298,16 +298,12 @@ def mlp(x, weights, biases, in_scale=None, box=None):
         parents += (x,)
     if not parents:
         return const(out)
-    # the lowest layer the gradient must reach
-    lowest = 0 if x.requires_grad else min(
-        i for i, (w, b) in enumerate(zip(weights, biases)) if w.requires_grad or b.requires_grad
-    )
     last = len(weights) - 1
 
     def bw(g):
         if box is not None:
             g = g * 0.5 * (box[1] - box[0]) * (1.0 - th**2)
-        for i in range(last, lowest - 1, -1):
+        for i in range(last, -1, -1):
             if i < last:
                 g = g * (acts[i + 1] > 0)
             w, b = weights[i], biases[i]
@@ -315,7 +311,7 @@ def mlp(x, weights, biases, in_scale=None, box=None):
                 _accum(w, acts[i].T @ g)
             if b.requires_grad:
                 _accum(b, g)
-            if i > lowest:
+            if i > 0:
                 g = g @ w.value.T
         if x.requires_grad:
             g = g @ weights[0].value.T

@@ -43,15 +43,14 @@ class ConstantSet:
         return self.low, self.high
 
     def contains(self, path, action):
-        action = np.atleast_1d(np.asarray(action, dtype=float))
+        return _contains_one(self, path, action)
+
+    def contains_rows(self, path, actions):
+        """Membership of each row of actions (k, m), as a (k,) mask."""
         if self.points is not None:
-            return bool(
-                np.any(np.all(np.abs(self.points - action) <= ADMISSIBLE_TOL, axis=1))
-            )
-        return bool(
-            np.all(action >= self.low - ADMISSIBLE_TOL)
-            and np.all(action <= self.high + ADMISSIBLE_TOL)
-        )
+            near = np.abs(self.points[None] - actions[:, None]) <= ADMISSIBLE_TOL
+            return np.any(np.all(near, axis=2), axis=1)
+        return _in_box(actions, self.low, self.high)
 
 
 class BallSet:
@@ -88,19 +87,17 @@ class BallSet:
         return low, high
 
     def contains(self, path, action):
-        action = np.atleast_1d(np.asarray(action, dtype=float))
-        if self.ambient_low is not None and np.any(
-            action < np.asarray(self.ambient_low) - ADMISSIBLE_TOL
-        ):
-            return False
-        if self.ambient_high is not None and np.any(
-            action > np.asarray(self.ambient_high) + ADMISSIBLE_TOL
-        ):
-            return False
-        return bool(
-            np.linalg.norm(action - self.center(path))
-            <= float(self.radius(path)) + ADMISSIBLE_TOL
-        )
+        return _contains_one(self, path, action)
+
+    def contains_rows(self, path, actions):
+        """Membership of each row of actions (k, m), as a (k,) mask."""
+        keep = (np.linalg.norm(actions - self.center(path), axis=1)
+                <= float(self.radius(path)) + ADMISSIBLE_TOL)
+        if self.ambient_low is not None:
+            keep &= np.all(actions >= np.asarray(self.ambient_low) - ADMISSIBLE_TOL, axis=1)
+        if self.ambient_high is not None:
+            keep &= np.all(actions <= np.asarray(self.ambient_high) + ADMISSIBLE_TOL, axis=1)
+        return keep
 
 
 class BoxSet:
@@ -128,12 +125,22 @@ class BoxSet:
         return low, np.maximum(high, low)
 
     def contains(self, path, action):
-        low, high = self.bounds_at(path)
-        action = np.atleast_1d(np.asarray(action, dtype=float))
-        return bool(
-            np.all(action >= low - ADMISSIBLE_TOL)
-            and np.all(action <= high + ADMISSIBLE_TOL)
-        )
+        return _contains_one(self, path, action)
+
+    def contains_rows(self, path, actions):
+        """Membership of each row of actions (k, m), as a (k,) mask."""
+        return _in_box(actions, *self.bounds_at(path))
+
+
+def _contains_one(spec, path, action):
+    """spec.contains_rows on a batch of one action."""
+    action = np.atleast_1d(np.asarray(action, dtype=float))
+    return bool(spec.contains_rows(path, action[None])[0])
+
+
+def _in_box(actions, low, high):
+    return np.all((actions >= low - ADMISSIBLE_TOL) & (actions <= high + ADMISSIBLE_TOL),
+                  axis=1)
 
 
 def grid(spec, path, resolution=None):
@@ -161,24 +168,9 @@ def grid(spec, path, resolution=None):
             axes.append(np.linspace(low[j], high[j], res[j]))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = pts[_contains_rows(spec, path, pts, low, high)]
+    keep = pts[spec.contains_rows(path, pts)]
     if not len(keep):
         raise ValueError("discretization produced an empty action set")
-    return keep
-
-
-def _contains_rows(spec, path, pts, low, high):
-    """spec.contains(path, p) for every row p of pts in one array test: the
-    box [low, high] of a ConstantSet or BoxSet at the path; for a BallSet
-    its ambient box and one norm per row."""
-    if not isinstance(spec, BallSet):
-        return np.all((pts >= low - ADMISSIBLE_TOL) & (pts <= high + ADMISSIBLE_TOL), axis=1)
-    keep = (np.linalg.norm(pts - spec.center(path), axis=1)
-            <= float(spec.radius(path)) + ADMISSIBLE_TOL)
-    if spec.ambient_low is not None:
-        keep &= np.all(pts >= np.asarray(spec.ambient_low) - ADMISSIBLE_TOL, axis=1)
-    if spec.ambient_high is not None:
-        keep &= np.all(pts <= np.asarray(spec.ambient_high) + ADMISSIBLE_TOL, axis=1)
     return keep
 
 

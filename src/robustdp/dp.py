@@ -373,6 +373,9 @@ def _dual_lower(problem, local_grid, t, child, low, valid_j, lambda_grid):
     if not isinstance(kernel, WassersteinBall):
         return
     n = len(local_grid)
+    # psi is evaluated on local_grid itself; each of its points takes the
+    # value of its nearest grid node
+    snap = _nearest_rows(local_grid, local_grid)
     for u, node in enumerate(itertools.product(range(n), repeat=t)):
         path = local_grid[list(node)]
         eps = kernel.eps(path)
@@ -380,8 +383,7 @@ def _dual_lower(problem, local_grid, t, child, low, valid_j, lambda_grid):
             continue
         ref = kernel.center(path)
         for q in np.flatnonzero(valid_j[u]):
-            # each point of a stack takes the value of its nearest grid node
-            psi = lambda z, c=child[u, :, q]: c[_nearest_rows(local_grid, z)]
+            psi = lambda z, vals=child[u, snap, q]: vals
             low[u, q] = max(
                 dual_inner_value(psi, ref, eps, kernel.order, lam, local_grid)
                 for lam in lambda_grid

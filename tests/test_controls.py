@@ -135,15 +135,27 @@ def test_crossed_bounds_error():
         grid(spec, np.zeros((0, 1)), resolution=2)
 
 
-def per_point_grid(spec, path, res):
-    """Oracle: the uniform mesh over the set's bounds at path, filtered by
-    one spec.contains call per point."""
+def member(spec, path, p):
+    """Per-point containment rule of each action set, written out here so
+    the oracle does not share code with the array test it checks."""
+    tol = 1e-9
+    if isinstance(spec, BallSet):
+        if spec.ambient_low is not None and np.any(p < spec.ambient_low - tol):
+            return False
+        if spec.ambient_high is not None and np.any(p > spec.ambient_high + tol):
+            return False
+        return np.linalg.norm(p - spec.center(path)) <= float(spec.radius(path)) + tol
+    low, high = spec.bounds_at(path)
+    return np.all(p >= low - tol) and np.all(p <= high + tol)
+
+
+def uniform_mesh(spec, path, res):
+    """The uniform mesh over the set's bounds at path, in C order."""
     low, high = spec.bounds_at(path)
     axes = [np.array([0.5 * (lo + hi)]) if res == 1 else np.linspace(lo, hi, res)
             for lo, hi in zip(low, high)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return np.array([p for p in pts if spec.contains(path, p)])
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,7 +178,10 @@ def test_grid_equals_per_point_contains_filter(seed, kind, dim, res, ambient):
         bounds = (-0.3 * np.ones(dim), 0.4 * np.ones(dim)) if ambient else (None, None)
         spec = BallSet(lambda p: shift * float(p.sum()), 0.5,
                        ConstantRadius(float(rng.uniform(0.05, 0.8))), dim, *bounds)
-    want = per_point_grid(spec, path, res)
+    mesh = uniform_mesh(spec, path, res)
+    inside = [bool(member(spec, path, p)) for p in mesh]
+    assert [spec.contains(path, p) for p in mesh] == inside
+    want = mesh[inside]
     if not len(want):
         with pytest.raises(ValueError, match="empty action set"):
             grid(spec, path, resolution=res)
