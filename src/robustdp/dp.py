@@ -23,7 +23,6 @@ first-index argmin over candidates and argmax over real actions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -592,60 +591,30 @@ def brute_force_value(
     return best_val
 
 
-def evaluate_policy(
-    problem,
-    policy,
-    selection,
-    local_grid=None,
-    mode="exact",
-    n_samples=None,
-    rng=None,
-):
+def evaluate_policy(problem, policy, selection, local_grid):
     """Expected terminal value of a policy under a measure selection.
 
     selection(t, path, actions_so_far) must return the stage-t transition
     measure (actions_so_far includes the stage-t action, matching the
-    adversary's information).  Exact mode enumerates the support tree on
-    the local grid; mc mode samples paths and reports (mean, stderr).
+    adversary's information).  The support tree is enumerated on the local
+    grid; batched Monte Carlo values are neural.mc_policy_values.
     """
     T = problem.horizon
 
-    if mode == "exact":
-        if local_grid is None:
-            raise ValueError("exact evaluation needs the local grid")
+    def rec(t, node, actions):
+        path = local_grid[list(node)]
+        if t == T:
+            return float(problem.terminal(path, actions))
+        a = np.atleast_1d(policy(t, path, actions))
+        acts = actions + [a]
+        m = selection(t, path, acts)
+        val = 0.0
+        for w, x in zip(m.weights, m.support):
+            gi = nearest_index(local_grid, x)
+            val += w * rec(t + 1, node + (gi,), acts)
+        return val
 
-        def rec(t, node, actions):
-            path = local_grid[list(node)]
-            if t == T:
-                return float(problem.terminal(path, actions))
-            a = np.atleast_1d(policy(t, path, actions))
-            acts = actions + [a]
-            m = selection(t, path, acts)
-            val = 0.0
-            for w, x in zip(m.weights, m.support):
-                gi = nearest_index(local_grid, x)
-                val += w * rec(t + 1, node + (gi,), acts)
-            return val
-
-        return rec(0, (), [])
-
-    if mode == "mc":
-        if rng is None or n_samples is None:
-            raise ValueError("mc evaluation needs rng and n_samples")
-        vals = np.empty(n_samples)
-        for i in range(n_samples):
-            path = np.zeros((0, problem.local_space.dimension))
-            actions = []
-            for t in range(T):
-                a = np.atleast_1d(policy(t, path, actions))
-                actions.append(a)
-                m = selection(t, path, actions)
-                k = rng.choice(m.n_atoms, p=m.weights)
-                path = np.vstack([path, m.support[k][None, :]])
-            vals[i] = problem.terminal(path, actions)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
-
-    raise ValueError(f"unknown mode {mode!r}")
+    return rec(0, (), [])
 
 
 def holder_constant_recursion(problem, l_p=None, c_p=None, l_a=None):

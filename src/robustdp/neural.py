@@ -220,9 +220,14 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("iter_psi", "iter_a", "n_measures", "n_mc",
-                     "batch_size", "dual_grid"):
+                     "batch_size", "dual_grid", "eval_mc", "hidden_units"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.hidden_layers < 0:
+            raise ValueError("hidden_layers must be >= 0")
+        for name in ("lr", "lr_decay"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if self.path_sampling not in ("uniform", "reference"):
             raise ValueError(
                 "path_sampling must be 'uniform' or 'reference', "
@@ -257,34 +262,21 @@ def _sample_paths(space, t, batch, rng):
 
 
 def _sample_paths_reference(kernels, t, batch, rng, d):
-    """Paths drawn from the product of the stage reference kernels.
-
-    Concentrates training where in-model evaluation happens; requires the
-    earlier-stage references to be evaluable along sampled prefixes (cheap
-    for constant references, sequential otherwise).
+    """Paths (batch, t, d) drawn from the product of the stage reference
+    kernels: stage s draws through _reference_states along the first s
+    columns, so each omega[i, s] is an atom of the stage-s reference at
+    omega[i, :s].  Concentrates training where in-model evaluation happens.
     """
     omega = np.zeros((batch, t, d))
     for s in range(t):
-        kern = kernels[s]
-        ref = kern.reference if hasattr(kern, "reference") else kern
-        if isinstance(ref, ConstantKernel):
-            m = ref.measure
-            idx = rng.choice(m.n_atoms, size=batch, p=m.weights)
-            omega[:, s] = m.support[idx]
-        else:
-            for i in range(batch):
-                m = ref(omega[i, :s])
-                omega[i, s] = m.support[rng.choice(m.n_atoms, p=m.weights)]
+        omega[:, s] = _reference_states(kernels[s], omega[:, :s], 1, rng)[:, 0]
     return omega
 
 
-def _sample_prefix_actions(specs, batch, rng):
-    """Past actions drawn uniformly from their boxes, side by side (batch, width)."""
-    out = [np.zeros((batch, 0))]
-    for spec in specs:
-        low, high = _action_box(spec)
-        out.append(rng.uniform(low, high, size=(batch, len(low))))
-    return np.concatenate(out, axis=1)
+def _sample_past_actions(specs, batch, rng):
+    """Past actions drawn uniformly from their boxes, a list of (batch, m_s)."""
+    boxes = [_action_box(spec) for spec in specs]
+    return [rng.uniform(low, high, size=(batch, len(low))) for low, high in boxes]
 
 
 def _draw_states(measure, batch, n_mc, rng):
@@ -294,8 +286,9 @@ def _draw_states(measure, batch, n_mc, rng):
 
 
 def _reference_states(kernel, omega_b, n_mc, rng):
-    """Per-path draws from the reference kernel, vectorized where possible."""
-    ref = kernel.reference if hasattr(kernel, "reference") else kernel
+    """(b, n_mc, d) draws from the kernel's center along each path of
+    omega_b (b, t, d), vectorized for the built-in references."""
+    ref = getattr(kernel, "reference", None)
     b, t, d = omega_b.shape
     if isinstance(ref, ConstantKernel):
         return _draw_states(ref.measure, b, n_mc, rng)
@@ -325,8 +318,7 @@ def _reference_states(kernel, omega_b, n_mc, rng):
         return out
     out = np.empty((b, n_mc, d))
     for i in range(b):
-        m = ref(omega_b[i])
-        out[i] = _draw_states(m, 1, n_mc, rng)[0]
+        out[i] = _draw_states(kernel.center(omega_b[i]), 1, n_mc, rng)[0]
     return out
 
 
@@ -363,33 +355,31 @@ def _n_features(problem, t):
 
 
 def _features_only(problem):
-    return (getattr(problem, "net_inputs", "both") == "features"
-            and getattr(problem, "feature_tape", None) is not None)
+    """Whether the nets read the feature map alone: problem.net_inputs is
+    "both" (the default) or "features", which needs problem.feature_tape."""
+    mode = getattr(problem, "net_inputs", "both")
+    if mode not in ("both", "features"):
+        raise ValueError(f"net_inputs must be 'both' or 'features', got {mode!r}")
+    if mode == "features" and getattr(problem, "feature_tape", None) is None:
+        raise ValueError("net_inputs='features' needs problem.feature_tape")
+    return mode == "features"
 
 
-def _stage_input_tape(problem, t, omega_flat, actions):
-    """Net input at stage t: path, past actions, and derived features; a
+def _stage_input_tape(problem, t, omega, actions):
+    """Net input at stage t along paths omega (N, t, d) after the past
+    actions, a list of (N, m_s) arrays or Vars: the path flattened to
+    (N, t d), the past actions and the derived features, side by side.  A
     problem with net_inputs="features" feeds the feature map alone (its
     outputs are functions of the same arguments, so the networks stay maps
     of (path, past actions) with a restricted parameterization)."""
-    d = problem.local_space.dimension
     fm = getattr(problem, "feature_tape", None)
     parts = []
     if not _features_only(problem):
-        parts = [ad.as_var(omega_flat)] + [ad.as_var(a) for a in actions]
+        flat = omega.reshape(len(omega), t * omega.shape[2])
+        parts = [ad.const(flat)] + [ad.as_var(a) for a in actions]
     if fm is not None:
-        flat = np.asarray(
-            omega_flat.value if isinstance(omega_flat, ad.Var) else omega_flat
-        )
-        parts.append(fm(t, flat.reshape(flat.shape[0], t, d), actions))
+        parts.append(fm(t, omega, actions))
     return ad.concat(parts, axis=1)
-
-
-def _stage_in_dim(problem, t):
-    if _features_only(problem):
-        return _n_features(problem, t)
-    d = problem.local_space.dimension
-    return t * d + _prefix_width(problem, t) + _n_features(problem, t)
 
 
 def _maybe_warm_start(net, prev, config):
@@ -404,57 +394,32 @@ def _maybe_warm_start(net, prev, config):
 
 
 def _next_value(problem, t_next, net):
-    """The stage-(t+1) value as a tape function of (paths, past actions,
-    stage action Var) -> Var (N,): the value net, or the terminal objective
-    at the horizon."""
-    T, d = problem.horizon, problem.local_space.dimension
+    """The stage-(t+1) value psi(omega, past, a_var) -> Var (N,) on paths
+    omega (N, t+1, d), the past actions (a list of (N, m_s) arrays) and the
+    stage action Var: the value net, or the terminal objective at the
+    horizon."""
 
-    def psi(omega_flat, prefix_np, a_var):
-        actions = _split_actions(problem, prefix_np) + [a_var]
-        if t_next == T:
-            return problem.terminal_tape(omega_flat.reshape(-1, T, d), actions)
-        x = _stage_input_tape(problem, t_next, omega_flat, actions)
+    def psi(omega, past, a_var):
+        actions = past + [a_var]
+        if t_next == problem.horizon:
+            return problem.terminal_tape(omega, actions)
+        x = _stage_input_tape(problem, t_next, omega, actions)
         return ad.reshape(net.forward_var(x), (-1,))
 
     return psi
 
 
-def _continuation(psi, omega_b, prefix, a_rep, nxt):
+def _continuation(psi, omega_b, past, a_rep, nxt):
     """psi at every path of omega_b (b, t, d) extended by each of its next
-    states nxt (b, n, d); a_rep is the stage action repeated n times per
-    row.  Returns a Var (b, n)."""
-    b, t, d = omega_b.shape
-    n = nxt.shape[1]
+    states nxt (b, n, d), after the past actions (a list of (b, m_s)
+    arrays); a_rep is the stage action repeated n times per row.  Returns a
+    Var (b, n)."""
+    b, n, d = nxt.shape
     omega_next = np.concatenate(
-        [np.repeat(omega_b.reshape(b, t * d), n, axis=0), nxt.reshape(b * n, d)],
-        axis=1,
+        [np.repeat(omega_b, n, axis=0), nxt.reshape(b * n, 1, d)], axis=1
     )
-    return ad.reshape(psi(omega_next, np.repeat(prefix, n, axis=0), a_rep), (b, n))
-
-
-def _split_actions(problem, prefix_np):
-    dims = [spec.dim for spec in problem.action_specs]
-    out = []
-    lo = 0
-    for m in dims[: _n_prefix(prefix_np, dims)]:
-        out.append(prefix_np[:, lo : lo + m])
-        lo += m
-    return out
-
-
-def _n_prefix(prefix_np, dims):
-    width = prefix_np.shape[1]
-    total, k = 0, 0
-    while total < width:
-        total += dims[k]
-        k += 1
-    if total != width:
-        raise ValueError("prefix width does not align with action dims")
-    return k
-
-
-def _prefix_width(problem, t):
-    return sum(spec.dim for spec in problem.action_specs[:t])
+    past_rep = [np.repeat(p, n, axis=0) for p in past]
+    return ad.reshape(psi(omega_next, past_rep, a_rep), (b, n))
 
 
 class NeuralPolicy:
@@ -469,8 +434,7 @@ class NeuralPolicy:
     def _stage(self, t, omega_b, actions):
         """Stage-t actions (N, m_t) along paths omega_b (N, >= t, d) after
         the past actions, a list of (N, m_s) arrays."""
-        n, d = omega_b.shape[0], self.problem.local_space.dimension
-        x = _stage_input_tape(self.problem, t, omega_b[:, :t].reshape(n, t * d), actions)
+        x = _stage_input_tape(self.problem, t, omega_b[:, :t], actions)
         low, high = _action_box(self.problem.action_specs[t])
         return np.clip(self.action_nets[t].forward(x.value), low, high)
 
@@ -548,12 +512,12 @@ class _SampledSetMin:
             return [_reference_states(self.kernels[t], omega_b, n_mc, rng)]
         return [_draw_states(m, omega_b.shape[0], n_mc, rng) for m in cands]
 
-    def objective(self, t, psi, a, omega_b, prefix, blocks, own):
+    def objective(self, t, psi, a, omega_b, past, blocks, own):
         """Var (b,): per path, the least candidate mean of psi."""
         b, n_mc = blocks[0].shape[:2]
         a_rep = ad.repeat_rows(a, n_mc)
         means = [
-            ad.reshape(ad.vmean(_continuation(psi, omega_b, prefix, a_rep, blk), axis=1),
+            ad.reshape(ad.vmean(_continuation(psi, omega_b, past, a_rep, blk), axis=1),
                        (1, b))
             for blk in blocks
         ]
@@ -595,13 +559,13 @@ class _WassersteinDual:
         bound = self.space.bound
         return states, rng.uniform(-bound, bound, size=(n_z, self.space.dimension))
 
-    def objective(self, t, psi, a, omega_b, prefix, draws, own):
+    def objective(self, t, psi, a, omega_b, past, draws, own):
         """Var (b,): the dual per path, at lambda = exp(own[0])."""
         states, z = draws
         b, n_z = omega_b.shape[0], z.shape[0]
         nxt = np.broadcast_to(z, (b,) + z.shape)
         psi_z = ad.reshape(
-            _continuation(psi, omega_b, prefix, ad.repeat_rows(a, n_z), nxt), (b, 1, n_z)
+            _continuation(psi, omega_b, past, ad.repeat_rows(a, n_z), nxt), (b, 1, n_z)
         )
         kernel = self.kernels[t]
         cost = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :],
@@ -620,31 +584,29 @@ def _train_backward(problem, kernels, config, rng, inner):
     net on the same objective at the trained parameters.  The stage-0
     objective on eval_mc draws is the value estimate.  inner supplies its
     parameters(t), draw(t, omega_b, n_mc, rng, final), the per-path
-    objective(t, psi, action, omega_b, prefix, draws, own parameter Vars)
-    and log_lambda(t) for the log's lambda column.
+    objective(t, psi, action, omega_b, past, draws, own parameter Vars)
+    and log_lambda(t) for the log's lambda column.  Paths omega_b are
+    (b, t, d) arrays and the past actions a list of (b, m_s) arrays from
+    the draw to the net input, which _stage_input_tape flattens.
     """
     T, d = problem.horizon, problem.local_space.dimension
     action_nets = [None] * T
     value_nets = [None] * (T + 1)
     log = []
 
-    def stage_input(t, omega_b, prefix):
-        omega_flat = omega_b.reshape(len(omega_b), t * d)
-        return _stage_input_tape(problem, t, omega_flat, _split_actions(problem, prefix)).value
-
     def draw_batch(t):
         if config.path_sampling == "reference":
             omega_b = _sample_paths_reference(kernels, t, config.batch_size, rng, d)
         else:
             omega_b = _sample_paths(problem.local_space, t, config.batch_size, rng)
-        prefix = _sample_prefix_actions(problem.action_specs[:t], config.batch_size, rng)
+        past = _sample_past_actions(problem.action_specs[:t], config.batch_size, rng)
         draws = inner.draw(t, omega_b, config.n_mc, rng)
-        return omega_b, prefix, stage_input(t, omega_b, prefix), draws
+        return omega_b, past, _stage_input_tape(problem, t, omega_b, past).value, draws
 
     for t in range(T - 1, -1, -1):
-        in_dim = _stage_in_dim(problem, t)
         box = _action_box(problem.action_specs[t])
         scale = _input_scale(problem, t)
+        in_dim = len(scale)
         net_a = Mlp(in_dim, len(box[0]), config.hidden_layers,
                     config.hidden_units, rng, out_box=box, in_scale=scale)
         _maybe_warm_start(net_a, action_nets[t + 1] if t + 1 < T else None, config)
@@ -652,9 +614,9 @@ def _train_backward(problem, kernels, config, rng, inner):
         k = len(net_a.parameters())
         params = net_a.parameters() + inner.parameters(t)  # then the inner's own
 
-        def objective(pvars, omega_b, prefix, x_t, draws):
+        def objective(pvars, omega_b, past, x_t, draws):
             a = net_a.forward_var(x_t, pvars[:k])
-            return inner.objective(t, psi, a, omega_b, prefix, draws, pvars[k:])
+            return inner.objective(t, psi, a, omega_b, past, draws, pvars[k:])
 
         adam = AdamState.init(params, lr=config.lr)
         for it in range(config.iter_a):
@@ -688,10 +650,10 @@ def _train_backward(problem, kernels, config, rng, inner):
         value_nets[t] = net_psi
 
     # the loop ends at stage 0, whose objective at the empty path is the value
-    omega0, prefix0 = np.zeros((1, 0, d)), np.zeros((1, 0))
+    omega0 = np.zeros((1, 0, d))
     draws0 = inner.draw(0, omega0, config.eval_mc, rng, final=True)
-    x0 = stage_input(0, omega0, prefix0)
-    value_estimate = float(objective(frozen, omega0, prefix0, x0, draws0).value[0])
+    x0 = _stage_input_tape(problem, 0, omega0, []).value
+    value_estimate = float(objective(frozen, omega0, [], x0, draws0).value[0])
     return TrainResult(
         action_nets=action_nets,
         value_nets=value_nets,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -250,12 +251,67 @@ def test_train_logs_value_regression_loss(tmp_path, kind):
     assert all(np.isfinite(float(row[3])) for row in value_rows)
 
 
+# sha256 of every artifact of two tiny training runs, recorded with numpy
+# 2.4.6 on Python 3.11.7 (other numpy or BLAS builds may round differently).
+# Change them only together with a change that moves trained numbers on
+# purpose, and say by how much.
+TINY_TRAIN = {"iter_a": 8, "iter_psi": 60, "n_mc": 4, "batch_size": 4,
+              "hidden_layers": 1, "hidden_units": 4, "eval_mc": 8,
+              "n_measures": 2, "dual_grid": 4}
+PINNED_RUNS = {
+    "algorithm1": (
+        dict(BASE_CONFIG, problem=dict(BASE_CONFIG["problem"], horizon=3),
+             solver={"kind": "algorithm1", "train": dict(
+                 TINY_TRAIN, path_sampling="reference", warm_start=True,
+                 lr_decay=0.5)}),
+        {
+            "action_net_0.txt": "eb0e535a705541784730a247b49604ba78951fdb468840bd884d0b7a122df941",
+            "action_net_1.txt": "66cf55ea1b882a09593d31f51d389521e162a87d6fe4323e6f8535ac26d62139",
+            "action_net_2.txt": "b9bb5e3ed7d96de2e319b5f9fc004d861c369f7b9ba237a69ead6c510b5d75a3",
+            "backtest.csv": "8eec438d79beba69f8c3d98c82d5010665363be5390e41107a39ab4ae307efb0",
+            "train.json": "30b7d1f761fd06495ca1059cddbada1472bdf67a37ed8a329f95bba80e9c28fc",
+            "training_log.csv": "3f266767e64ae4ae61e4ad11588fd72649a22e4f9c0db07514ef38871a239755",
+            "value_net_1.txt": "ea1da7d9f65d8cc988883ef75cc24ce5356b4862ad152a1431823650869fa048",
+            "value_net_2.txt": "65cacbfc454d07ebcd6939230f0ebd31e72c9e09ef7b00f3a844e76591cdf972",
+        },
+    ),
+    "algorithm2": (
+        dict(BASE_CONFIG, solver={"kind": "algorithm2", "train": TINY_TRAIN}),
+        {
+            "action_net_0.txt": "33ade9049f2130f36412aa0f9fd7b9b7bc8f067753469115ac513f6f9672d5b9",
+            "action_net_1.txt": "06067cf2237f72fbab6473e314305e04602347ebef02b924f9b737c97256f297",
+            "train.json": "ba4a1227eecb6f5c6f041e42703dcdf959169464d4e9159c71f8a73d1b6826e5",
+            "training_log.csv": "5f75ed923ba750ebfa195963a732310a0743cff2f02c1f226e0011fc62c27fb6",
+            "value_net_1.txt": "c6d58468221afd65022aaac48459a78490a79ed083a593df37030e2dd48d7046",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
+def test_train_artifacts_are_pinned(tmp_path, kind):
+    cfg, expected = PINNED_RUNS[kind]
+    path, out = write_config(tmp_path, cfg), tmp_path / "run"
+    assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+    if "backtest.csv" in expected:
+        assert cli.main(["hedge-backtest", "--config", path, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
+
+
 @pytest.mark.parametrize("train, named", [
     ({"iters": 3}, "solver.train.iters"),
     ({"seed": 3}, "solver.train.seed"),
     ({"iter_a": "3"}, "solver.train.iter_a"),
     ({"lr": True}, "solver.train.lr"),
     ({"path_sampling": "refernce"}, "path_sampling"),
+    ({"eval_mc": 0}, "eval_mc"),
+    ({"hidden_units": 0}, "hidden_units"),
+    ({"hidden_layers": -1}, "hidden_layers"),
+    ({"lr": -1}, "lr"),
+    ({"lr": 0.0}, "lr"),
+    ({"lr_decay": 0}, "lr_decay"),
 ])
 def test_bad_train_config_is_json_error(tmp_path, capsys, train, named):
     cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": train})

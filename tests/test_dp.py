@@ -345,27 +345,6 @@ def test_evaluate_policy_dirac_telescopes():
     assert v == pytest.approx(2.0, abs=1e-12)
 
 
-def test_evaluate_policy_mc_mode():
-    def terminal(omega, actions):
-        return float(omega[:, 0].sum())
-
-    kern = amb.Singleton(amb.ConstantKernel(DiscreteMeasure(GRID3, [0.25, 0.5, 0.25])))
-    prob = dp.ControlProblem(1, SPACE, terminal, [PM_ACTIONS], [kern])
-
-    def policy(t, path, actions):
-        return np.array([1.0])
-
-    def selection(t, path, actions):
-        return DiscreteMeasure(GRID3, [0.25, 0.5, 0.25])
-
-    mean, stderr = dp.evaluate_policy(
-        prob, policy, selection, mode="mc", n_samples=4000,
-        rng=np.random.default_rng(0),
-    )
-    assert mean == pytest.approx(0.0, abs=5 * stderr + 0.05)
-    assert stderr > 0
-
-
 def test_brute_force_guard():
     rng = np.random.default_rng(10)
     prob, g, cands = random_tabular_instance(rng, max_horizon=2)

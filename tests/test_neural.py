@@ -371,20 +371,26 @@ def test_weak_duality_against_primal_lp(seed, q, d, n):
 
 
 def psi_numpy(omega_flat, prefix, a):
-    """A next value that reads the path, the past actions and the action."""
+    """A next value that reads the path, the past actions and the action,
+    on the path flattened to (N, t d) and the past actions side by side."""
     return (np.tanh(3.0 * omega_flat.sum(axis=1)) + prefix.sum(axis=1)
             + (a * omega_flat[:, -1:]).sum(axis=1))
 
 
-def psi_tape(omega_flat, prefix, a_var):
+def psi_tape(omega, past, a_var):
+    """psi_numpy as the trainer calls it: paths (N, t, d), past actions a
+    list of (N, m_s) arrays, the action a Var."""
+    omega_flat = omega.reshape(len(omega), -1)
+    prefix = np.concatenate([np.zeros((len(omega), 0))] + past, axis=1)
     const = np.tanh(3.0 * omega_flat.sum(axis=1)) + prefix.sum(axis=1)
     return ad.const(const) + ad.vsum(a_var * ad.const(omega_flat[:, -1:]), axis=1)
 
 
-def sampled_set_oracle(a, omega_b, prefix, blocks):
+def sampled_set_oracle(a, omega_b, past, blocks):
     """min over candidates of the Monte Carlo mean of the next value."""
     b, t, d = omega_b.shape
     n_mc = blocks[0].shape[1]
+    prefix = np.concatenate([np.zeros((b, 0))] + past, axis=1)
     per_k = []
     for blk in blocks:
         omega_next = np.concatenate(
@@ -396,10 +402,11 @@ def sampled_set_oracle(a, omega_b, prefix, blocks):
     return np.min(np.stack(per_k), axis=0)
 
 
-def dual_oracle(a, omega_b, prefix, states, z, lam, eps, q):
+def dual_oracle(a, omega_b, past, states, z, lam, eps, q):
     """mean_i min_j {psi(z_j) + lam ||x_i - z_j||^q} - lam eps^q, per path."""
     b, t, d = omega_b.shape
     n_z = z.shape[0]
+    prefix = np.concatenate([np.zeros((b, 0))] + past, axis=1)
     omega_next = np.concatenate(
         [np.repeat(omega_b.reshape(b, t * d), n_z, axis=0), np.tile(z, (b, 1))], axis=1
     )
@@ -422,11 +429,11 @@ def test_sampled_set_objective_matches_oracle(seed, t, d, b, n_mc, n_cands):
     kern = amb.FiniteSet([amb.ConstantKernel(ref)] * n_cands)
     inner = nn._SampledSetMin(toy_problem(t, d), [kern] * (t + 1), nn.TrainConfig(), rng)
     omega_b = rng.uniform(-1, 1, (b, t, d))
-    prefix = rng.uniform(-1, 1, (b, 2 * t))
+    past = [rng.uniform(-1, 1, (b, 2)) for _ in range(t)]
     a = rng.uniform(-1, 1, (b, 1))
     blocks = [rng.uniform(-1, 1, (b, n_mc, d)) for _ in range(n_cands)]
-    got = inner.objective(t, psi_tape, ad.Var(a), omega_b, prefix, blocks, [])
-    np.testing.assert_allclose(got.value, sampled_set_oracle(a, omega_b, prefix, blocks),
+    got = inner.objective(t, psi_tape, ad.Var(a), omega_b, past, blocks, [])
+    np.testing.assert_allclose(got.value, sampled_set_oracle(a, omega_b, past, blocks),
                                rtol=0, atol=1e-12)
 
 
@@ -441,13 +448,13 @@ def test_dual_objective_matches_oracle(seed, t, d, b, n_mc, n_z, raw, q):
     inner = nn._WassersteinDual(toy_problem(t, d), [ball] * (t + 1),
                                 nn.TrainConfig(dual_grid=n_z))
     omega_b = rng.uniform(-1, 1, (b, t, d))
-    prefix = rng.uniform(-1, 1, (b, 2 * t))
+    past = [rng.uniform(-1, 1, (b, 2)) for _ in range(t)]
     a = rng.uniform(-1, 1, (b, 1))
     states, z = inner.draw(t, omega_b, n_mc, rng)
     assert states.shape == (b, n_mc, d) and z.shape == (n_z, d)
-    got = inner.objective(t, psi_tape, ad.Var(a), omega_b, prefix, (states, z),
+    got = inner.objective(t, psi_tape, ad.Var(a), omega_b, past, (states, z),
                           [ad.Var(np.array([raw]))])
-    expect = dual_oracle(a, omega_b, prefix, states, z, np.exp(raw), eps, q)
+    expect = dual_oracle(a, omega_b, past, states, z, np.exp(raw), eps, q)
     np.testing.assert_allclose(got.value, expect, rtol=0, atol=1e-12)
 
 
@@ -464,9 +471,9 @@ def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, 
     inner = nn._WassersteinDual(toy_problem(0, d), [ball], nn.TrainConfig())
     z = rng.uniform(-1, 1, (n_z, d))
     f = lambda pts: np.tanh(3.0 * np.atleast_2d(pts).sum(axis=1))
-    psi = lambda omega_flat, prefix, a_var: ad.const(f(omega_flat[:, -d:]))
+    psi = lambda omega, past, a_var: ad.const(f(omega[:, -1]))
     got = inner.objective(0, psi, ad.Var(np.zeros((1, 1))), np.zeros((1, 0, d)),
-                          np.zeros((1, 0)), (ref.support[None], z), [ad.Var(np.array([raw]))])
+                          [], (ref.support[None], z), [ad.Var(np.array([raw]))])
     expect = amb.dual_inner_value(f, ref, eps, q, float(np.exp(raw)), z)
     assert got.value.shape == (1,)
     assert abs(got.value[0] - expect) <= 1e-12
@@ -699,7 +706,7 @@ def test_rollout_matches_per_path_actions(seed, d, T, n, layers, net_inputs, squ
     prob = hg.make_control_problem(hp, [amb.Singleton(dirac)] * T)
     prob.net_inputs = net_inputs
     nets = [
-        nn.Mlp(nn._stage_in_dim(prob, t), spec.dim, layers, 4, rng,
+        nn.Mlp(len(nn._input_scale(prob, t)), spec.dim, layers, 4, rng,
                out_box=(spec.low, spec.high) if squash else None,
                in_scale=nn._input_scale(prob, t))
         for t, spec in enumerate(prob.action_specs)
@@ -715,6 +722,64 @@ def test_rollout_matches_per_path_actions(seed, d, T, n, layers, net_inputs, squ
         assert np.array_equal(policy.action(t, omega[0, :t]), loop[t][0])
     for batch, looped in zip(dp.rollout(ActionOnly(policy), omega), loop):
         assert np.array_equal(batch, looped)
+
+
+def reference_kernel(kind, wrap, d, rng):
+    history = rng.uniform(-0.1, 0.1, (6, d))
+    ref = {
+        "constant": lambda: amb.ConstantKernel(
+            DiscreteMeasure(history[:4], rng.dirichlet(np.ones(4)))),
+        "kernel_weighted": lambda: amb.KernelWeighted(history, beta=50.0),
+        "adaptive": lambda: amb.AdaptiveEmpirical(history),
+    }[kind]()
+    if wrap == "singleton":
+        return amb.Singleton(ref)
+    if wrap == "ball":
+        return amb.WassersteinBall(ref, amb.ConstantRadius(0.01))
+    other = amb.ConstantKernel(DiscreteMeasure(history[4:], [0.5, 0.5]))
+    return amb.FiniteSet([ref, other])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["constant", "kernel_weighted", "adaptive"]),
+       st.sampled_from(["singleton", "ball", "finite_set"]), st.integers(1, 2),
+       st.integers(0, 3), st.integers(1, 5))
+def test_reference_paths_draw_atoms_of_the_center(seed, kind, wrap, d, t, batch):
+    rng = np.random.default_rng(seed)
+    kernels = [reference_kernel(kind, wrap, d, rng) for _ in range(t)]
+    omega = nn._sample_paths_reference(kernels, t, batch, rng, d)
+    assert omega.shape == (batch, t, d)
+    for i in range(batch):
+        for s in range(t):
+            support = kernels[s].center(omega[i, :s]).support
+            assert np.any(np.all(support == omega[i, s], axis=1)), (i, s)
+
+
+def test_reference_path_sampling_trains_on_a_finite_set():
+    from robustdp import hedging as hg
+
+    hp = hg.HedgingProblem(d=1, horizon=2, return_bound=0.1, payoff=hg.CallPayoff(1.0))
+    refs = [amb.ConstantKernel(DiscreteMeasure([[-0.05], [0.05]], w))
+            for w in ([0.5, 0.5], [0.3, 0.7])]
+    prob = hg.make_control_problem(hp, [amb.FiniteSet(refs)] * 2)
+    cfg = nn.TrainConfig(iter_a=3, iter_psi=3, n_mc=4, batch_size=4, hidden_layers=1,
+                         hidden_units=4, eval_mc=8, path_sampling="reference")
+    res = nn.train_algorithm1(prob, config=cfg)
+    assert np.isfinite(res.value_estimate)
+
+
+@pytest.mark.parametrize("net_inputs, feature_tape, match", [
+    ("feature", True, "'feature'"),
+    ("path", True, "'path'"),
+    ("features", False, "feature_tape"),
+])
+def test_bad_net_inputs_rejected(net_inputs, feature_tape, match):
+    prob = quadratic_problem()
+    prob.net_inputs = net_inputs
+    if feature_tape:
+        prob.feature_tape = lambda t, omega, actions: ad.const(np.zeros((len(omega), 1)))
+    with pytest.raises(ValueError, match=match):
+        nn.train_algorithm1(prob, config=FAST)
 
 
 def test_bad_path_sampling_rejected():
