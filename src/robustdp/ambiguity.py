@@ -363,11 +363,11 @@ class NormalDiagFamily:
 
     def discretize(self, theta, n_atoms=31, space=None):
         """Quantile-grid product discretization tagged with its parameter."""
-        from scipy.stats import norm
+        from scipy.special import ndtri  # norm.ppf, bit for bit
 
         mu, sigma = self.split(theta)
         u = (np.arange(n_atoms) + 0.5) / n_atoms
-        axes = [mu[j] + sigma[j] * norm.ppf(u) for j in range(self.d)]
+        axes = [mu[j] + sigma[j] * ndtri(u) for j in range(self.d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         if space is not None:

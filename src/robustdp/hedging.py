@@ -5,6 +5,9 @@ Returns (not prices) are the canonical state: the local space is the box
 demand.  The stage objective handed to the solvers is minus the prospect
 loss of the terminal hedging error of a self-financing strategy (initial
 cash d_0 plus per-stage positions Delta_t within configured bounds).
+scipy is imported inside `_norm_cdf` only, on the first Black-Scholes
+delta: nothing else here uses it, and its import would add about a second
+to every process.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from . import autodiff as ad
 from .controls import ConstantSet
@@ -347,6 +349,14 @@ def holder_data(problem):
 # ---------------------------------------------------------------------------
 
 
+def _norm_cdf(x):
+    """Standard normal cdf; `ndtr` is what scipy.stats.norm.cdf computes,
+    bit for bit, without its argument checks."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 class BSDeltaPolicy:
     """Delta hedge with zero interest rate: holds N(d_1) units, cash set to
     the initial premium.  At expiry the delta degenerates to the moneyness
@@ -368,7 +378,7 @@ class BSDeltaPolicy:
         d1 = (math.log(s / self.strike) + 0.5 * self.sigma**2 * tau) / (
             self.sigma * math.sqrt(tau)
         )
-        return float(norm.cdf(d1))
+        return float(_norm_cdf(d1))
 
     def premium(self):
         s = float(self.problem.s0[0])
@@ -377,7 +387,7 @@ class BSDeltaPolicy:
             self.sigma * math.sqrt(tau)
         )
         d2 = d1 - self.sigma * math.sqrt(tau)
-        return float(s * norm.cdf(d1) - self.strike * norm.cdf(d2))
+        return float(s * _norm_cdf(d1) - self.strike * _norm_cdf(d2))
 
     def action(self, t, path, past_actions=None):
         path = np.asarray(path, dtype=float).reshape(t, 1)
@@ -394,7 +404,7 @@ class BSDeltaPolicy:
 
     def actions_batch(self, omega):
         """The actions of `action` along all paths omega (N, T, 1) at
-        once, one norm.cdf call per stage (see dp.rollout)."""
+        once, one _norm_cdf call per stage (see dp.rollout)."""
         prices = prices_from_returns(omega, self.problem.s0)[..., 0]
         a, out = self.problem.a_bound, []
         for t in range(omega.shape[1]):
@@ -402,7 +412,7 @@ class BSDeltaPolicy:
             d1 = (np.log(prices[:, t] / self.strike) + 0.5 * self.sigma**2 * tau) / (
                 self.sigma * math.sqrt(tau)
             )
-            out.append(np.clip(norm.cdf(d1), -a, a)[:, None])
+            out.append(np.clip(_norm_cdf(d1), -a, a)[:, None])
         d0 = np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
         out[0] = np.hstack([np.full_like(out[0], d0), out[0]])
         return out

@@ -7,14 +7,13 @@ the sorted north-west-corner (quantile) coupling, exact for every order
 q >= 1 and built without solving anything; in higher dimension the plan
 comes from the transport linear program (HiGHS, sparse marginal
 constraints), which supports at desk scale (up to a few hundred atoms)
-keep cheap.
+keep cheap.  scipy is imported inside `_lp_plan` only: nothing else here
+uses it, and its import would add about a second to every process.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 __all__ = [
     "LocalSpace",
@@ -181,6 +180,9 @@ def _quantile_plan(mu, nu):
 
 def _lp_plan(mu, nu, cost):
     """Optimal plan from the transport linear program (HiGHS)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, n = cost.shape
     # marginal constraints; one row constraint is redundant and dropped to
     # keep the LP full rank

@@ -228,6 +228,8 @@ class TrainConfig:
         for name in ("lr", "lr_decay"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.lr_decay > 1.0:
+            raise ValueError("lr_decay is a floor on the lr and must be <= 1")
         if self.path_sampling not in ("uniform", "reference"):
             raise ValueError(
                 "path_sampling must be 'uniform' or 'reference', "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from robustdp import ambiguity as amb
@@ -129,6 +130,24 @@ def test_normal_w2_against_quantile_integral():
         assert f.distance([m1, s1], [m2, s2], 2) == pytest.approx(
             math.sqrt(val), abs=1e-4
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_ndtri_is_norm_ppf_bit_for_bit(u):
+    # discretize relies on ndtri computing exactly what norm.ppf computes
+    assert ndtri(u).tobytes() == norm.ppf(u).tobytes()
+
+
+@pytest.mark.parametrize("theta", [[0.0, 1.0], [0.1, -0.3, 0.8, 1.7]])
+def test_normal_discretize_is_norm_ppf_grid(theta):
+    d = len(theta) // 2
+    u = (np.arange(31) + 0.5) / 31
+    axes = [theta[j] + theta[d + j] * norm.ppf(u) for j in range(d)]
+    want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    got = amb.NormalDiagFamily(d).discretize(theta)
+    assert got.support.tobytes() == want.tobytes()
+    assert np.array_equal(got.theta, theta)
 
 
 def test_normal_unsupported_order_errors():

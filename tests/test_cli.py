@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustdp
 from robustdp import cli, dp
 from robustdp.measures import DiscreteMeasure
 
@@ -312,6 +316,7 @@ def test_train_artifacts_are_pinned(tmp_path, kind):
     ({"lr": -1}, "lr"),
     ({"lr": 0.0}, "lr"),
     ({"lr_decay": 0}, "lr_decay"),
+    ({"lr_decay": 2.0}, "lr_decay"),
 ])
 def test_bad_train_config_is_json_error(tmp_path, capsys, train, named):
     cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": train})
@@ -363,3 +368,45 @@ def test_out_env_override(tmp_path, monkeypatch):
     rc = cli.main(["oracle-check", "--seed", "1"])
     assert rc == 0
     assert (tmp_path / "env_out" / "oracle_check.json").exists()
+
+
+# -- import cost -------------------------------------------------------------------
+
+SCIPY_GUARD = """
+import importlib, json, pkgutil, sys
+import numpy as np
+import robustdp
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for mod in pkgutil.iter_modules(robustdp.__path__):
+    importlib.import_module("robustdp." + mod.name)
+from robustdp import cli, hedging as hg
+
+rc = cli.main(["solve-exact", "--config", sys.argv[1], "--out", sys.argv[2]])
+after_solve = scipy_modules()
+prob = hg.HedgingProblem(d=1, horizon=3, return_bound=0.1, payoff=hg.CallPayoff(1.0))
+policy = hg.bs_delta_hedge(prob, 0.2, 1.0)
+policy.action(0, np.zeros((0, 1)))
+policy.actions_batch(np.zeros((4, 3, 1)))
+print(json.dumps({"rc": rc, "after_solve": after_solve, "after_delta": scipy_modules()}))
+"""
+
+
+def test_scipy_is_imported_only_where_it_computes(tmp_path):
+    # a fresh interpreter: this one has scipy loaded through conftest.py
+    src = str(Path(robustdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, write_config(tmp_path), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["rc"] == 0
+    assert seen["after_solve"] == []
+    assert "scipy.special" in seen["after_delta"]
+    assert not any(m.startswith(("scipy.stats", "scipy.optimize"))
+                   for m in seen["after_delta"])

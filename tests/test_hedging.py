@@ -223,6 +223,20 @@ def test_batched_terminal_tape_matches_scalar():
 # -- Black-Scholes baseline ----------------------------------------------------------
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-12.0, 12.0), st.floats(allow_nan=False),
+                 st.sampled_from([0.0, -0.0, math.inf, -math.inf, 8.5, -8.5, 38.5, -38.5])),
+       st.lists(st.floats(allow_nan=False), max_size=40))
+def test_norm_cdf_is_scipy_norm_cdf(x, xs):
+    assert same_bits(hg._norm_cdf(x), norm.cdf(x))
+    assert same_bits(hg._norm_cdf(np.array(xs)), norm.cdf(np.array(xs)))
+
+
 def test_delta_deep_in_the_money():
     prob = call_problem(T=252)
     pol = hg.bs_delta_hedge(prob, 0.2, 1.0)
