@@ -280,20 +280,23 @@ def reshape(a, shape):
 def mlp(x, weights, biases, in_scale=None, box=None):
     """A whole rectifier network as one tape node.
 
-    The forward is `mlp_forward`.  The backward keeps one activation per
-    layer (the relu mask is post > 0, the same test as pre > 0), computes
-    weight and bias gradients only for the parameters that require them,
-    and carries the gradient into the input only when the input needs it.
-    Every gradient is bit-identical to the same network composed of
-    the elementwise ops above.  weights and biases are Vars; x is a Var or
-    an array.
+    The forward is `mlp_forward`.  With a trainable parameter the backward
+    keeps one activation per layer (the relu mask is post > 0, the same
+    test as pre > 0) and computes weight and bias gradients only for the
+    parameters that require them; a frozen net whose input needs a
+    gradient keeps only its relu masks, and one needing no gradient keeps
+    nothing.  The gradient is carried into the input only when the input
+    needs it.  Every gradient is bit-identical to the same network composed
+    of the elementwise ops above.  weights and biases are Vars; x is a Var
+    or an array.
     """
     x = as_var(x)
-    out, acts, th = mlp_forward(
-        x.value, [w.value for w in weights], [b.value for b in biases], in_scale, box
-    )
     params = [p for wb in zip(weights, biases) for p in wb]
     parents = tuple(p for p in params if p.requires_grad)
+    keep = "acts" if parents else "masks" if x.requires_grad else None
+    out, saved, th = mlp_forward(
+        x.value, [w.value for w in weights], [b.value for b in biases], in_scale, box, keep
+    )
     if x.requires_grad:
         parents += (x,)
     if not parents:
@@ -304,43 +307,75 @@ def mlp(x, weights, biases, in_scale=None, box=None):
         if box is not None:
             g = g * 0.5 * (box[1] - box[0]) * (1.0 - th**2)
         for i in range(last, -1, -1):
-            if i < last:
-                g = g * (acts[i + 1] > 0)
+            if i < last:  # g is the buffer the step below wrote
+                np.multiply(g, saved[i + 1] > 0 if keep == "acts" else saved[i], out=g)
             w, b = weights[i], biases[i]
             if w.requires_grad:
-                _accum(w, acts[i].T @ g)
+                _accum(w, saved[i].T @ g)
             if b.requires_grad:
                 _accum(b, g)
-            if i > 0:
-                g = g @ w.value.T
+            if i > 0 or x.requires_grad:
+                # the gradient in layer i's input; _accum copies what it keeps
+                g = np.matmul(g, w.value.T, out=_buffer(("grad", i), (len(g), w.shape[0])))
         if x.requires_grad:
-            g = g @ weights[0].value.T
             _accum(x, g if in_scale is None else g * in_scale)
 
     return Var(out, parents, bw)
 
 
-def mlp_forward(x, weights, biases, in_scale=None, box=None):
+# Scratch arrays of the frozen forward and of the mlp backward, one per
+# (role, layer) slot.  A slot's array is replaced by a larger one when a
+# call needs more room, so memory stays at one array per slot, as large as
+# the largest call.  Every use writes a view in full before reading it and
+# no view outlives the call, so nothing is shared between successive
+# calls.  Calls from several threads at once would share the arrays;
+# nothing in the package runs networks concurrently.
+_buffers = {}
+
+
+def _buffer(slot, shape):
+    """A C-contiguous (rows, cols) float view into the slot's array."""
+    size = shape[0] * shape[1]
+    buf = _buffers.get(slot)
+    if buf is None or buf.size < size:
+        buf = _buffers[slot] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def mlp_forward(x, weights, biases, in_scale=None, box=None, keep=None):
     """The network on arrays: per layer z = h @ W; z += b, then relu in
     place on every layer but the last; then, with box = (low, high), the
-    squash low + (high - low) * (tanh(z) + 1) / 2.  Returns the output, the
-    activations the backward reads (the scaled input and each hidden
-    post-activation) and tanh(z) of the last layer (None without a box)."""
-    h = x if in_scale is None else x * in_scale
-    acts = [h]
+    squash low + (high - low) * (tanh(z) + 1) / 2.
+
+    keep names what a backward will read.  "acts" keeps the scaled input
+    and each hidden post-activation (a net with trainable parameters).
+    Otherwise the scaled input and hidden layers are written into reused
+    module buffers (`_buffer`), the same BLAS calls into `out=` arrays, so
+    a frozen forward allocates only its output; "masks" keeps each hidden
+    layer's relu mask as booleans (a frozen net whose input needs a
+    gradient), and None keeps nothing.  Returns the output, the kept list
+    and tanh(z) of the last layer (None without a box)."""
+    reuse = keep != "acts"
+    if in_scale is None:
+        h = x
+    else:
+        h = np.multiply(x, in_scale, out=_buffer(("in", 0), x.shape) if reuse else None)
+    saved = [] if reuse else [h]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w
+        hidden = reuse and i < last
+        z = np.matmul(h, w, out=_buffer(("hidden", i), (len(h), w.shape[1])) if hidden else None)
         z += b
         if i < last:
             np.maximum(z, 0.0, out=z)
-            acts.append(z)
+            if keep is not None:
+                saved.append(z if keep == "acts" else z > 0)
         h = z
     th = None
     if box is not None:
         th = np.tanh(h)
         h = box[0] + (box[1] - box[0]) * (th + 1.0) * 0.5
-    return h, acts, th
+    return h, saved, th
 
 
 def backward(root):

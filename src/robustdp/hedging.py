@@ -238,15 +238,31 @@ def hedging_objective(problem, path, actions):
     return float(out[0]) if path.ndim < 3 else out
 
 
-def _wealth_tape(prices, actions):
-    """Var (N,): the wealth after the given stage actions, at prices (N, T+1, d)."""
-    incr = np.diff(prices, axis=1)  # (N, T, d)
-    a0 = ad.as_var(actions[0])
-    wealth = ad.reshape(a0[:, 0:1], (-1,))
-    deltas = [a0[:, 1:]] + [ad.as_var(a) for a in actions[1:]]
-    for j, dl in enumerate(deltas):
-        wealth = wealth + ad.vsum(dl * ad.const(incr[:, j, :]), axis=1)
-    return wealth
+def _book_step(growth, wealth, action, r, s0):
+    """One step of the self-financing book, the one place where the tape
+    moves prices and wealth.
+
+    From the growth g_t = prod_{k<=t}(1 + r_k) (M, d) and the wealth W_t
+    (a Var (M,), or None before stage 0, whose action carries the cash d_0
+    ahead of its positions), the stage action (M, m_t), an array or a Var,
+    and the next returns r (M, d) to g_{t+1} = g_t (1 + r) and
+    W_{t+1} = W_t + Delta_t . (S_{t+1} - S_t), with S = s0 g.  The growth is
+    carried rather than the price: s0 (g_t (1 + r)) is what
+    prices_from_returns gives, and S_t (1 + r) can differ in the last bit."""
+    a = ad.as_var(action)
+    nxt = growth * (1.0 + r)
+    if wealth is None:
+        wealth, a = ad.reshape(a[:, 0:1], (-1,)), a[:, 1:]
+    return nxt, wealth + ad.vsum(a * ad.const(s0 * nxt - s0 * growth), axis=1)
+
+
+def _book(omega, actions, s0):
+    """Growth (N, d) and wealth Var (N,) (None for no action) after the
+    given stage actions along paths omega (N, >= t, d)."""
+    growth, wealth = np.ones((omega.shape[0], omega.shape[2])), None
+    for j, a in enumerate(actions):
+        growth, wealth = _book_step(growth, wealth, a, omega[:, j], s0)
+    return growth, wealth
 
 
 def _terminal_tape(problem):
@@ -254,9 +270,8 @@ def _terminal_tape(problem):
 
     def terminal(omega, actions):
         omega = np.asarray(omega, dtype=float)
-        prices = prices_from_returns(omega, problem.s0)  # (N, T+1, d)
-        payoff = np.asarray(problem.payoff(prices), dtype=float)
-        err = _wealth_tape(prices, actions) - ad.const(payoff)
+        payoff = np.asarray(problem.payoff(prices_from_returns(omega, problem.s0)), dtype=float)
+        err = _book(omega, actions, problem.s0)[1] - ad.const(payoff)
         return -_prospect_loss_tape(err, problem.loss)
 
     return terminal
@@ -267,19 +282,28 @@ def _feature_tape(problem):
     normalized price displacement and running wealth.  Both are measurable
     functions of (path, past actions), so the networks remain maps of the
     same arguments; the value function of this problem is Markov in them,
-    which is what makes the stage regressions learnable."""
-    C = problem.return_bound
+    which is what makes the stage regressions learnable.
 
-    def features(t, omega, actions):
-        n = omega.shape[0]
-        if t == 0:
-            return ad.const(np.zeros((n, 0)))
-        prices = prices_from_returns(np.asarray(omega, dtype=float), problem.s0)
-        s_t = (prices[:, -1, :] - problem.s0) / C
-        w_feat = ad.reshape(_wealth_tape(prices, actions), (-1, 1)) * (1.0 / (4.0 * C))
-        return ad.concat([ad.const(s_t), w_feat], axis=1)
+    Returns the step feature_tape(t, omega_b (b, t, d), past, a,
+    nxt (b, n, d)): the features at stage t+1 of every path of omega_b
+    extended by each of its n next returns under the stage action a (b n
+    rows).  It runs the book once per path over the prefix and one
+    _book_step per row, the incremental state of Buehler et al., Deep
+    hedging (2019).  The features of whole paths are its n = 1 case
+    (neural._stage_features); stage 0 has none."""
+    C, s0 = problem.return_bound, problem.s0
 
-    return features
+    def step(t, omega_b, past, a, nxt):
+        b, n, d = nxt.shape
+        growth, wealth = _book(omega_b, past, s0)
+        if wealth is not None:
+            wealth = ad.repeat_rows(wealth, n)
+        growth, wealth = _book_step(np.repeat(growth, n, axis=0), wealth, a,
+                                    nxt.reshape(b * n, d), s0)
+        w_feat = ad.reshape(wealth, (-1, 1)) * (1.0 / (4.0 * C))
+        return ad.concat([ad.const((s0 * growth - s0) / C), w_feat], axis=1)
+
+    return step
 
 
 def make_control_problem(problem, kernels, action_resolution=5, holder=None):
@@ -373,12 +397,15 @@ class BSDeltaPolicy:
         self.day_count = int(day_count)
 
     def _delta(self, s, tau):
+        """N(d_1) at the prices s (an array) with tau years to expiry; at
+        expiry the moneyness indicator."""
+        s = np.asarray(s, dtype=float)
         if tau <= 0:
-            return 1.0 if s > self.strike else 0.0
-        d1 = (math.log(s / self.strike) + 0.5 * self.sigma**2 * tau) / (
+            return (s > self.strike).astype(float)
+        d1 = (np.log(s / self.strike) + 0.5 * self.sigma**2 * tau) / (
             self.sigma * math.sqrt(tau)
         )
-        return float(_norm_cdf(d1))
+        return _norm_cdf(d1)
 
     def premium(self):
         s = float(self.problem.s0[0])
@@ -389,33 +416,25 @@ class BSDeltaPolicy:
         d2 = d1 - self.sigma * math.sqrt(tau)
         return float(s * _norm_cdf(d1) - self.strike * _norm_cdf(d2))
 
+    def _stage(self, t, prices):
+        """Stage-t actions (N, m_t) at the prices S_t (N,): the delta
+        clipped to the position bound, after the clipped premium at t = 0."""
+        a = self.problem.a_bound
+        delta = np.clip(self._delta(prices, (self.problem.horizon - t) / self.day_count), -a, a)
+        if t > 0:
+            return delta[:, None]
+        d0 = np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
+        return np.stack([np.full_like(delta, d0), delta], axis=1)
+
     def action(self, t, path, past_actions=None):
-        path = np.asarray(path, dtype=float).reshape(t, 1)
-        s = float(prices_from_returns(path, self.problem.s0)[-1, 0])
-        tau = (self.problem.horizon - t) / self.day_count
-        delta = self._delta(s, tau)
-        delta = float(np.clip(delta, -self.problem.a_bound, self.problem.a_bound))
-        if t == 0:
-            d0 = float(
-                np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
-            )
-            return np.array([d0, delta])
-        return np.array([delta])
+        path = np.asarray(path, dtype=float).reshape(1, t, 1)
+        return self._stage(t, prices_from_returns(path, self.problem.s0)[:, t, 0])[0]
 
     def actions_batch(self, omega):
         """The actions of `action` along all paths omega (N, T, 1) at
-        once, one _norm_cdf call per stage (see dp.rollout)."""
+        once, one _stage call per stage (see dp.rollout)."""
         prices = prices_from_returns(omega, self.problem.s0)[..., 0]
-        a, out = self.problem.a_bound, []
-        for t in range(omega.shape[1]):
-            tau = (self.problem.horizon - t) / self.day_count
-            d1 = (np.log(prices[:, t] / self.strike) + 0.5 * self.sigma**2 * tau) / (
-                self.sigma * math.sqrt(tau)
-            )
-            out.append(np.clip(_norm_cdf(d1), -a, a)[:, None])
-        d0 = np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
-        out[0] = np.hstack([np.full_like(out[0], d0), out[0]])
-        return out
+        return [self._stage(t, prices[:, t]) for t in range(omega.shape[1])]
 
     def __call__(self, t, path, past_actions=None):
         return self.action(t, path, past_actions)

@@ -362,3 +362,48 @@ def table_dict(result, tables, t):
     return {
         (nodes[u], keys[p]): flat[u, p].item() for u, p in zip(*np.nonzero(mask))
     }
+
+
+def kernel_weighted_states_loop(ref, omega_b, n_mc, rng):
+    """Oracle: KernelWeighted reference draws (b, n_mc, d) with one
+    rng.choice call per path, over the window weights of that path."""
+    hist = ref.history
+    n = hist.shape[0]
+    b, t, d = omega_b.shape
+    windows = np.stack([hist[s - t : s].ravel() for s in range(t, n)])
+    flat = omega_b.reshape(b, t * d)
+    logits = -ref.beta * ((windows[None, :, :] - flat[:, None, :]) ** 2).sum(-1)
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    out = np.empty((b, n_mc, d))
+    atoms = hist[t:n]
+    for i in range(b):
+        out[i] = atoms[rng.choice(n - t, size=n_mc, p=w[i])]
+    return out
+
+
+def full_path_wealth_tape(prices, actions):
+    """Oracle: the wealth Var (N,) after the stage actions at the prices
+    (N, T+1, d), from the price increments of the whole path."""
+    incr = np.diff(prices, axis=1)
+    a0 = ad.as_var(actions[0])
+    wealth = ad.reshape(a0[:, 0:1], (-1,))
+    deltas = [a0[:, 1:]] + [ad.as_var(a) for a in actions[1:]]
+    for j, dl in enumerate(deltas):
+        wealth = wealth + ad.vsum(dl * ad.const(incr[:, j, :]), axis=1)
+    return wealth
+
+
+def full_path_features(problem, t, omega, actions):
+    """Oracle: the hedging features at stage t (price displacement and
+    wealth) from the whole paths omega (N, t, d), prices rebuilt by cumprod."""
+    from robustdp.hedging import prices_from_returns
+
+    C = problem.return_bound
+    if t == 0:
+        return ad.const(np.zeros((omega.shape[0], 0)))
+    prices = prices_from_returns(omega, problem.s0)
+    s_t = (prices[:, -1, :] - problem.s0) / C
+    w_feat = ad.reshape(full_path_wealth_tape(prices, actions), (-1, 1)) * (1.0 / (4.0 * C))
+    return ad.concat([ad.const(s_t), w_feat], axis=1)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from conftest import full_path_features, full_path_wealth_tape
+from robustdp import autodiff as ad
 from robustdp import dp, hedging as hg, neural as nn
 from robustdp import ambiguity as amb
 from robustdp.measures import DiscreteMeasure
@@ -220,6 +222,61 @@ def test_batched_terminal_tape_matches_scalar():
         assert batch[i] == pytest.approx(scalar, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 6))
+def test_one_step_features_equal_full_path_formula(seed, d, T, b, n):
+    # the continuation's features (prefix once per path, one book step per
+    # row), the stage features and the terminal objective against the
+    # whole-path formulas: values and the gradient in the stage action,
+    # bit for bit, with s0 != 1 so that carrying prices would show
+    rng = np.random.default_rng(seed)
+    C = 0.2
+    prob = hg.HedgingProblem(d=d, horizon=T, return_bound=C, payoff=hg.BasketPayoff(d),
+                             s0=rng.uniform(0.5, 1.5, d))
+    cp = hg.make_control_problem(prob, [amb.Singleton(
+        amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(d))))] * T)
+    cp.net_inputs = "features"
+    omega = rng.uniform(-C, C, (b, T, d))
+    nxt = rng.uniform(-C, C, (b, n, d))
+    actions = [rng.uniform(-1, 1, (b, 1 + d))] + [rng.uniform(-1, 1, (b, d))
+                                                  for _ in range(T - 1)]
+
+    def value_and_grad(fn, t, reps):
+        a = ad.Var(actions[t])
+        out = fn(ad.repeat_rows(a, reps))
+        up = np.random.default_rng(seed + t).normal(size=out.shape)
+        ad.backward(ad.vsum(out * ad.const(up)))
+        return out.value, a.grad
+
+    for t in range(T):
+        omega_b, past = omega[:, :t], actions[:t]
+        extended = np.concatenate(
+            [np.repeat(omega_b, n, axis=0), nxt.reshape(b * n, 1, d)], axis=1)
+        past_rep = [np.repeat(p, n, axis=0) for p in past]
+        got = value_and_grad(lambda a: nn._continuation(cp, t, omega_b, past, a, nxt), t, n)
+        want = value_and_grad(
+            lambda a: full_path_features(prob, t + 1, extended, past_rep + [a]), t, n)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), t
+        got = value_and_grad(
+            lambda a: nn._stage_features(cp, t + 1, omega[:, :t + 1], past + [a]), t, 1)
+        want = value_and_grad(
+            lambda a: full_path_features(prob, t + 1, omega[:, :t + 1], past + [a]), t, 1)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), t
+
+    def terminal_oracle(acts):
+        prices = hg.prices_from_returns(omega, prob.s0)
+        err = full_path_wealth_tape(prices, acts) - ad.const(prob.payoff(prices))
+        return -hg._prospect_loss_tape(err, prob.loss)
+
+    got = value_and_grad(lambda a: cp.terminal_tape(omega, actions[:-1] + [a]), T - 1, 1)
+    want = value_and_grad(lambda a: terminal_oracle(actions[:-1] + [a]), T - 1, 1)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 # -- Black-Scholes baseline ----------------------------------------------------------
 
 
@@ -396,7 +453,7 @@ def test_delta_actions_batch_matches_per_path_loop(seed, T, vol, strike):
     loop = dp.rollout(ActionOnly(policy), omega)
     assert [a.shape for a in batch] == [a.shape for a in loop]
     for got, want in zip(batch, loop):
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, want)
 
 
 def test_backtest_zero_payoff_zero_policy():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import composed_forward_var, primal_ball_lp
+from conftest import composed_forward_var, kernel_weighted_states_loop, primal_ball_lp
 from robustdp import ambiguity as amb
 from robustdp import autodiff as ad
 from robustdp import dp
@@ -190,27 +190,59 @@ def _tape_grads(forward, net, x, x_trainable, p_trainable, upstream):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans())
+       st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+       st.lists(st.integers(1, 600), min_size=1, max_size=4))
 def test_fused_node_equals_composed_oracle(seed, in_dim, hidden, out_dim, boxed, scaled,
-                                           x_trainable, p_trainable):
+                                           x_trainable, p_trainable, heights):
+    # repeated calls at changing heights: a frozen net's forward and every
+    # backward write reused buffers, grown when a call needs more room
     rng = np.random.default_rng(seed)
     box = (rng.uniform(-2, 0, out_dim), rng.uniform(0.1, 2, out_dim)) if boxed else None
     scale = rng.uniform(0.2, 3.0, in_dim) if scaled else None
     net = nn.Mlp(in_dim, out_dim, hidden, int(rng.integers(1, 6)), rng, out_box=box,
                  in_scale=scale)
     net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
-    x = rng.normal(size=(int(rng.integers(1, 8)), in_dim))
-    upstream = rng.normal(size=(len(x), out_dim))
+    for rows in heights:
+        x = rng.normal(size=(rows, in_dim))
+        upstream = rng.normal(size=(len(x), out_dim))
 
-    fused = _tape_grads(lambda n, xv, pv: n.forward_var(xv, pv), net, x, x_trainable,
-                        p_trainable, upstream)
-    oracle = _tape_grads(composed_forward_var, net, x, x_trainable, p_trainable, upstream)
-    assert np.array_equal(fused[0], oracle[0])
-    assert np.array_equal(net.forward(x), net.forward_var(x).value)
-    for got, want in zip(fused[1] + [fused[2]], oracle[1] + [oracle[2]]):
-        assert (got is None) == (want is None)
-        assert got is None or np.array_equal(got, want)
-    assert all((g is not None) == p_trainable for g in fused[1])
+        fused = _tape_grads(lambda n, xv, pv: n.forward_var(xv, pv), net, x, x_trainable,
+                            p_trainable, upstream)
+        oracle = _tape_grads(composed_forward_var, net, x, x_trainable, p_trainable,
+                             upstream)
+        assert np.array_equal(fused[0], oracle[0])
+        assert np.array_equal(net.forward(x), net.forward_var(x).value)
+        assert np.array_equal(net.forward(x), oracle[0])
+        for got, want in zip(fused[1] + [fused[2]], oracle[1] + [oracle[2]]):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+        assert all((g is not None) == p_trainable for g in fused[1])
+
+
+def test_three_frozen_nodes_of_one_net_in_one_tape():
+    # Algorithm 1 per candidate: one frozen value net on three blocks of
+    # continuation rows in one tape, their means, then the least mean.  The
+    # middle block is taller, so the reused buffers grow between nodes.
+    rng = np.random.default_rng(8)
+    net = nn.Mlp(3, 1, 3, 16, rng, in_scale=[1.0, 0.5, 2.0])
+    net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
+    b, ns = 5, (40, 130, 40)
+    blocks = [rng.normal(size=(b * n, 2)) for n in ns]
+    a0 = rng.normal(size=(b, 1))
+    runs = []
+    for forward in (lambda x: net.forward_var(x), lambda x: composed_forward_var(net, x)):
+        a = ad.Var(a0)
+        means = []
+        for n, data in zip(ns, blocks):
+            x = ad.concat([ad.const(data), ad.repeat_rows(a, n)], axis=1)
+            means.append(ad.reshape(ad.vmean(ad.reshape(forward(x), (b, n)), axis=1), (1, b)))
+        obj = ad.vmean(ad.vmin(ad.concat(means, axis=0), axis=0))
+        ad.backward(obj)
+        runs.append((obj.value, [m.value for m in means], a.grad))
+    (obj, means, grad), (obj_o, means_o, grad_o) = runs
+    assert np.array_equal(obj, obj_o) and np.array_equal(grad, grad_o)
+    assert all(np.array_equal(m, mo) for m, mo in zip(means, means_o))
+    assert np.any(grad != 0.0)
 
 
 def test_constant_expression_has_no_parents():
@@ -377,13 +409,18 @@ def psi_numpy(omega_flat, prefix, a):
             + (a * omega_flat[:, -1:]).sum(axis=1))
 
 
-def psi_tape(omega, past, a_var):
-    """psi_numpy as the trainer calls it: paths (N, t, d), past actions a
-    list of (N, m_s) arrays, the action a Var."""
-    omega_flat = omega.reshape(len(omega), -1)
-    prefix = np.concatenate([np.zeros((len(omega), 0))] + past, axis=1)
+def psi_tape(omega_b, past, a_rep, nxt):
+    """psi_numpy as the trainer calls it: paths (b, t, d) continued by
+    each of their next states nxt (b, n, d), past actions a list of (b, m_s)
+    arrays, the action a Var repeated n times per row; a Var (b, n)."""
+    b, n, d = nxt.shape
+    omega = np.concatenate([np.repeat(omega_b, n, axis=0), nxt.reshape(b * n, 1, d)], axis=1)
+    omega_flat = omega.reshape(b * n, -1)
+    prefix = np.concatenate([np.zeros((b * n, 0))] + [np.repeat(p, n, axis=0) for p in past],
+                            axis=1)
     const = np.tanh(3.0 * omega_flat.sum(axis=1)) + prefix.sum(axis=1)
-    return ad.const(const) + ad.vsum(a_var * ad.const(omega_flat[:, -1:]), axis=1)
+    value = ad.const(const) + ad.vsum(a_rep * ad.const(omega_flat[:, -1:]), axis=1)
+    return ad.reshape(value, (b, n))
 
 
 def sampled_set_oracle(a, omega_b, past, blocks):
@@ -471,7 +508,7 @@ def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, 
     inner = nn._WassersteinDual(toy_problem(0, d), [ball], nn.TrainConfig())
     z = rng.uniform(-1, 1, (n_z, d))
     f = lambda pts: np.tanh(3.0 * np.atleast_2d(pts).sum(axis=1))
-    psi = lambda omega, past, a_var: ad.const(f(omega[:, -1]))
+    psi = lambda omega_b, past, a_rep, nxt: ad.const(f(nxt[0])[None])
     got = inner.objective(0, psi, ad.Var(np.zeros((1, 1))), np.zeros((1, 0, d)),
                           [], (ref.support[None], z), [ad.Var(np.array([raw]))])
     expect = amb.dual_inner_value(f, ref, eps, q, float(np.exp(raw)), z)
@@ -755,6 +792,57 @@ def test_reference_paths_draw_atoms_of_the_center(seed, kind, wrap, d, t, batch)
             assert np.any(np.all(support == omega[i, s], axis=1)), (i, s)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 300), st.booleans(), st.integers(1, 40),
+       st.integers(1, 40))
+def test_draw_states_are_choice_draws(seed, n, uniform, batch, n_mc):
+    # the draws and the RNG state after them are those of rng.choice(p=...)
+    rng = np.random.default_rng(seed)
+    if uniform:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.3] = 0.0  # exact zeros, atoms never drawn
+        w[int(rng.integers(n))] += 1.0
+        w /= w.sum()
+    m = DiscreteMeasure(rng.normal(size=(n, 2)), w)
+    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = nn._draw_states(m, batch, n_mc, r_new)
+    want = m.support[r_old.choice(m.n_atoms, size=(batch, n_mc), p=m.weights)]
+    assert np.array_equal(got, want)
+    assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+def test_uniform_choice_indices_at_cdf_boundaries():
+    # uniform weights index by floor(u n) and a correction against the cdf;
+    # draws on, just below and just above every cdf value and every k/n
+    # must land where the search of rng.choice puts them
+    for n in range(1, 301):
+        w = np.full(n, 1.0 / n)
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        edges = np.concatenate([cdf, np.arange(n + 1) / n, [0.0]])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(nn._choice_indices(w, u), cdf.searchsorted(u, "right")), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 6),
+       st.integers(1, 20), st.sampled_from([0.5, 50.0, 5e4]))
+def test_kernel_weighted_draws_equal_per_path_choice_loop(seed, t, d, b, n_mc, beta):
+    # one random block over all paths is the stream of one choice per path;
+    # a large beta gives weights that underflow to exact zeros
+    rng = np.random.default_rng(seed)
+    ref = amb.KernelWeighted(rng.uniform(-0.1, 0.1, (t + 1 + int(rng.integers(1, 12)), d)),
+                             beta=beta)
+    omega_b = rng.uniform(-0.1, 0.1, (b, t, d))
+    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = nn._reference_states(amb.Singleton(ref), omega_b, n_mc, r_new)
+    assert np.array_equal(got, kernel_weighted_states_loop(ref, omega_b, n_mc, r_old))
+    assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
 def test_reference_path_sampling_trains_on_a_finite_set():
     from robustdp import hedging as hg
 
@@ -777,7 +865,8 @@ def test_bad_net_inputs_rejected(net_inputs, feature_tape, match):
     prob = quadratic_problem()
     prob.net_inputs = net_inputs
     if feature_tape:
-        prob.feature_tape = lambda t, omega, actions: ad.const(np.zeros((len(omega), 1)))
+        prob.feature_tape = lambda t, omega_b, past, a, nxt: ad.const(
+            np.zeros((nxt.shape[0] * nxt.shape[1], 1)))
     with pytest.raises(ValueError, match=match):
         nn.train_algorithm1(prob, config=FAST)
 
