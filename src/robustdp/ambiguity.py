@@ -23,7 +23,6 @@ __all__ = [
     "KernelWeighted",
     "AdaptiveEmpirical",
     "TabularKernel",
-    "evaluate_reference",
     "ConstantRadius",
     "Adaptive1DRadius",
     "AdaptiveMultiDRadius",
@@ -150,11 +149,6 @@ class TabularKernel:
         return self.table[key]
 
 
-def evaluate_reference(kernel, path):
-    """Evaluate a reference kernel at a path, returning a DiscreteMeasure."""
-    return kernel(path)
-
-
 # ---------------------------------------------------------------------------
 # radius schedules
 # ---------------------------------------------------------------------------
@@ -166,7 +160,6 @@ class ConstantRadius:
             raise ValueError("radius must be nonnegative")
         self.eps = float(eps)
         self.lipschitz = 0.0
-        self.cap = float(eps)
 
     def __call__(self, path):
         return self.eps
@@ -272,10 +265,6 @@ class Adaptive1DRadius:
             self.alpha, self.n_history + t, self.seed, self.n_paths, self.n_steps
         )
 
-    @property
-    def cap(self):
-        return self(np.zeros((0, 1)))
-
 
 class AdaptiveMultiDRadius:
     def __init__(self, d, C, n_history, alpha=0.9):
@@ -288,10 +277,6 @@ class AdaptiveMultiDRadius:
     def __call__(self, path):
         t = as_path(path).shape[0]
         return adaptive_radius_multidim(self.d, self.C, self.n_history + t, self.alpha)
-
-    @property
-    def cap(self):
-        return self(np.zeros((0, self.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +443,7 @@ class WassersteinBall:
             raise ValueError("Wasserstein order must be a positive integer")
 
     def center(self, path):
-        return evaluate_reference(self.reference, path)
+        return self.reference(path)
 
     def eps(self, path):
         return float(self.radius(path))
@@ -475,7 +460,6 @@ class ParametricBall:
     family: object
     radius: object
     theta0: object = None  # stage-0 center (no path to estimate from)
-    estimator: object = None  # defaults to the family's estimator
     n_atoms: int = 31
     space: object = None
 
@@ -485,8 +469,7 @@ class ParametricBall:
             if self.theta0 is None:
                 raise ValueError("stage-0 parametric ball needs theta0")
             return np.atleast_1d(np.asarray(self.theta0, dtype=float))
-        est = self.estimator or self.family.estimate
-        return est(path)
+        return self.family.estimate(path)
 
     def center(self, path):
         return self.family.discretize(
@@ -506,7 +489,7 @@ class Singleton:
     space: object = None
 
     def center(self, path):
-        return evaluate_reference(self.reference, path)
+        return self.reference(path)
 
     def eps(self, path):
         return 0.0
@@ -521,10 +504,10 @@ class FiniteSet:
     space: object = None
 
     def center(self, path):
-        return evaluate_reference(self.references[0], path)
+        return self.references[0](path)
 
     def evaluate_all(self, path):
-        return [evaluate_reference(k, path) for k in self.references]
+        return [k(path) for k in self.references]
 
     def declared_lipschitz(self):
         ls = [getattr(k, "lipschitz", None) for k in self.references]
@@ -739,10 +722,12 @@ class LipschitzReport:
     witnesses: list = field(default_factory=list)
 
 
-def lipschitz_audit(kernel, path1, path2, rng=None, n_probes=2):
+def lipschitz_audit(kernel, path1, path2, rng=None):
     """Exhibit witnesses for the kernel's measure-stability condition.
 
-    For each probe measure P in the set at path1, constructs a witness in
+    The probes are the center at path1 and, given an rng and a positive
+    radius, two members sampled around it.  For each probe measure P in
+    the set at path1, constructs a witness in
     the set at path2 (gluing transport for Wasserstein balls, parameter
     clamp for parametric balls) and reports the achieved ratio
     d_W1(P, witness) / sum_i ||w_i - w~_i|| against the declared constant.
@@ -760,7 +745,7 @@ def lipschitz_audit(kernel, path1, path2, rng=None, n_probes=2):
         eps1, eps2 = kernel.eps(p1), kernel.eps(p2)
         probes = [ref1]
         if rng is not None and eps1 > 0:
-            probes += sample_measures(kernel, p1, n_probes + 1, rng)[1:]
+            probes += sample_measures(kernel, p1, 3, rng)[1:]
         for probe in probes:
             witness = transport_between_balls(probe, ref1, eps1, ref2, eps2, q)
             probes_and_witnesses.append(
@@ -774,7 +759,7 @@ def lipschitz_audit(kernel, path1, path2, rng=None, n_probes=2):
         if rng is not None and eps1 > 0:
             thetas += [
                 getattr(m, "theta")
-                for m in sample_measures(kernel, p1, n_probes + 1, rng)[1:]
+                for m in sample_measures(kernel, p1, 3, rng)[1:]
             ]
         order = 2 if isinstance(kernel.family, NormalDiagFamily) else 1
         for theta in thetas:

@@ -23,7 +23,6 @@ __all__ = [
     "const",
     "as_var",
     "exp",
-    "log",
     "relu",
     "tanh",
     "absolute",
@@ -178,11 +177,6 @@ def exp(a):
     a = as_var(a)
     e = np.exp(a.value)
     return _op(e, (a, lambda g: g * e))
-
-
-def log(a):
-    a = as_var(a)
-    return _op(np.log(a.value), (a, lambda g: g / a.value))
 
 
 def relu(a):

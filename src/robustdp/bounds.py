@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import as_path, evaluate_reference, path_key
+from .ambiguity import as_path, path_key
 from .measures import w_q_discrete
 
 __all__ = [
@@ -79,7 +79,7 @@ def _tree_paths(inp, depth):
     for t in range(depth):
         nxt = []
         for p in paths:
-            m = evaluate_reference(inp.true_kernels[t], p)
+            m = inp.true_kernels[t](p)
             for x in m.support:
                 nxt.append(np.vstack([p, x[None, :]]))
         paths = nxt
@@ -87,7 +87,7 @@ def _tree_paths(inp, depth):
 
 
 def _dim(inp):
-    m = evaluate_reference(inp.true_kernels[0], np.zeros((0, 1)))
+    m = inp.true_kernels[0](np.zeros((0, 1)))
     return m.dimension
 
 
@@ -110,8 +110,8 @@ def mu_recursion(kind, inp):
 
         def leaf(path):
             if kind == "err":
-                true_m = evaluate_reference(inp.true_kernels[s], path)
-                ref_m = evaluate_reference(inp.ref_kernels[s], path)
+                true_m = inp.true_kernels[s](path)
+                ref_m = inp.ref_kernels[s](path)
                 dist = w_q_discrete(true_m, ref_m, 1)
                 if not np.isfinite(dist):
                     raise ValueError("infinite stage distance")
@@ -122,7 +122,7 @@ def mu_recursion(kind, inp):
         for t in range(s - 1, -1, -1):
             level[t] = {}
             for p in _tree_paths(inp, t):
-                m = evaluate_reference(inp.true_kernels[t], p)
+                m = inp.true_kernels[t](p)
                 val = 0.0
                 for w, x in zip(m.weights, m.support):
                     val += w * level[t + 1][path_key(np.vstack([p, x[None, :]]))]
@@ -160,8 +160,8 @@ def _check_true_in_ball(inp, order):
     T = inp.horizon
     for t in range(T):
         for p in _tree_paths(inp, t):
-            true_m = evaluate_reference(inp.true_kernels[t], p)
-            ref_m = evaluate_reference(inp.ref_kernels[t], p)
+            true_m = inp.true_kernels[t](p)
+            ref_m = inp.ref_kernels[t](p)
             eps = float(inp.radius[t](p))
             dist = w_q_discrete(ref_m, true_m, order)
             if dist > eps + 1e-9:
@@ -171,15 +171,14 @@ def _check_true_in_ball(inp, order):
                 )
 
 
-def wasserstein_gap_bound(inp, order=1, mu_eps_s0=None, check_membership=True):
+def wasserstein_gap_bound(inp, order=1, mu_eps_s0=None):
     """Bound on V_true - V_robust for Wasserstein-ball ambiguity.
 
     Requires the true kernel to lie inside the ball at every tree node
     (checked; violations name the node).  The gap itself is nonnegative
     under that hypothesis, which callers assert against measured values.
     """
-    if check_membership:
-        _check_true_in_ball(inp, order)
+    _check_true_in_ball(inp, order)
     if mu_eps_s0 is None:
         _, mu_eps_s0 = mu_recursion("eps", inp)
     a = inp.alpha
@@ -191,11 +190,11 @@ def wasserstein_gap_bound(inp, order=1, mu_eps_s0=None, check_membership=True):
     )
 
 
-def parametric_gap_bound(inp, mu_eps_s0=None, check_membership=True):
+def parametric_gap_bound(inp, mu_eps_s0=None):
     """Bound on V_true - V_robust for parameter-ball ambiguity."""
     if inp.L_Ptheta is None or inp.L_thetahat is None:
         raise ValueError("parametric bound needs L_Ptheta and L_thetahat")
-    if check_membership and inp.theta_true is not None:
+    if inp.theta_true is not None:
         for t in range(inp.horizon):
             paths = (
                 _tree_paths(inp, t)
@@ -286,8 +285,7 @@ class BoundsReport:
         )
 
 
-def bounds_report(inp, which=("stability",), measured=None, allowance=0.0,
-                  order=1):
+def bounds_report(inp, which=("stability",), measured=None, allowance=0.0):
     """Assemble bounds plus dominance checks against measured gaps.
 
     measured may contain "stability_gap" = |V_true - V_ref|,
@@ -305,9 +303,7 @@ def bounds_report(inp, which=("stability",), measured=None, allowance=0.0,
             if "wasserstein" in which:
                 report.mu_eps, eps_s0 = mu_recursion("eps", inp)
                 report.mu_eps_s0 = eps_s0.tolist()
-                report.wasserstein = wasserstein_gap_bound(
-                    inp, order=order, mu_eps_s0=eps_s0
-                )
+                report.wasserstein = wasserstein_gap_bound(inp, mu_eps_s0=eps_s0)
     if "parametric" in which:
         if report.mu_eps_s0 is None:
             report.mu_eps, eps_s0 = mu_recursion("eps", inp)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import zlib
@@ -52,9 +53,17 @@ def serialize_config(cfg):
 
 
 def _get(cfg, dotted, typ=None, default=None, required=True):
+    """The value at a dotted config path, type-checked (ints pass as floats).
+
+    A missing key gives the default, or an error when it is required and has
+    none; a section on the path that is not an object is an error."""
     node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+    parts = dotted.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(
+                f"{'.'.join(parts[:i])}: expected object, got {type(node).__name__}")
+        if part not in node:
             if required and default is None:
                 raise ConfigError(f"{dotted}: missing required field")
             return default
@@ -78,8 +87,9 @@ def substream(master_seed, name):
 def ingest_returns(csv_path, expected_d, bound=None):
     """Parse a `date,r_1,...,r_d` CSV into a chronological ReturnSeries.
 
-    Malformed rows are reported with their line number; when a bound is
-    declared, out-of-range returns are rejected naming the row.
+    Malformed rows and non-finite returns are reported with their line
+    number; when a bound is declared, out-of-range returns are rejected
+    naming the row.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -102,11 +112,14 @@ def ingest_returns(csv_path, expected_d, bound=None):
             if len(row) != expected_d + 1:
                 raise ConfigError(f"{csv_path}:{lineno}: wrong column count")
             try:
-                rows.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError:
                 raise ConfigError(
                     f"{csv_path}:{lineno}: non-numeric return"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{csv_path}:{lineno}: non-finite return")
+            rows.append(values)
             dates.append(row[0])
     if not rows:
         raise ConfigError(f"{csv_path}: no data rows")
@@ -128,20 +141,24 @@ def _build_hedging(cfg, return_bound):
     d = _get(cfg, "problem.dimension", int)
     kind = payoff_cfg.get("kind")
     if kind == "call":
-        payoff = hg.CallPayoff(payoff_cfg.get("strike", 1.0))
+        payoff = hg.CallPayoff(
+            _get(cfg, "problem.payoff.strike", float, default=1.0, required=False))
     elif kind == "basket":
         payoff = hg.BasketPayoff(
-            d, payoff_cfg.get("weights"), payoff_cfg.get("strikes")
+            d, _get(cfg, "problem.payoff.weights", list, required=False),
+            _get(cfg, "problem.payoff.strikes", list, required=False),
         )
     else:
         raise ConfigError("problem.payoff.kind: expected 'call' or 'basket'")
-    loss_cfg = _get(cfg, "problem.loss", dict, default={}, required=False) or {}
     return hg.HedgingProblem(
         d=d,
         horizon=_get(cfg, "problem.horizon", int),
         return_bound=return_bound,
         payoff=payoff,
-        loss=hg.LossParams(loss_cfg.get("a", 0.88), loss_cfg.get("b", 2.25)),
+        loss=hg.LossParams(
+            _get(cfg, "problem.loss.a", float, default=0.88, required=False),
+            _get(cfg, "problem.loss.b", float, default=2.25, required=False),
+        ),
         a_bound=_get(cfg, "problem.bounds.position", float, default=1.5, required=False),
         b_bound=_get(cfg, "problem.bounds.cash", float, default=1.0, required=False),
     )
@@ -156,23 +173,22 @@ def _load_problem_and_series(cfg, seed):
     """
     d = _get(cfg, "problem.dimension", int)
     bound = _get(cfg, "problem.return_bound", float, default=None, required=False)
-    data = _get(cfg, "data", dict, default={}, required=False) or {}
-    if "csv" in data:
-        series = ingest_returns(data["csv"], d)
+    csv_path = _get(cfg, "data.csv", str, required=False)
+    if csv_path is not None:
+        series = ingest_returns(csv_path, d)
         if bound is None:
             bound = series.max_abs()
         series.validate_bound(bound)
     else:
-        syn = data.get("synthetic")
-        if syn is None:
+        if _get(cfg, "data.synthetic", dict, required=False) is None:
             raise ConfigError("data: need either data.csv or data.synthetic")
         if bound is None:
             raise ConfigError("problem.return_bound: required for synthetic data")
         series, clipped = hg.simulate_gbm_returns(
-            int(syn.get("days", 300)),
+            _get(cfg, "data.synthetic.days", int, default=300, required=False),
             d,
-            float(syn.get("annual_vol", 0.2)),
-            float(syn.get("annual_drift", 0.0)),
+            _get(cfg, "data.synthetic.annual_vol", float, default=0.2, required=False),
+            _get(cfg, "data.synthetic.annual_drift", float, default=0.0, required=False),
             bound=bound,
             rng=substream(seed, "synthetic-data"),
         )
@@ -182,31 +198,32 @@ def _load_problem_and_series(cfg, seed):
 
 
 def _build_radius(cfg, hp, n_history):
-    rcfg = _get(cfg, "ambiguity.radius", dict, default={"kind": "constant", "value": 0.0}, required=False)
-    kind = rcfg.get("kind", "constant")
+    kind = _get(cfg, "ambiguity.radius.kind", str, default="constant", required=False)
     if kind == "constant":
-        return amb.ConstantRadius(float(rcfg.get("value", 0.0)))
+        return amb.ConstantRadius(
+            _get(cfg, "ambiguity.radius.value", float, default=0.0, required=False))
     if kind == "adaptive":
+        alpha = _get(cfg, "ambiguity.radius.alpha", float, default=0.9, required=False)
         if hp.d == 1:
             return amb.Adaptive1DRadius(
-                n_history, alpha=rcfg.get("alpha", 0.9),
-                n_paths=int(rcfg.get("n_paths", 100_000)),
-                n_steps=int(rcfg.get("n_steps", 1000)),
+                n_history, alpha=alpha,
+                n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000,
+                             required=False),
+                n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000,
+                             required=False),
             )
-        return amb.AdaptiveMultiDRadius(
-            hp.d, hp.return_bound, n_history, alpha=rcfg.get("alpha", 0.9)
-        )
+        return amb.AdaptiveMultiDRadius(hp.d, hp.return_bound, n_history, alpha=alpha)
     raise ConfigError("ambiguity.radius.kind: expected 'constant' or 'adaptive'")
 
 
 def _build_reference(cfg, hp, history):
-    rcfg = _get(cfg, "ambiguity.reference", dict, default={"kind": "empirical"}, required=False)
-    kind = rcfg.get("kind", "empirical")
+    kind = _get(cfg, "ambiguity.reference.kind", str, default="empirical", required=False)
     space = hp.space
     if kind == "empirical":
         return amb.ConstantKernel(DiscreteMeasure.empirical(history, space=space))
     if kind == "kernel_weighted":
-        return amb.KernelWeighted(history, beta=float(rcfg.get("beta", 500.0)), space=space)
+        beta = _get(cfg, "ambiguity.reference.beta", float, default=500.0, required=False)
+        return amb.KernelWeighted(history, beta=beta, space=space)
     if kind == "adaptive":
         return amb.AdaptiveEmpirical(history, space=space)
     raise ConfigError(
@@ -231,8 +248,7 @@ def _build_kernels(cfg, hp, history):
 
 
 def _split_series(cfg, series):
-    data = _get(cfg, "data", dict, default={}, required=False) or {}
-    split = data.get("train_fraction", 0.8)
+    split = _get(cfg, "data.train_fraction", float, default=0.8, required=False)
     if not 0.0 < split < 1.0:
         raise ConfigError("data.train_fraction: must lie in (0, 1)")
     n_train = max(2, int(len(series) * split))
@@ -421,7 +437,7 @@ def _load_policy(out_dir, hp):
             raise ConfigError(f"{path}: {exc}") from None
     problem = hg.make_control_problem(hp, [amb.Singleton(
         amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(hp.d))))] * hp.horizon)
-    return nn.policy_for(problem, nets)
+    return nn.NeuralPolicy(problem, nets)
 
 
 def cmd_evaluate(cfg, out_dir, seed):

@@ -109,7 +109,6 @@ class BoxSet:
         if len(self.low_fns) != len(self.high_fns):
             raise ValueError("need matching lower/upper bound maps")
         # proof constant: 2 * m_t * L for per-coordinate L-Lipschitz bounds
-        self.bound_lipschitz = float(lipschitz)
         self.lipschitz = 2.0 * len(self.low_fns) * float(lipschitz)
 
     @property

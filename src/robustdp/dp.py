@@ -78,7 +78,6 @@ class ControlProblem:
     growth_p: int = 0
     holder: dict = None
     growth_c_p: list = None
-    name: str = ""
     terminal_batch: object = None
 
     def __post_init__(self):
@@ -173,41 +172,43 @@ def build_candidates(problem, local_grid, sampler, rng=None):
 
 
 class TabularPolicy:
-    """Per-stage lookup on the path grid; off-grid paths snap to the
-    nearest node and the returned action is clamped into the actual set."""
+    """The exact solver's optimal policy, one lookup table per stage.
+
+    stage_actions[t] is an (n^t, m_t) array whose row u is the action at
+    the grid node of mixed-radix id u (see SolveResult).  act snaps each
+    stage column of the paths to its nearest grid point (lowest index on
+    ties), looks up that node's action and clamps it with clamp_to into
+    the action set at the real path; the past actions are not read."""
 
     def __init__(self, local_grid, stage_actions, action_specs):
         self.local_grid = local_grid
-        self.stage_actions = stage_actions  # list of {node: action vector}
+        self.stage_actions = stage_actions
         self.action_specs = action_specs
 
-    def action(self, t, path, past_actions=None):
-        path = np.asarray(path, dtype=float).reshape(t, self.local_grid.shape[1])
-        node = tuple(nearest_index(self.local_grid, x) for x in path)
-        a = self.stage_actions[t][node]
-        return clamp_to(self.action_specs[t], path, a)
-
-    def __call__(self, t, path, past_actions=None):
-        return self.action(t, path, past_actions)
+    def act(self, t, omega, past):
+        """Stage-t actions (N, m_t) along paths omega (N, >= t, d)."""
+        u = np.zeros(len(omega), dtype=np.intp)
+        for s in range(t):
+            u = u * len(self.local_grid) + _nearest_rows(self.local_grid, omega[:, s])
+        spec = self.action_specs[t]
+        return np.stack([
+            clamp_to(spec, path, a) for path, a in zip(omega[:, :t], self.stage_actions[t][u])
+        ])
 
 
 def rollout(policy, omega):
     """Stage actions of a policy along full paths omega (N, T, d), as a
     list of T arrays (N, m_t).
 
-    A policy with actions_batch(omega) acts on all paths at once; any
-    other is asked action(t, path[:t], actions so far) path by path."""
+    This is the one stage loop over policies.  Every policy has one method,
+    act(t, omega, past): the stage-t actions (N, m_t) along paths omega
+    (N, >= t, d) after the past actions past, a list of t arrays (N, m_s);
+    it reads only the first t columns of omega."""
     omega = np.asarray(omega, dtype=float)
-    if hasattr(policy, "actions_batch"):
-        return policy.actions_batch(omega)
-    T = omega.shape[1]
-    per_path = []
-    for path in omega:
-        actions = []
-        for t in range(T):
-            actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
-        per_path.append(actions)
-    return [np.stack([acts[t] for acts in per_path]) for t in range(T)]
+    actions = []
+    for t in range(omega.shape[1]):
+        actions.append(policy.act(t, omega, actions))
+    return actions
 
 
 class WorstCaseKernel:
@@ -441,16 +442,16 @@ def backward_induction_exact(
 
     # compose the optimal policy and the worst-case kernel along it
     chosen = [dict() for _ in range(T)]
-    stage_actions = [dict() for _ in range(T)]
+    stage_actions = []
     composed = [dict() for _ in range(T)]
     prefix = np.zeros(1, dtype=np.intp)  # action-key id chosen along each node
     for t in range(T):
         rows = np.arange(n**t)
         ai = argmax[t][rows, prefix]
         ci = argmin[t][rows, prefix, ai]
+        stage_actions.append(stage[t][0][rows, ai])
         for u, node in enumerate(itertools.product(range(n), repeat=t)):
             chosen[t][node] = int(ai[u])
-            stage_actions[t][node] = grids[(t, node)][ai[u]]
             composed[t][node] = candidates[(t, node)][ci[u]]
         prefix = np.repeat(prefix * jt[t].shape[2] + ai, n)
 
@@ -478,14 +479,12 @@ def _policy_nodes(T, n):
     return out
 
 
-def brute_force_value(
-    problem, local_grid, candidates, guard=10_000_000, enumerate_limit=800
-):
+def brute_force_value(problem, local_grid, candidates, guard=10_000_000):
     """Oracle: explicit max over all tabular policies of the worst case.
 
     For each enumerated policy the adversary minimum is computed exactly
-    by nodewise recursion; whenever the number of measurable selections is
-    below enumerate_limit, the minimum for the maximizing policy is also
+    by nodewise recursion; whenever there are at most 800 measurable
+    selections, the minimum for the maximizing policy is also
     recomputed by full enumeration over selections (which may depend on
     path and all actions so far) and the two must agree to 1e-12.
     """
@@ -557,7 +556,7 @@ def brute_force_value(
         if best_val is None or val > best_val:
             best_val, best_policy = val, policy_map
 
-    if n_selections <= enumerate_limit:
+    if n_selections <= 800:
         def expectation(policy_map, selection_map):
             memo = {}
 
@@ -594,10 +593,12 @@ def brute_force_value(
 def evaluate_policy(problem, policy, selection, local_grid):
     """Expected terminal value of a policy under a measure selection.
 
-    selection(t, path, actions_so_far) must return the stage-t transition
-    measure (actions_so_far includes the stage-t action, matching the
-    adversary's information).  The support tree is enumerated on the local
-    grid; batched Monte Carlo values are neural.mc_policy_values.
+    The policy acts through its act(t, omega, past) (see rollout) on one
+    path at a time.  selection(t, path, actions_so_far) must return the
+    stage-t transition measure (actions_so_far includes the stage-t action,
+    matching the adversary's information).  The support tree is enumerated
+    on the local grid; batched Monte Carlo values are
+    neural.mc_policy_values.
     """
     T = problem.horizon
 
@@ -605,7 +606,7 @@ def evaluate_policy(problem, policy, selection, local_grid):
         path = local_grid[list(node)]
         if t == T:
             return float(problem.terminal(path, actions))
-        a = np.atleast_1d(policy(t, path, actions))
+        a = policy.act(t, path[None], [p[None] for p in actions])[0]
         acts = actions + [a]
         m = selection(t, path, acts)
         val = 0.0

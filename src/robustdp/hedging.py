@@ -384,7 +384,7 @@ def _norm_cdf(x):
 class BSDeltaPolicy:
     """Delta hedge with zero interest rate: holds N(d_1) units, cash set to
     the initial premium.  At expiry the delta degenerates to the moneyness
-    indicator."""
+    indicator.  A policy in the sense of dp.rollout: act(t, omega, past)."""
 
     def __init__(self, problem, annual_vol, strike, day_count=252):
         if problem.d != 1:
@@ -416,28 +416,17 @@ class BSDeltaPolicy:
         d2 = d1 - self.sigma * math.sqrt(tau)
         return float(s * _norm_cdf(d1) - self.strike * _norm_cdf(d2))
 
-    def _stage(self, t, prices):
-        """Stage-t actions (N, m_t) at the prices S_t (N,): the delta
-        clipped to the position bound, after the clipped premium at t = 0."""
+    def act(self, t, omega, past):
+        """Stage-t actions (N, m_t) along paths omega (N, >= t, 1): the
+        delta at the price S_t clipped to the position bound, after the
+        clipped premium at t = 0; the past actions are not read."""
+        prices = prices_from_returns(omega[:, :t], self.problem.s0)[:, t, 0]
         a = self.problem.a_bound
         delta = np.clip(self._delta(prices, (self.problem.horizon - t) / self.day_count), -a, a)
         if t > 0:
             return delta[:, None]
         d0 = np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
         return np.stack([np.full_like(delta, d0), delta], axis=1)
-
-    def action(self, t, path, past_actions=None):
-        path = np.asarray(path, dtype=float).reshape(1, t, 1)
-        return self._stage(t, prices_from_returns(path, self.problem.s0)[:, t, 0])[0]
-
-    def actions_batch(self, omega):
-        """The actions of `action` along all paths omega (N, T, 1) at
-        once, one _stage call per stage (see dp.rollout)."""
-        prices = prices_from_returns(omega, self.problem.s0)[..., 0]
-        return [self._stage(t, prices[:, t]) for t in range(omega.shape[1])]
-
-    def __call__(self, t, path, past_actions=None):
-        return self.action(t, path, past_actions)
 
 
 def bs_delta_hedge(problem, annual_vol, strike, day_count=252):
@@ -455,24 +444,16 @@ def estimate_annual_vol(series, trading_days=252):
     return float(sd[0]) if sd.shape[0] == 1 else sd
 
 
-def simulate_gbm_returns(
-    n_days,
-    d,
-    annual_vol,
-    annual_drift=0.0,
-    trading_days=252,
-    bound=None,
-    rng=None,
-    start_label=0,
-):
-    """Daily simple returns from geometric Brownian motion.
+def simulate_gbm_returns(n_days, d, annual_vol, annual_drift=0.0, bound=None, rng=None):
+    """Daily simple returns from geometric Brownian motion, 252 trading
+    days a year, dated "000000", "000001", ...
 
     Log returns are Gaussian with the usual drift correction; simple
     returns are clipped into [-bound, bound] when a bound is given and the
     clip fraction is reported (acceptance demands it stay below 1e-4).
     """
     rng = rng or np.random.default_rng(0)
-    dt = 1.0 / trading_days
+    dt = 1.0 / 252
     sig = np.broadcast_to(np.asarray(annual_vol, dtype=float), (d,))
     mu = np.broadcast_to(np.asarray(annual_drift, dtype=float), (d,))
     g = rng.normal(
@@ -483,7 +464,7 @@ def simulate_gbm_returns(
     if bound is not None:
         clipped = float(np.mean(np.abs(r) > bound))
         r = np.clip(r, -bound, bound)
-    dates = [f"{start_label + i:06d}" for i in range(n_days)]
+    dates = [f"{i:06d}" for i in range(n_days)]
     return ReturnSeries(dates, r), clipped
 
 
@@ -537,7 +518,8 @@ def backtest(problem, policies, series):
 
     Each start consumes the next T returns, so a series of length n yields
     n - T windows, stacked into one paths array (n - T, T, d) along which
-    every policy acts through dp.rollout.  Records per policy the raw
+    every policy acts through dp.rollout, one act(t, omega, past) call per
+    stage over all windows at once.  Records per policy the raw
     hedging error, its absolute value and the prospect loss, one array
     each in window order, with summary statistics.
     """

@@ -37,10 +37,6 @@ class LocalSpace:
         self.dimension = int(dimension)
         self.bound = None if bound is None else float(bound)
 
-    @property
-    def bounded(self):
-        return self.bound is not None
-
     def contains(self, point, tol=1e-9):
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dimension,):
@@ -126,11 +122,6 @@ class DiscreteMeasure:
 
     def mean(self):
         return self.weights @ self.support
-
-    def expect(self, fn):
-        """E[fn(X)] for a function applied row-wise to the support."""
-        values = np.asarray([fn(x) for x in self.support], dtype=float)
-        return float(self.weights @ values)
 
     def to_text(self):
         """Line format `weight x_1 ... x_d`, atoms sorted lexicographically."""

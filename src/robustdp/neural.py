@@ -51,7 +51,6 @@ __all__ = [
     "train_algorithm1",
     "train_algorithm2",
     "NeuralPolicy",
-    "policy_for",
     "TrainResult",
     "mc_policy_values",
     "net_to_text",
@@ -473,46 +472,24 @@ def _continuation(problem, t, omega_b, past, a_rep, nxt):
 
 
 class NeuralPolicy:
-    """Stage networks composed into a policy.  Each net is fed the stage
-    input training gave it (_stage_input_tape of the problem), and its
-    output, squashed into the action box, is clipped to the box."""
+    """Trained stage networks as a policy in the sense of dp.rollout.
+
+    act feeds stage net t the input training gave it (_stage_input_tape of
+    the problem: the path, past actions and the problem's features, or the
+    features alone) and clips its output, squashed into the action box, to
+    the box.  Nets read back with net_from_text, paired with a problem of
+    the same hedging instance, act as trained."""
 
     def __init__(self, problem, action_nets):
         self.problem = problem
         self.action_nets = action_nets
 
-    def _stage(self, t, omega_b, actions):
-        """Stage-t actions (N, m_t) along paths omega_b (N, >= t, d) after
-        the past actions, a list of (N, m_s) arrays."""
-        x = _stage_input_tape(self.problem, t, omega_b[:, :t], actions)
+    def act(self, t, omega, past):
+        """Stage-t actions (N, m_t) along paths omega (N, >= t, d) after the
+        past actions, a list of t arrays (N, m_s)."""
+        x = _stage_input_tape(self.problem, t, omega[:, :t], past)
         low, high = _action_box(self.problem.action_specs[t])
         return np.clip(self.action_nets[t].forward(x.value), low, high)
-
-    def action(self, t, path, past_actions=None):
-        d = self.problem.local_space.dimension
-        path = np.asarray(path, dtype=float).reshape(t, d)
-        if past_actions is None:
-            past_actions = []
-            for s in range(t):
-                past_actions.append(self.action(s, path[:s], past_actions))
-        past = [np.atleast_1d(a)[None] for a in past_actions]
-        return self._stage(t, path[None], past)[0]
-
-    def __call__(self, t, path, past_actions=None):
-        return self.action(t, path, past_actions)
-
-    def actions_batch(self, omega):
-        """Stage actions along full paths omega (N, T, d), a list of (N, m_t)."""
-        actions = []
-        for t in range(len(self.action_nets)):
-            actions.append(self._stage(t, omega, actions))
-        return actions
-
-
-def policy_for(problem, action_nets):
-    """The policy of trained stage nets, fed the inputs training gave them
-    (path, past actions and the problem's features, or the features alone)."""
-    return NeuralPolicy(problem, action_nets)
 
 
 @dataclass
@@ -702,7 +679,7 @@ def _train_backward(problem, kernels, config, rng, inner):
     return TrainResult(
         action_nets=action_nets,
         value_nets=value_nets,
-        policy=policy_for(problem, action_nets),
+        policy=NeuralPolicy(problem, action_nets),
         value_estimate=value_estimate,
         log=log,
     )

@@ -407,3 +407,23 @@ def full_path_features(problem, t, omega, actions):
     s_t = (prices[:, -1, :] - problem.s0) / C
     w_feat = ad.reshape(full_path_wealth_tape(prices, actions), (-1, 1)) * (1.0 / (4.0 * C))
     return ad.concat([ad.const(s_t), w_feat], axis=1)
+
+
+def exact_policy(problem, grid):
+    """The exact solver's TabularPolicy on a grid, each node's reference
+    measure its one candidate."""
+    cands = dp.build_candidates(problem, grid, dp.sampler_from_kernel(1))
+    return dp.backward_induction_exact(problem, grid, cands).policy
+
+
+def per_path_rollout(policy, omega):
+    """Oracle of dp.rollout: single-row act calls, path by path and stage
+    by stage, each path fed its own past actions; the rows are stacked into
+    rollout's list of T arrays (N, m_t)."""
+    per_path = []
+    for i in range(len(omega)):
+        actions = []
+        for t in range(omega.shape[1]):
+            actions.append(policy.act(t, omega[i : i + 1], actions))
+        per_path.append(actions)
+    return [np.concatenate([acts[t] for acts in per_path]) for t in range(omega.shape[1])]

@@ -700,8 +700,8 @@ def test_criterion_13_backtest_bookkeeping():
         )
 
         class Zero:
-            def action(self, t, path, past_actions=None):
-                return np.zeros(1 + d) if t == 0 else np.zeros(d)
+            def act(self, t, omega, past):
+                return np.zeros((len(omega), 1 + d if t == 0 else d))
 
         rep = hg.backtest(prob, {"zero": Zero()}, series)
         counts[name] = rep.summary["zero"]["abs"]["count"]

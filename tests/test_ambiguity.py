@@ -21,7 +21,7 @@ from robustdp.measures import (
 
 def test_kernel_weighted_single_window():
     kw = amb.KernelWeighted(np.array([[0.1], [0.2]]), beta=500.0)
-    m = amb.evaluate_reference(kw, np.array([[0.05]]))
+    m = kw(np.array([[0.05]]))
     assert m.n_atoms == 1
     assert m.support[0, 0] == pytest.approx(0.2)
     assert m.weights[0] == pytest.approx(1.0)
@@ -31,7 +31,7 @@ def test_kernel_weighted_equidistant_windows_split_evenly():
     hist = np.array([[0.0], [1.0], [2.0], [1.0]])
     kw = amb.KernelWeighted(hist, beta=50.0)
     # windows for s=1..3 are [0],[1],[2]; path [1] is equidistant to [0],[2]
-    m = amb.evaluate_reference(kw, np.array([[1.0]]))
+    m = kw(np.array([[1.0]]))
     assert m.weights[1] > m.weights[0]
     assert m.weights[0] == pytest.approx(m.weights[2], abs=1e-12)
 
@@ -39,18 +39,18 @@ def test_kernel_weighted_equidistant_windows_split_evenly():
 def test_kernel_weighted_requires_room():
     kw = amb.KernelWeighted(np.array([[0.1], [0.2]]), beta=1.0)
     with pytest.raises(ValueError):
-        amb.evaluate_reference(kw, np.array([[0.1], [0.2]]))
+        kw(np.array([[0.1], [0.2]]))
 
 
 def test_adaptive_uniform_at_time_zero():
     ad = amb.AdaptiveEmpirical(np.array([[0.1], [0.2], [0.3]]))
-    m = amb.evaluate_reference(ad, np.zeros((0, 1)))
+    m = ad(np.zeros((0, 1)))
     assert np.allclose(m.weights, 1.0 / 3.0)
 
 
 def test_adaptive_mixes_in_observed_path():
     ad = amb.AdaptiveEmpirical(np.array([[0.1], [0.2], [0.3]]))
-    m = amb.evaluate_reference(ad, np.array([[0.5], [0.6]]))
+    m = ad(np.array([[0.5], [0.6]]))
     assert m.n_atoms == 5
     assert np.allclose(m.weights, 0.2)
     assert m.support[-1, 0] == pytest.approx(0.6)
@@ -475,8 +475,8 @@ def _numeric_softmax_lipschitz(kw, t, rng, n_probe=400):
     for _ in range(n_probe):
         p1 = rng.uniform(-0.05, 0.05, size=(t, 1))
         p2 = p1 + rng.normal(scale=1e-4, size=(t, 1))
-        w1 = amb.evaluate_reference(kw, p1).weights
-        w2 = amb.evaluate_reference(kw, p2).weights
+        w1 = kw(p1).weights
+        w2 = kw(p2).weights
         denom = np.linalg.norm(p1 - p2, axis=1).sum()
         best = max(best, np.abs(w1 - w2).sum() / denom)
     return best

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +76,14 @@ def test_ingest_malformed_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("date,r_1\n2020-01-01,0.01\n2020-01-02,oops\n")
     with pytest.raises(cli.ConfigError, match=":3"):
+        cli.ingest_returns(str(path), 1)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_ingest_rejects_non_finite_return_naming_line(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"date,r_1\n2020-01-01,0.01\n2020-01-02,{value}\n2020-01-03,0.02\n")
+    with pytest.raises(cli.ConfigError, match=r"bad\.csv:3: non-finite return"):
         cli.ingest_returns(str(path), 1)
 
 
@@ -338,6 +348,35 @@ def test_corrupt_network_is_json_error(tmp_path, capsys):
     assert "action_net_0.txt" in err["error"] and "truncated" in err["error"]
 
 
+def mutated(cfg, dotted, value):
+    """A deep copy of cfg with the value at a dotted path set, sections
+    created as needed."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, leaf = dotted.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    return cfg
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("data.train_fraction", "0.5"),
+    ("problem.loss.a", "x"),
+    ("data.synthetic.annual_vol", [1]),
+    ("data.synthetic", "x"),
+])
+def test_wrongly_typed_config_key_is_json_error(tmp_path, capsys, dotted, value):
+    cfg = mutated(BASE_CONFIG, dotted, value)
+    rc = cli.main(["solve-exact", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert dotted in err["error"] and err["command"] == "solve-exact"
+
+
 def test_unknown_problem_kind_is_json_error(tmp_path, capsys):
     cfg = dict(BASE_CONFIG, problem=dict(BASE_CONFIG["problem"], kind="portfolio"))
     rc = cli.main(["solve-exact", "--config", write_config(tmp_path, cfg),
@@ -370,7 +409,14 @@ def test_out_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "oracle_check.json").exists()
 
 
-# -- import cost -------------------------------------------------------------------
+# -- exports and import cost -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(robustdp.__path__)))
+def test_every_export_resolves(name):
+    # a name deleted from a module must leave its __all__ too
+    module = importlib.import_module(f"robustdp.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 SCIPY_GUARD = """
 import importlib, json, pkgutil, sys
@@ -382,14 +428,13 @@ def scipy_modules():
 
 for mod in pkgutil.iter_modules(robustdp.__path__):
     importlib.import_module("robustdp." + mod.name)
-from robustdp import cli, hedging as hg
+from robustdp import cli, dp, hedging as hg
 
 rc = cli.main(["solve-exact", "--config", sys.argv[1], "--out", sys.argv[2]])
 after_solve = scipy_modules()
 prob = hg.HedgingProblem(d=1, horizon=3, return_bound=0.1, payoff=hg.CallPayoff(1.0))
 policy = hg.bs_delta_hedge(prob, 0.2, 1.0)
-policy.action(0, np.zeros((0, 1)))
-policy.actions_batch(np.zeros((4, 3, 1)))
+dp.rollout(policy, np.zeros((4, 3, 1)))
 print(json.dumps({"rc": rc, "after_solve": after_solve, "after_delta": scipy_modules()}))
 """
 

@@ -12,7 +12,7 @@ from conftest import (
 )
 from robustdp import ambiguity as amb
 from robustdp import dp
-from robustdp.controls import BallSet, ConstantSet
+from robustdp.controls import BallSet, BoxSet, ConstantSet, clamp_to
 from robustdp.measures import DiscreteMeasure, LocalSpace
 
 SPACE = LocalSpace(1, 1.0)
@@ -233,12 +233,12 @@ def enumerate_policies(prob, g, grids):
         nodes.extend((t, n) for n in itertools.product(range(len(g)), repeat=t))
     for combo in itertools.product(*[range(len(grids[k])) for k in nodes]):
         pol = dict(zip(nodes, combo))
-
-        def policy(t, path, actions, pol=pol):
-            node = tuple(dp.nearest_index(g, x) for x in path)
-            return grids[(t, node)][pol[(t, node)]]
-
-        yield pol, policy
+        stage_actions = [
+            np.array([grids[(t, node)][pol[(t, node)]]
+                      for node in itertools.product(range(len(g)), repeat=t)])
+            for t in range(prob.horizon)
+        ]
+        yield pol, dp.TabularPolicy(g, stage_actions, prob.action_specs)
 
 
 def test_saddle_inequalities_and_equality_chain():
@@ -328,6 +328,61 @@ def test_radius_monotonicity_with_pool():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def action_spec(kind):
+    """A 1-D action set of each kind TabularPolicy clamps into; the ball and
+    the box move with a weighted path sum, so clamping at an off-grid path
+    moves their actions."""
+    def shift(path):
+        return 0.3 * (np.arange(1, len(path) + 1) @ path[:, 0])
+
+    if kind == "box":
+        return ConstantSet(low=[-0.5], high=[0.5], resolution=3)
+    if kind == "points":
+        return ConstantSet(points=[[-1.0], [0.3], [1.0]])
+    if kind == "ball":
+        spec = BallSet(lambda path: np.array([shift(path)]), 0.9, amb.ConstantRadius(0.5),
+                       dim=1, ambient_low=np.array([-1.0]), ambient_high=np.array([1.0]))
+    else:
+        spec = BoxSet([lambda path: shift(path) - 0.4], [lambda path: shift(path) + 0.4],
+                      lipschitz=0.9)
+    spec.resolution = 3
+    return spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["box", "points", "ball", "boxset"]), min_size=1, max_size=3))
+def test_tabular_act_is_nearest_node_lookup_then_clamp(seed, kinds):
+    # off-grid paths: each stage action is the solver's choice at the
+    # nearest grid node (SolveResult.chosen_idx into action_grids), clamped
+    # into the set at the real path.  Stage t's payoff weighs the earlier
+    # returns unequally, so the optimal action depends on their order.
+    rng = np.random.default_rng(seed)
+    T = len(kinds)
+    coefs = rng.normal(size=(T, 3))
+
+    def terminal(omega, actions):
+        w = omega[:, 0]
+        return float(sum(
+            c[0] * a[0] * w[t] + c[1] * abs(a[0] - w[t])
+            + c[2] * a[0] * (np.arange(1, t + 1) @ w[:t])
+            for t, (c, a) in enumerate(zip(coefs, actions))
+        ))
+
+    ref = amb.ConstantKernel(DiscreteMeasure(GRID3, rng.dirichlet(np.ones(3))))
+    specs = [action_spec(kind) for kind in kinds]
+    prob = dp.ControlProblem(T, SPACE, terminal, specs, [amb.Singleton(ref)] * T)
+    res = solve(prob, GRID3)
+    omega = rng.uniform(-1.0, 1.0, size=(6, T, 1))
+    for t, got in enumerate(dp.rollout(res.policy, omega)):
+        want = []
+        for path in omega[:, :t]:
+            node = tuple(dp.nearest_index(GRID3, x) for x in path)
+            a = res.action_grids[(t, node)][res.chosen_idx[t][node]]
+            want.append(clamp_to(specs[t], path, a))
+        assert got.tobytes() == np.stack(want).tobytes()
+
+
 def test_evaluate_policy_dirac_telescopes():
     def terminal(omega, actions):
         return float(omega[:, 0].sum())
@@ -335,8 +390,7 @@ def test_evaluate_policy_dirac_telescopes():
     kern = amb.Singleton(amb.ConstantKernel(DiscreteMeasure.dirac([1.0])))
     prob = dp.ControlProblem(2, SPACE, terminal, [PM_ACTIONS] * 2, [kern] * 2)
 
-    def policy(t, path, actions):
-        return np.array([1.0])
+    policy = dp.TabularPolicy(GRID3, [np.ones((1, 1)), np.ones((3, 1))], [PM_ACTIONS] * 2)
 
     def selection(t, path, actions):
         return DiscreteMeasure.dirac([1.0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from conftest import full_path_features, full_path_wealth_tape
+from conftest import exact_policy, full_path_features, full_path_wealth_tape, per_path_rollout
 from robustdp import autodiff as ad
 from robustdp import dp, hedging as hg, neural as nn
 from robustdp import ambiguity as amb
@@ -312,7 +312,7 @@ def test_delta_atm_short_maturity():
 def test_delta_one_year_atm():
     prob = call_problem(T=252)
     pol = hg.bs_delta_hedge(prob, 0.2, 1.0, day_count=252)
-    a0 = pol.action(0, np.zeros((0, 1)))
+    a0 = pol.act(0, np.zeros((1, 0, 1)), [])[0]
     assert a0[1] == pytest.approx(norm.cdf(0.1), abs=1e-9)
 
 
@@ -383,22 +383,21 @@ class ZeroPolicy:
     def __init__(self, prob):
         self.prob = prob
 
-    def action(self, t, path, past_actions=None):
-        return np.zeros(1 + self.prob.d) if t == 0 else np.zeros(self.prob.d)
+    def act(self, t, omega, past):
+        return np.zeros((len(omega), 1 + self.prob.d if t == 0 else self.prob.d))
 
 
 def backtest_oracle(problem, policies, series):
     """The per-window backtest: every policy acts window by window and
-    stage by stage, and each error is scored on its own."""
+    stage by stage through single-row act calls, and each error is scored
+    on its own."""
     T = problem.horizon
     outcomes = {name: {"error": [], "abs": [], "prospect": []} for name in policies}
     for s in range(len(series) - T):
         path = series.values[s : s + T]
         payoff = float(problem.payoff(hg.prices_from_returns(path, problem.s0)))
         for name, policy in policies.items():
-            actions = []
-            for t in range(T):
-                actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
+            actions = [a[0] for a in per_path_rollout(policy, path[None])]
             err = hg.wealth_from_returns(path, actions, problem.s0) - payoff
             outcomes[name]["error"].append(err)
             outcomes[name]["abs"].append(abs(err))
@@ -415,13 +414,18 @@ def trained_hedge_policy(prob, net_inputs, seed=2):
     return nn.train_algorithm1(cp, config=cfg).policy
 
 
-@pytest.mark.parametrize("which", ["delta", "zero", "trained-both", "trained-features"])
+@pytest.mark.parametrize("which", ["delta", "zero", "exact", "trained-both",
+                                   "trained-features"])
 def test_backtest_matches_per_window_oracle(which):
     prob = call_problem(T=4, C=0.2)
     if which == "delta":
         policy = hg.bs_delta_hedge(prob, 0.25, 1.0)
     elif which == "zero":
         policy = ZeroPolicy(prob)
+    elif which == "exact":
+        ref = amb.ConstantKernel(DiscreteMeasure([[-0.05], [0.0], [0.05]], [0.3, 0.4, 0.3]))
+        cp = hg.make_control_problem(prob, [amb.Singleton(ref)] * 4, action_resolution=3)
+        policy = exact_policy(cp, prob.space.grid(3))
     else:
         policy = trained_hedge_policy(prob, which.split("-")[1])
     series, _ = hg.simulate_gbm_returns(30, 1, 0.3, bound=0.2,
@@ -435,13 +439,6 @@ def test_backtest_matches_per_window_oracle(which):
     assert rep.summary[which]["abs"]["count"] == rep.summary[which]["prospect"]["count"] == 26
 
 
-class ActionOnly:
-    """A policy seen through its per-path action only, so dp.rollout loops."""
-
-    def __init__(self, policy):
-        self.action = policy.action
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 6), st.sampled_from([0.05, 0.25, 0.8]),
        st.sampled_from([0.8, 1.0, 1.2]))
@@ -450,7 +447,7 @@ def test_delta_actions_batch_matches_per_path_loop(seed, T, vol, strike):
     policy = hg.bs_delta_hedge(prob, vol, strike)
     omega = np.random.default_rng(seed).uniform(-0.2, 0.2, size=(40, T, 1))
     batch = dp.rollout(policy, omega)
-    loop = dp.rollout(ActionOnly(policy), omega)
+    loop = per_path_rollout(policy, omega)
     assert [a.shape for a in batch] == [a.shape for a in loop]
     for got, want in zip(batch, loop):
         assert np.array_equal(got, want)

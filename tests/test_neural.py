@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import composed_forward_var, kernel_weighted_states_loop, primal_ball_lp
+from conftest import (
+    composed_forward_var,
+    exact_policy,
+    kernel_weighted_states_loop,
+    per_path_rollout,
+    primal_ball_lp,
+)
 from robustdp import ambiguity as amb
 from robustdp import autodiff as ad
 from robustdp import dp
@@ -544,7 +550,7 @@ FAST = nn.TrainConfig(iter_a=600, iter_psi=1, n_mc=32, batch_size=16, seed=11,
 def test_algorithm1_matches_analytic_argmax():
     prob = quadratic_problem()
     res = nn.train_algorithm1(prob, config=FAST)
-    a0 = res.policy.action(0, np.zeros((0, 1)))
+    a0 = res.policy.act(0, np.zeros((1, 0, 1)), [])[0]
     assert abs(a0[0] - 0.3) < 0.05
     assert abs(res.value_estimate) < 0.02
 
@@ -599,8 +605,8 @@ def test_single_measure_training_is_nonrobust():
     prob2 = quadratic_problem()
     prob2.kernels = [amb.FiniteSet([amb.ConstantKernel(ref)])]
     res_set = nn.train_algorithm1(prob2, config=FAST)
-    a1 = res_single.policy.action(0, np.zeros((0, 1)))
-    a2 = res_set.policy.action(0, np.zeros((0, 1)))
+    a1 = res_single.policy.act(0, np.zeros((1, 0, 1)), [])[0]
+    a2 = res_set.policy.act(0, np.zeros((1, 0, 1)), [])[0]
     assert abs(a1[0] - a2[0]) < 0.05
 
 
@@ -608,7 +614,7 @@ def test_policy_outputs_admissible():
     prob = quadratic_problem()
     res = nn.train_algorithm1(prob, config=FAST)
     spec = prob.action_specs[0]
-    a = res.policy.action(0, np.zeros((0, 1)))
+    a = res.policy.act(0, np.zeros((1, 0, 1)), [])[0]
     assert spec.contains(np.zeros((0, 1)), a)
 
 
@@ -626,8 +632,8 @@ def test_algorithm2_zero_radius_matches_algorithm1():
     prob2.kernels = [ball]
     res1 = nn.train_algorithm1(prob, config=FAST)
     res2 = nn.train_algorithm2(prob2, config=FAST)
-    a1 = res1.policy.action(0, np.zeros((0, 1)))
-    a2 = res2.policy.action(0, np.zeros((0, 1)))
+    a1 = res1.policy.act(0, np.zeros((1, 0, 1)), [])[0]
+    a2 = res2.policy.act(0, np.zeros((1, 0, 1)), [])[0]
     assert abs(a1[0] - a2[0]) < 0.06
     assert abs(res1.value_estimate - res2.value_estimate) < 0.05
 
@@ -693,8 +699,8 @@ def test_net_from_text_rejects_malformed_dump(case):
 
 @pytest.mark.parametrize("net_inputs", ["both", "features"])
 def test_policy_for_rebuilds_trained_hedging_policy(net_inputs):
-    # nets read back from text and rebuilt by policy_for act as trained,
-    # including the hedging features the trainer fed them
+    # nets read back from text and paired with the problem as a NeuralPolicy
+    # act as trained, including the hedging features the trainer fed them
     from robustdp import hedging as hg
 
     hp = hg.HedgingProblem(d=1, horizon=2, return_bound=0.1, payoff=hg.CallPayoff(1.0))
@@ -705,60 +711,67 @@ def test_policy_for_rebuilds_trained_hedging_policy(net_inputs):
                          hidden_units=4, eval_mc=8, seed=2)
     res = nn.train_algorithm1(prob, config=cfg)
     nets = [nn.net_from_text(nn.net_to_text(net)) for net in res.action_nets]
-    loaded = nn.policy_for(prob, nets)
+    loaded = nn.NeuralPolicy(prob, nets)
     omega = np.random.default_rng(3).uniform(-0.1, 0.1, size=(5, 2, 1))
-    for a, b in zip(res.policy.actions_batch(omega), loaded.actions_batch(omega)):
+    trained = dp.rollout(res.policy, omega)
+    for a, b in zip(trained, dp.rollout(loaded, omega)):
         assert np.array_equal(a, b)
-    assert np.array_equal(res.policy.action(1, omega[0, :1]), loaded.action(1, omega[0, :1]))
+    past = [trained[0][:1]]
+    assert np.array_equal(res.policy.act(1, omega[:1], past), loaded.act(1, omega[:1], past))
 
 
-class ActionOnly:
-    """A policy that offers action alone, so dp.rollout loops path by path."""
-
-    def __init__(self, policy):
-        self.action = policy.action
-
-
-def per_path_actions(policy, omega):
-    """Stage actions (N, m_t) from policy.action, path by path and stage by stage."""
-    per_path = []
-    for path in omega:
-        actions = []
-        for t in range(omega.shape[1]):
-            actions.append(np.atleast_1d(policy.action(t, path[:t], actions)))
-        per_path.append(actions)
-    return [np.stack([acts[t] for acts in per_path]) for t in range(omega.shape[1])]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 3), st.integers(1, 5),
-       st.integers(0, 2), st.sampled_from(["both", "features"]), st.booleans())
-def test_rollout_matches_per_path_actions(seed, d, T, n, layers, net_inputs, squash):
-    # unsquashed nets overshoot the action box, so the clip is exercised too
+def random_policy(kind, T, d, rng):
+    """A hedging problem and a policy of the given kind on it, acting on
+    returns in [-0.1, 0.1]^d.  "exact" is the solver's TabularPolicy on a
+    3-point grid, "delta" a Black-Scholes hedge whose premium and deltas
+    meet the bounds, and "neural-*" random stage nets (0 to 2 hidden layers)
+    fed both inputs or the features alone; unsquashed nets overshoot the
+    action box, so the clip is exercised too."""
     from robustdp import hedging as hg
 
-    rng = np.random.default_rng(seed)
-    hp = hg.HedgingProblem(d=d, horizon=T, return_bound=0.1, payoff=hg.BasketPayoff(d))
-    dirac = amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(d)))
-    prob = hg.make_control_problem(hp, [amb.Singleton(dirac)] * T)
-    prob.net_inputs = net_inputs
+    hp = hg.HedgingProblem(d=d, horizon=T, return_bound=0.1, payoff=hg.BasketPayoff(d),
+                           a_bound=0.9, b_bound=0.05)
+    ref = amb.ConstantKernel(DiscreteMeasure(rng.uniform(-0.1, 0.1, (3, d)),
+                                             rng.dirichlet(np.ones(3))))
+    prob = hg.make_control_problem(hp, [amb.Singleton(ref)] * T, action_resolution=3)
+    if kind == "exact":
+        return prob, exact_policy(prob, hp.space.grid(3))
+    if kind == "delta":
+        return prob, hg.bs_delta_hedge(hp, rng.choice([0.05, 0.25, 0.8]),
+                                       rng.choice([0.8, 1.0, 1.2]))
+    prob.net_inputs = kind.split("-")[1]
+    squash, layers = rng.random() < 0.5, int(rng.integers(0, 3))
     nets = [
         nn.Mlp(len(nn._input_scale(prob, t)), spec.dim, layers, 4, rng,
                out_box=(spec.low, spec.high) if squash else None,
                in_scale=nn._input_scale(prob, t))
         for t, spec in enumerate(prob.action_specs)
     ]
-    policy = nn.policy_for(prob, nets)
+    return prob, nn.NeuralPolicy(prob, nets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["exact", "delta", "neural-both",
+                                                "neural-features"]),
+       st.integers(1, 3), st.integers(1, 2), st.integers(1, 5))
+def test_rollout_matches_per_path_actions(seed, kind, T, d, n):
+    # dp.rollout on n paths against n single-row act calls, for every
+    # policy type.  Exact and delta rows are bit-identical.  A neural row
+    # goes through a BLAS matrix product whose rounding depends on the
+    # number of rows, so neural rows agree to 1e-12.
+    if kind in ("exact", "delta"):
+        d = 1
+    rng = np.random.default_rng(seed)
+    prob, policy = random_policy(kind, T, d, rng)
     omega = rng.uniform(-0.1, 0.1, size=(n, T, d))
-    loop = per_path_actions(policy, omega)
+    rows = per_path_rollout(policy, omega)
     for t, (batch, spec) in enumerate(zip(dp.rollout(policy, omega), prob.action_specs)):
-        assert batch.shape == loop[t].shape == (n, spec.dim)
-        assert np.max(np.abs(batch - loop[t])) <= 1e-12
+        assert batch.shape == rows[t].shape == (n, spec.dim)
+        if kind.startswith("neural"):
+            assert np.max(np.abs(batch - rows[t])) <= 1e-12
+        else:
+            assert batch.tobytes() == rows[t].tobytes()
         assert np.all((spec.low <= batch) & (batch <= spec.high))
-        # with no past actions given, action recomputes them
-        assert np.array_equal(policy.action(t, omega[0, :t]), loop[t][0])
-    for batch, looped in zip(dp.rollout(ActionOnly(policy), omega), loop):
-        assert np.array_equal(batch, looped)
 
 
 def reference_kernel(kind, wrap, d, rng):
