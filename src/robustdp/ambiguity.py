@@ -36,6 +36,7 @@ __all__ = [
     "FiniteSet",
     "membership",
     "dual_inner_value",
+    "ball_infimum",
     "sample_measures",
     "transport_between_balls",
     "v_lambda",
@@ -535,6 +536,53 @@ def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):
     cost = np.linalg.norm(reference.support[:, None, :] - z[None, :, :], axis=-1) ** q
     inner = np.min(psi_vals[None, :] + lambda_ * cost, axis=1)
     return float(reference.weights @ inner - lambda_ * eps**q)
+
+
+def ball_infimum(psi_vals, reference, z_grid, eps, q):
+    """Exact minimum of sum_j nu_j psi_j over measures nu on z_grid with
+    W_q(reference, nu) <= eps, as a fractional knapsack (Gao & Kleywegt,
+    arXiv:1604.02199; Esfahani & Kuhn, Math. Prog. 2018): each atom is
+    charged its cheapest grid point, the lowest psi among ties, and the rest
+    of the budget eps^q buys the segments of the atoms' lower convex hulls
+    of (cost, psi) in order of slope, the last one fractionally.  Raises
+    ValueError when the ball holds no measure on z_grid.
+    """
+    z = np.atleast_2d(np.asarray(z_grid, dtype=float))
+    psi = np.asarray(psi_vals, dtype=float).reshape(z.shape[0])
+    cost = np.linalg.norm(reference.support[:, None, :] - z[None, :, :], axis=-1) ** q
+    base = float(reference.weights @ cost.min(axis=1))
+    if base > eps**q:
+        raise ValueError(f"the W_{q} ball of radius {eps} holds no measure on the "
+                         f"grid: moving the reference onto it costs {base}")
+    # each atom's points by cost, lowest psi first; the hull keeps only points
+    # below every cheaper one
+    order = np.lexsort((np.broadcast_to(psi, cost.shape), cost))
+    cost = np.take_along_axis(cost, order, axis=1)
+    psi = psi[order]
+    lower = np.diff(np.minimum.accumulate(psi, axis=1), axis=1, prepend=np.inf) < 0
+    value = 0.0
+    segments = []  # (slope, weighted cost, weighted change of psi)
+    for w, keep, c, p in zip(reference.weights.tolist(), lower, cost, psi):
+        c, p = c[keep].tolist(), p[keep].tolist()
+        value += w * p[0]
+        hull = [0]
+        for i in range(1, len(c)):
+            while len(hull) > 1:
+                a, b = hull[-2:]
+                if (c[b] - c[a]) * (p[i] - p[a]) > (p[b] - p[a]) * (c[i] - c[a]):
+                    break
+                hull.pop()
+            hull.append(i)
+        for a, b in zip(hull, hull[1:]):
+            dc, dpsi = c[b] - c[a], p[b] - p[a]
+            segments.append((dpsi / dc, w * dc, w * dpsi))
+    budget = eps**q - base
+    for _, dc, dpsi in sorted(segments, key=lambda s: s[0]):
+        if dc > budget:
+            return value + dpsi * (budget / dc)
+        value += dpsi
+        budget -= dc
+    return value
 
 
 def membership(kernel, path, candidate):

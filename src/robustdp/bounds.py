@@ -220,19 +220,13 @@ def parametric_gap_bound(inp, mu_eps_s0=None):
         else:
             raise ValueError("need true kernels or precomputed mu_eps")
     a = inp.alpha
-    T = inp.horizon
-    total = 0.0
-    for s in range(T):
-        prod = 1.0
-        for u in range(s + 1, T):
-            factor = inp.L_A[u] ** a + (
-                inp.L_Ptheta[u] * (inp.L_thetahat[u] + inp.L_eps[u])
-            ) ** a
-            prod *= max(factor, 1.0)
-        total += (
-            2.0 ** (T - (s + 1)) * prod * inp.L_Ptheta[s] ** a * mu_eps_s0[s]
-        )
-    return 2.0**a * inp.L_psi * total
+    return _weighted_sum(
+        inp,
+        lambda u: inp.L_A[u] ** a
+        + (inp.L_Ptheta[u] * (inp.L_thetahat[u] + inp.L_eps[u])) ** a,
+        [inp.L_Ptheta[s] ** a * mu_eps_s0[s] for s in range(inp.horizon)],
+        2.0**a * inp.L_psi,
+    )
 
 
 @dataclass

@@ -52,8 +52,9 @@ def serialize_config(cfg):
     return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
-def _get(cfg, dotted, typ=None, default=None, required=True):
-    """The value at a dotted config path, type-checked (ints pass as floats).
+def _get(cfg, dotted, typ=None, default=None, required=True, minimum=None):
+    """The value at a dotted config path, type-checked (ints pass as floats,
+    NaN and +-Infinity do not) and, given a minimum, range-checked.
 
     A missing key gives the default, or an error when it is required and has
     none; a section on the path that is not an object is an error."""
@@ -74,7 +75,23 @@ def _get(cfg, dotted, typ=None, default=None, required=True):
         node = float(node)
     if typ is not None and not isinstance(node, typ):
         raise ConfigError(f"{dotted}: expected {typ.__name__}, got {type(node).__name__}")
+    if typ is float and not math.isfinite(node):
+        raise ConfigError(f"{dotted}: expected a finite number, got {node}")
+    if minimum is not None and node < minimum:
+        raise ConfigError(f"{dotted}: expected at least {minimum}, got {node}")
     return node
+
+
+def _finite_list(cfg, dotted, length):
+    """An optional list of `length` finite numbers at a dotted config path."""
+    vals = _get(cfg, dotted, list, required=False)
+    if vals is not None and not (
+        len(vals) == length
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in vals)
+    ):
+        raise ConfigError(f"{dotted}: expected a list of {length} finite numbers")
+    return vals
 
 
 def substream(master_seed, name):
@@ -145,8 +162,8 @@ def _build_hedging(cfg, return_bound):
             _get(cfg, "problem.payoff.strike", float, default=1.0, required=False))
     elif kind == "basket":
         payoff = hg.BasketPayoff(
-            d, _get(cfg, "problem.payoff.weights", list, required=False),
-            _get(cfg, "problem.payoff.strikes", list, required=False),
+            d, _finite_list(cfg, "problem.payoff.weights", d),
+            _finite_list(cfg, "problem.payoff.strikes", d),
         )
     else:
         raise ConfigError("problem.payoff.kind: expected 'call' or 'basket'")
@@ -171,7 +188,7 @@ def _load_problem_and_series(cfg, seed):
     historical return of the ingested CSV; synthetic data needs an
     explicit bound to clip against.
     """
-    d = _get(cfg, "problem.dimension", int)
+    d = _get(cfg, "problem.dimension", int, minimum=1)
     bound = _get(cfg, "problem.return_bound", float, default=None, required=False)
     csv_path = _get(cfg, "data.csv", str, required=False)
     if csv_path is not None:
@@ -185,7 +202,8 @@ def _load_problem_and_series(cfg, seed):
         if bound is None:
             raise ConfigError("problem.return_bound: required for synthetic data")
         series, clipped = hg.simulate_gbm_returns(
-            _get(cfg, "data.synthetic.days", int, default=300, required=False),
+            _get(cfg, "data.synthetic.days", int, default=300, required=False,
+                 minimum=1),
             d,
             _get(cfg, "data.synthetic.annual_vol", float, default=0.2, required=False),
             _get(cfg, "data.synthetic.annual_drift", float, default=0.0, required=False),
@@ -352,7 +370,8 @@ def cmd_solve_exact(cfg, out_dir, seed):
     train, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train.values)
     resolution = _get(cfg, "controls.resolution", int, default=3, required=False)
-    grid_points = _get(cfg, "solver.grid_points", int, default=3, required=False)
+    grid_points = _get(cfg, "solver.grid_points", int, default=3, required=False,
+                       minimum=1)
     problem = hg.make_control_problem(hp, kernels, action_resolution=resolution)
     local_grid = hp.space.grid(grid_points)
     n_meas = _get(cfg, "solver.n_measures", int, default=3, required=False)

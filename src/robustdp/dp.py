@@ -31,7 +31,7 @@ from .ambiguity import (
     FiniteSet,
     Singleton,
     WassersteinBall,
-    dual_inner_value,
+    ball_infimum,
     sample_measures,
     membership,
 )
@@ -251,6 +251,10 @@ class SolveResult:
     exactly where valid[t + 1][::n] is.  Padded entries hold arbitrary
     numbers.  argmax_tables[t] (n^t, P_t) is the controller's action index
     after every action key; worst_case.argmin_tables holds the adversary's.
+    dual_lower_bound (None unless solved with dual_bound=True) is the exact
+    grid-ball value: the same recursion with each Wasserstein ball of
+    positive radius searched over every measure on the local grid inside
+    it.
     """
 
     value: float
@@ -365,10 +369,11 @@ def _terminal_layer(problem, local_grid, stage, valid):
     return psi
 
 
-def _dual_lower(problem, local_grid, t, child, low, valid_j, lambda_grid):
-    """Replace the candidate minimum by the dual value on the local grid at
-    every valid entry of a node whose stage-t kernel is a Wasserstein ball
-    of positive radius (in place on low, (n^t, Q))."""
+def _dual_lower(problem, local_grid, t, child, low, valid_j):
+    """Replace the candidate minimum by the exact infimum over the grid ball
+    (ball_infimum: measures on the local grid within the stage-t Wasserstein
+    ball) at every valid entry of a node whose radius is positive (in place
+    on low, (n^t, Q))."""
     kernel = problem.kernels[t]
     if not isinstance(kernel, WassersteinBall):
         return
@@ -383,24 +388,20 @@ def _dual_lower(problem, local_grid, t, child, low, valid_j, lambda_grid):
             continue
         ref = kernel.center(path)
         for q in np.flatnonzero(valid_j[u]):
-            psi = lambda z, vals=child[u, snap, q]: vals
-            low[u, q] = max(
-                dual_inner_value(psi, ref, eps, kernel.order, lam, local_grid)
-                for lam in lambda_grid
-            )
+            low[u, q] = ball_infimum(child[u, snap, q], ref, local_grid, eps, kernel.order)
 
 
-def backward_induction_exact(
-    problem, local_grid, candidates, dual_bound=False, lambda_grid=None
-):
+def backward_induction_exact(problem, local_grid, candidates, dual_bound=False):
     """Solve the discretized max-min problem by backward induction.
 
     candidates is the dict produced by build_candidates.  Ties in both the
     adversary argmin and the controller argmax resolve to the lowest
     index, making results bit-reproducible.  With dual_bound=True a
-    parallel recursion replaces each Wasserstein-ball minimum by the dual
-    value on the local grid, yielding a certified lower bound on the
-    grid-ball robust value (reported alongside the sampled-set value).
+    parallel recursion replaces each Wasserstein-ball minimum of positive
+    radius by the exact infimum over measures on the local grid inside the
+    ball (ambiguity.ball_infimum); dual_lower_bound is then the grid-ball
+    robust value, reported alongside the sampled-set value.  It raises
+    ValueError where such a ball holds no grid measure.
     The tables are arrays laid out as described on SolveResult.
     """
     T = problem.horizon
@@ -420,8 +421,6 @@ def backward_induction_exact(
     argmax = [None] * T
     psi[T] = _terminal_layer(problem, local_grid, stage, valid[T])
     psi_low = psi.copy() if dual_bound else None
-    if dual_bound and lambda_grid is None:
-        lambda_grid = np.geomspace(1e-3, 1e4, 31)
 
     for t in range(T - 1, -1, -1):
         nodes = itertools.product(range(n), repeat=t)
@@ -435,9 +434,7 @@ def backward_induction_exact(
         if dual_bound:
             child = psi_low[t + 1].reshape(n**t, n, -1)
             low, _ = _candidate_min(child, *snapped)
-            _dual_lower(
-                problem, local_grid, t, child, low, valid[t + 1][::n], lambda_grid
-            )
+            _dual_lower(problem, local_grid, t, child, low, valid[t + 1][::n])
             psi_low[t] = _controller_max(low.reshape(shape), counts)[0]
 
     # compose the optimal policy and the worst-case kernel along it

@@ -204,9 +204,7 @@ def _prefix_keys(grids, node):
     return itertools.product(*ranges)
 
 
-def dict_backward_induction(
-    problem, local_grid, candidates, dual_bound=False, lambda_grid=None
-):
+def dict_backward_induction(problem, local_grid, candidates, dual_bound=False):
     """Oracle: backward induction on dict tables keyed by (node, action key),
     one scalar terminal call and one Python loop per entry.
 
@@ -223,8 +221,6 @@ def dict_backward_induction(
     argmax = [dict() for _ in range(T)]
     argmin = [dict() for _ in range(T)]
     psi_low = [dict() for _ in range(T + 1)] if dual_bound else None
-    if dual_bound and lambda_grid is None:
-        lambda_grid = np.geomspace(1e-3, 1e4, 31)
 
     for node in itertools.product(range(n), repeat=T):
         omega = local_grid[list(node)]
@@ -285,21 +281,13 @@ def dict_backward_induction(
                         fk = ak + (ai,)
                         if use_dual:
                             ref = kernel.center(path)
-                            cont = np.array(
-                                [psi_low[t + 1][(node + (j,), fk)] for j in range(n)]
-                            )
-                            low = max(
-                                amb.dual_inner_value(
-                                    lambda z, c=cont: np.array(
-                                        [c[dp.nearest_index(local_grid, zj)] for zj in z]
-                                    ),
-                                    ref,
-                                    eps,
-                                    kernel.order,
-                                    lam,
-                                    local_grid,
-                                )
-                                for lam in lambda_grid
+                            # each grid point takes its nearest node's value
+                            psi_vals = [
+                                psi_low[t + 1][(node + (dp.nearest_index(local_grid, z),), fk)]
+                                for z in local_grid
+                            ]
+                            low = amb.ball_infimum(
+                                psi_vals, ref, local_grid, eps, kernel.order
                             )
                         else:
                             low = None

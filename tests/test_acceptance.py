@@ -465,41 +465,19 @@ def test_criterion_9_gradient_checks():
 # -- criterion 10: neural vs exact ---------------------------------------------------
 
 
-def _ball_inf_refined_dual(psi_vals, w, x, z, eps):
-    """Exact q=1 ball infimum: concave piecewise-linear dual maximized by a
-    coarse grid plus ternary refinement; agrees with the primal LP to 1e-12
-    (verified in test setup)."""
-    cost = np.linalg.norm(x[:, None, :] - z[None, :, :], axis=-1)
-    psi = np.asarray(psi_vals, float)
-
-    def dual(lam):
-        return float(w @ (psi[None, :] + lam * cost).min(axis=1)) - lam * eps
-
-    span = (psi.max() - psi.min()) / max(cost[cost > 1e-12].min(), 1e-9)
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, max(span, 1.0), 100)])
-    vals = [dual(l) for l in grid]
-    k = int(np.argmax(vals))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    for _ in range(50):
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if dual(m1) < dual(m2):
-            lo = m1
-        else:
-            hi = m2
-    return max(max(vals), dual(0.5 * (lo + hi)))
-
-
 @pytest.mark.slow
 def test_criterion_10_neural_vs_exact():
     start = time.time()
     space = LocalSpace(1, 1.0)
     from robustdp.controls import ConstantSet
 
-    def terminal(omega, actions):
-        a0 = float(np.atleast_1d(actions[0])[0])
-        a1 = float(np.atleast_1d(actions[1])[0])
-        w1, w2 = omega[0, 0], omega[1, 0]
+    def terminal_batch(omega, actions):
+        a0, a1 = actions[0][:, 0], actions[1][:, 0]
+        w1, w2 = omega[:, 0, 0], omega[:, 1, 0]
         return -0.5 * (a0 - w1) ** 2 - (a1 - w1 * w2) ** 2 + 0.3 * w2
+
+    def terminal(omega, actions):
+        return float(terminal_batch(omega[None], [np.reshape(a, (1, -1)) for a in actions])[0])
 
     def terminal_tape(omega, actions):
         a0 = ad.reshape(ad.as_var(actions[0]), (-1,))
@@ -543,41 +521,25 @@ def test_criterion_10_neural_vs_exact():
     res1 = nn.train_algorithm1(prob1, config=cfg)
     diff1 = abs(res1.value_estimate - exact1)
 
-    # Algorithm 2 against the LP-ball recursion on a fine grid
+    # Algorithm 2 against the exact grid-ball recursion: 41 grid points,
+    # 21 actions per stage
     ref = DiscreteMeasure(np.array([[-0.6], [-0.1], [0.4]]), [0.3, 0.4, 0.3])
     eps = 0.08
     ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps), 1)
-    spec2 = ConstantSet(low=[-1.0], high=[1.0], resolution=41)
-    prob2 = dp.ControlProblem(2, space, terminal, [spec2] * 2, [ball] * 2)
+    spec2 = ConstantSet(low=[-1.0], high=[1.0], resolution=21)
+    prob2 = dp.ControlProblem(2, space, terminal, [spec2] * 2, [ball] * 2,
+                              terminal_batch=terminal_batch)
     prob2.terminal_tape = terminal_tape
 
-    # oracle self-check: refined dual equals the primal LP on this data
-    probe = np.linspace(-1, 1, 41)[:, None]
-    probe_psi = np.sin(3 * probe[:, 0])
-    lp_val, _ = primal_ball_lp(probe_psi, ref, probe, eps)
-    assert abs(
-        _ball_inf_refined_dual(probe_psi, ref.weights, ref.support, probe, eps)
-        - lp_val
-    ) <= 1e-9
-
+    # oracle self-check: the grid-ball infimum equals the primal LP
     zg = np.linspace(-1, 1, 41)[:, None]
-    ag = np.linspace(-1, 1, 21)
-    x, w = ref.support, ref.weights
-    psi1 = np.empty((len(zg), len(ag)))
-    for i, w1 in enumerate(zg[:, 0]):
-        for j, a0 in enumerate(ag):
-            best = -np.inf
-            for a1 in ag:
-                vals = (
-                    -0.5 * (a0 - w1) ** 2
-                    - (a1 - w1 * zg[:, 0]) ** 2
-                    + 0.3 * zg[:, 0]
-                )
-                best = max(best, _ball_inf_refined_dual(vals, w, x, zg, eps))
-            psi1[i, j] = best
-    exact2 = max(
-        _ball_inf_refined_dual(psi1[:, j], w, x, zg, eps) for j in range(len(ag))
-    )
+    probe_psi = np.sin(3 * zg[:, 0])
+    lp_val, _ = primal_ball_lp(probe_psi, ref, zg, eps)
+    assert abs(amb.ball_infimum(probe_psi, ref, zg, eps, 1) - lp_val) <= 1e-9
+
+    cands2 = dp.build_candidates(prob2, zg, dp.sampler_from_kernel(1))
+    exact2 = dp.backward_induction_exact(
+        prob2, zg, cands2, dual_bound=True).dual_lower_bound
     res2 = nn.train_algorithm2(prob2, config=cfg)
     diff2 = abs(res2.value_estimate - exact2)
 

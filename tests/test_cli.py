@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustdp
 from robustdp import cli, dp
@@ -365,6 +369,14 @@ def mutated(cfg, dotted, value):
     ("problem.loss.a", "x"),
     ("data.synthetic.annual_vol", [1]),
     ("data.synthetic", "x"),
+    ("ambiguity.radius.value", float("inf")),
+    ("ambiguity.radius.value", float("nan")),
+    ("problem.return_bound", float("nan")),
+    ("data.synthetic.annual_vol", float("nan")),
+    ("problem.return_bound", float("inf")),
+    ("problem.bounds.position", float("inf")),
+    ("data.synthetic.days", 0),
+    ("solver.grid_points", 0),
 ])
 def test_wrongly_typed_config_key_is_json_error(tmp_path, capsys, dotted, value):
     cfg = mutated(BASE_CONFIG, dotted, value)
@@ -375,6 +387,62 @@ def test_wrongly_typed_config_key_is_json_error(tmp_path, capsys, dotted, value)
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert dotted in err["error"] and err["command"] == "solve-exact"
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("problem.payoff.weights", [1.0]),
+    ("problem.payoff.weights", ["x", "y"]),
+    ("problem.payoff.weights", [0.5, float("nan")]),
+    ("problem.payoff.strikes", [1.0, 1.0, 1.0]),
+])
+def test_bad_basket_vector_is_json_error(tmp_path, capsys, dotted, value):
+    cfg = mutated(BASE_CONFIG, "problem.dimension", 2)
+    cfg = mutated(cfg, "problem.payoff", {"kind": "basket"})
+    cfg = mutated(cfg, dotted, value)
+    rc = cli.main(["solve-exact", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert dotted in err["error"] and "2 finite numbers" in err["error"]
+
+
+def _leaves(cfg, prefix=""):
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+MISSING = object()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_leaves(BASE_CONFIG))),
+       st.sampled_from(["x", True, 0, -1, float("nan"), float("inf"),
+                        float("-inf"), [1], MISSING]))
+def test_mutated_config_exits_with_json_error_or_solves(dotted, value):
+    # solve-exact on BASE_CONFIG with one leaf replaced or removed: exit 0,
+    # or exit 1 with one JSON error line last on stderr; an uncaught
+    # exception fails the test
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    if value is MISSING:
+        *parents, leaf = dotted.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        del node[leaf]
+    else:
+        cfg = mutated(cfg, dotted, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["solve-exact", "--config", str(path), "--out", f"{tmp}/run"])
+    if rc != 0:
+        assert rc == 1
+        assert "error" in json.loads(err.getvalue().splitlines()[-1])
 
 
 def test_unknown_problem_kind_is_json_error(tmp_path, capsys):

@@ -468,6 +468,20 @@ def test_dual_lower_bound_reported():
     assert res.dual_lower_bound <= res.value + 1e-9
 
 
+def test_empty_grid_ball_raises():
+    # one atom halfway between two grid points: moving it onto the grid
+    # costs 0.5, so a smaller ball holds no grid measure; at radius 0.5 the
+    # two cheapest points tie and the lower psi is taken
+    ref = DiscreteMeasure.dirac([0.5])
+    assert amb.ball_infimum([0.0, 2.0, 1.0], ref, GRID3, 0.5, 1) == 1.0
+    with pytest.raises(ValueError, match="holds no measure"):
+        amb.ball_infimum([0.0, 2.0, 1.0], ref, GRID3, 0.4, 1)
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(0.4))
+    prob = dp.ControlProblem(1, SPACE, bilinear, [PM_ACTIONS], [ball])
+    with pytest.raises(ValueError, match="holds no measure"):
+        solve(prob, GRID3, dual_bound=True)
+
+
 def test_dual_bound_tight_for_singleton():
     ref = DiscreteMeasure(GRID3, [0.3, 0.4, 0.3])
     kern = amb.Singleton(amb.ConstantKernel(ref))

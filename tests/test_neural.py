@@ -387,21 +387,40 @@ def test_w2_dual_by_hand():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2),
-       st.integers(1, 5))
-def test_weak_duality_against_primal_lp(seed, q, d, n):
-    # weak duality for the W_q ball at every lambda, on a z grid holding the
-    # reference atoms (so the ball contains the reference)
+       st.integers(1, 5), st.booleans(), st.booleans())
+def test_weak_duality_against_primal_lp(seed, q, d, n, lattice, at_threshold):
+    # The grid-ball infimum equals the primal LP, and the dual at every
+    # lambda lies below it.  A lattice z ties costs, and integer psi ties
+    # values; atoms may sit off the grid; eps is the smallest radius whose
+    # ball holds a grid measure, or larger.
+    # Points are multiples of 1/32.  HiGHS keeps the LP's budget only to its
+    # feasibility tolerance; with an atom ~1e-3 from a grid point, that
+    # slack moved the LP's value by up to 0.5 at the threshold.
     rng = np.random.default_rng(seed)
-    ref = DiscreteMeasure(rng.uniform(-1, 1, (n, d)), rng.dirichlet(np.ones(n)))
-    z = np.vstack([ref.support, rng.uniform(-1, 1, (8, d))])
-    psi_vals = rng.normal(size=len(z))
-    psi = lambda pts: np.array(
-        [psi_vals[int(np.argmin(np.linalg.norm(z - p, axis=1)))] for p in pts]
-    )
-    eps = float(rng.uniform(0.01, 0.6))
+    draw = lambda k: np.round(rng.uniform(-1, 1, (k, d)) * 32) / 32
+    support = draw(n)
+    if lattice:
+        axis = np.linspace(-1, 1, 5)
+        z = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+        if rng.random() < 0.5:
+            support = rng.choice(axis, size=(n, d))
+        psi_vals = rng.integers(-2, 3, len(z)).astype(float)
+    else:
+        z = np.vstack([support[: rng.integers(0, n + 1)], draw(8)])
+        psi_vals = rng.normal(size=len(z))
+    ref = DiscreteMeasure(support, rng.dirichlet(np.ones(n)))
+    cost = np.linalg.norm(support[:, None] - z[None], axis=-1) ** q
+    base = ref.weights @ cost.min(axis=1)
+    if at_threshold:
+        eps = base ** (1.0 / q)
+        while eps**q < base:
+            eps = np.nextafter(eps, np.inf)
+    else:
+        eps = (base + rng.uniform(0.01, 0.6) ** q) ** (1.0 / q)
     primal, lam_star = primal_ball_lp(psi_vals, ref, z, eps, q)
+    assert abs(amb.ball_infimum(psi_vals, ref, z, eps, q) - primal) <= 1e-9
     for lam in np.append(np.geomspace(1e-3, 1e3, 31), max(lam_star, 1e-6)):
-        dual = amb.dual_inner_value(psi, ref, eps, q, lam, z)
+        dual = amb.dual_inner_value(lambda pts: psi_vals, ref, eps, q, lam, z)
         assert dual <= primal + 1e-9, (lam, dual, primal)
 
 
