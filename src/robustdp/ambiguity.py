@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteMeasure, optimal_coupling, w_q_discrete
+from . import autodiff as ad
+from .measures import DiscreteMeasure, cost_matrix, optimal_coupling, w_q_discrete
 
 __all__ = [
     "ConstantKernel",
@@ -35,6 +36,7 @@ __all__ = [
     "Singleton",
     "FiniteSet",
     "membership",
+    "dual_inner_min",
     "dual_inner_value",
     "ball_infimum",
     "sample_measures",
@@ -97,23 +99,26 @@ class KernelWeighted:
         self.space = space
         self.lipschitz = lipschitz
 
-    def __call__(self, path):
-        path = as_path(path)
-        t = path.shape[0]
+    def weights(self, paths):
+        """Weights (b, N - t) of the successors history[t:] along paths (b, t, d)."""
+        b, t, d = paths.shape
         n = self.history.shape[0]
         if t >= n:
             raise ValueError(f"path length {t} needs history longer than {t}")
-        if t > 0 and path.shape[1] != self.history.shape[1]:
+        if t > 0 and d != self.history.shape[1]:
             raise ValueError("path dimension does not match history")
-        flat = path.ravel()
-        logits = np.empty(n - t)
-        for s in range(t, n):
-            window = self.history[s - t : s].ravel()
-            logits[s - t] = -self.beta * float(np.sum((window - flat) ** 2))
-        logits -= logits.max()
+        windows = np.stack([self.history[s - t : s].ravel() for s in range(t, n)])
+        flat = paths.reshape(b, t * d)
+        logits = -self.beta * ((windows[None, :, :] - flat[:, None, :]) ** 2).sum(-1)
+        logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
-        w /= w.sum()
-        return DiscreteMeasure(self.history[t:n], w, space=self.space)
+        w /= w.sum(axis=1, keepdims=True)
+        return w
+
+    def __call__(self, path):
+        path = as_path(path)
+        w = self.weights(path[None])[0]
+        return DiscreteMeasure(self.history[path.shape[0]:], w, space=self.space)
 
 
 class AdaptiveEmpirical:
@@ -517,15 +522,23 @@ class FiniteSet:
         return max(ls)
 
 
+def dual_inner_min(psi_z, lam, x, z, q):
+    """The W_q dual's inner minimum min_j {psi_z[j] + lam ||x_i - z_j||^q}, a Var
+    (..., m) over points x (..., m, d) and z (..., n, d).  psi_z and lam may be
+    tape Vars, whose gradients go to the first-index minimum, or arrays and
+    floats; the caller reduces over x and subtracts lam eps^q."""
+    return ad.vmin(ad.as_var(psi_z) + lam * ad.const(cost_matrix(x, z, q)), axis=-1)
+
+
 def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):
     """Inner dual objective of the minimization over the W_q ball,
 
         E_reference[ min_j { psi(z_j) + lambda ||X - z_j||^q } ] - lambda eps^q
 
     (Gao & Kleywegt, arXiv:1604.02199, Thm 1), a lower bound on the ball
-    minimum over measures on z_grid for every lambda > 0.  psi_next maps the
-    stack z_grid (N, d) to its N values; z_grid is a nonempty subset of the
-    local space.
+    minimum over measures on z_grid for every lambda > 0; the reference
+    weights sum dual_inner_min.  psi_next maps the stack z_grid (N, d) to its
+    N values; z_grid is a nonempty subset of the local space.
     """
     if lambda_ <= 0:
         raise ValueError("lambda must be positive")
@@ -533,8 +546,7 @@ def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):
     if z.shape[0] == 0:
         raise ValueError("empty z grid")
     psi_vals = np.asarray(psi_next(z), dtype=float).reshape(z.shape[0])
-    cost = np.linalg.norm(reference.support[:, None, :] - z[None, :, :], axis=-1) ** q
-    inner = np.min(psi_vals[None, :] + lambda_ * cost, axis=1)
+    inner = dual_inner_min(psi_vals, lambda_, reference.support, z, q).value
     return float(reference.weights @ inner - lambda_ * eps**q)
 
 
@@ -549,7 +561,7 @@ def ball_infimum(psi_vals, reference, z_grid, eps, q):
     """
     z = np.atleast_2d(np.asarray(z_grid, dtype=float))
     psi = np.asarray(psi_vals, dtype=float).reshape(z.shape[0])
-    cost = np.linalg.norm(reference.support[:, None, :] - z[None, :, :], axis=-1) ** q
+    cost = cost_matrix(reference.support, z, q)
     base = float(reference.weights @ cost.min(axis=1))
     if base > eps**q:
         raise ValueError(f"the W_{q} ball of radius {eps} holds no measure on the "
@@ -638,22 +650,20 @@ def _displacement_blend(center, candidate, eps, q):
 
 
 def sample_measures(kernel, path, count, rng):
-    """Draw `count` candidate measures from the ambiguity set.
-
-    Element 0 is always the center/reference.  Wasserstein balls are
-    sampled by perturbing support points and Dirichlet-resampling weights,
-    then blending back toward the center when the perturbation overshoots
-    the radius; parametric balls are sampled uniformly in the parameter
-    ball.  Every output passes membership; a zero radius returns copies of
-    the reference.
+    """Candidate measures from the ambiguity set, element 0 the center: a
+    singleton gives its center, a finite set its members, and a ball `count`
+    measures.  Wasserstein balls are sampled by perturbing support points and
+    Dirichlet-resampling weights, then blending back toward the center when
+    the perturbation overshoots the radius; parametric balls are sampled
+    uniformly in the parameter ball.  Every output passes membership; a zero
+    radius returns copies of the reference.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if isinstance(kernel, Singleton):
-        return [kernel.center(path)] * count
+        return [kernel.center(path)]
     if isinstance(kernel, FiniteSet):
-        pool = kernel.evaluate_all(path)
-        return [pool[i % len(pool)] for i in range(count)]
+        return kernel.evaluate_all(path)
     if isinstance(kernel, WassersteinBall):
         center = kernel.center(path)
         eps = kernel.eps(path)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import as_path, path_key
+from .ambiguity import path_key
 from .measures import w_q_discrete
 
 __all__ = [

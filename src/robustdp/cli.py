@@ -44,7 +44,7 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    _get(cfg, "seed", int)
+    _get(cfg, "seed", int, minimum=0)
     return cfg
 
 
@@ -52,12 +52,12 @@ def serialize_config(cfg):
     return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
-def _get(cfg, dotted, typ=None, default=None, required=True, minimum=None):
+def _get(cfg, dotted, typ=None, default=..., minimum=None, above=None):
     """The value at a dotted config path, type-checked (ints pass as floats,
-    NaN and +-Infinity do not) and, given a minimum, range-checked.
-
-    A missing key gives the default, or an error when it is required and has
-    none; a section on the path that is not an object is an error."""
+    NaN and +-Infinity do not) and range-checked: at least minimum, and more
+    than above.  A missing key gives the default (None makes a key optional)
+    and without one is an error, as is a section on the path that is not an
+    object."""
     node = cfg
     parts = dotted.split(".")
     for i, part in enumerate(parts):
@@ -65,7 +65,7 @@ def _get(cfg, dotted, typ=None, default=None, required=True, minimum=None):
             raise ConfigError(
                 f"{'.'.join(parts[:i])}: expected object, got {type(node).__name__}")
         if part not in node:
-            if required and default is None:
+            if default is ...:
                 raise ConfigError(f"{dotted}: missing required field")
             return default
         node = node[part]
@@ -79,12 +79,14 @@ def _get(cfg, dotted, typ=None, default=None, required=True, minimum=None):
         raise ConfigError(f"{dotted}: expected a finite number, got {node}")
     if minimum is not None and node < minimum:
         raise ConfigError(f"{dotted}: expected at least {minimum}, got {node}")
+    if above is not None and not node > above:
+        raise ConfigError(f"{dotted}: expected more than {above}, got {node}")
     return node
 
 
 def _finite_list(cfg, dotted, length):
     """An optional list of `length` finite numbers at a dotted config path."""
-    vals = _get(cfg, dotted, list, required=False)
+    vals = _get(cfg, dotted, list, default=None)
     if vals is not None and not (
         len(vals) == length
         and all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -151,15 +153,13 @@ def ingest_returns(csv_path, expected_d, bound=None):
 # ---------------------------------------------------------------------------
 
 
-def _build_hedging(cfg, return_bound):
-    if _get(cfg, "problem.kind", str, default="hedging", required=False) != "hedging":
+def _build_hedging(cfg, d, return_bound):
+    if _get(cfg, "problem.kind", str, default="hedging") != "hedging":
         raise ConfigError("problem.kind: expected 'hedging'")
-    payoff_cfg = _get(cfg, "problem.payoff", dict)
-    d = _get(cfg, "problem.dimension", int)
-    kind = payoff_cfg.get("kind")
+    kind = _get(cfg, "problem.payoff.kind", str)
     if kind == "call":
         payoff = hg.CallPayoff(
-            _get(cfg, "problem.payoff.strike", float, default=1.0, required=False))
+            _get(cfg, "problem.payoff.strike", float, default=1.0))
     elif kind == "basket":
         payoff = hg.BasketPayoff(
             d, _finite_list(cfg, "problem.payoff.weights", d),
@@ -169,15 +169,15 @@ def _build_hedging(cfg, return_bound):
         raise ConfigError("problem.payoff.kind: expected 'call' or 'basket'")
     return hg.HedgingProblem(
         d=d,
-        horizon=_get(cfg, "problem.horizon", int),
+        horizon=_get(cfg, "problem.horizon", int, minimum=1),
         return_bound=return_bound,
         payoff=payoff,
         loss=hg.LossParams(
-            _get(cfg, "problem.loss.a", float, default=0.88, required=False),
-            _get(cfg, "problem.loss.b", float, default=2.25, required=False),
+            _get(cfg, "problem.loss.a", float, default=0.88),
+            _get(cfg, "problem.loss.b", float, default=2.25),
         ),
-        a_bound=_get(cfg, "problem.bounds.position", float, default=1.5, required=False),
-        b_bound=_get(cfg, "problem.bounds.cash", float, default=1.0, required=False),
+        a_bound=_get(cfg, "problem.bounds.position", float, default=1.5, above=0),
+        b_bound=_get(cfg, "problem.bounds.cash", float, default=1.0, above=0),
     )
 
 
@@ -189,58 +189,55 @@ def _load_problem_and_series(cfg, seed):
     explicit bound to clip against.
     """
     d = _get(cfg, "problem.dimension", int, minimum=1)
-    bound = _get(cfg, "problem.return_bound", float, default=None, required=False)
-    csv_path = _get(cfg, "data.csv", str, required=False)
+    bound = _get(cfg, "problem.return_bound", float, default=None, above=0)
+    csv_path = _get(cfg, "data.csv", str, default=None)
     if csv_path is not None:
         series = ingest_returns(csv_path, d)
         if bound is None:
             bound = series.max_abs()
         series.validate_bound(bound)
     else:
-        if _get(cfg, "data.synthetic", dict, required=False) is None:
+        if _get(cfg, "data.synthetic", dict, default=None) is None:
             raise ConfigError("data: need either data.csv or data.synthetic")
         if bound is None:
             raise ConfigError("problem.return_bound: required for synthetic data")
         series, clipped = hg.simulate_gbm_returns(
-            _get(cfg, "data.synthetic.days", int, default=300, required=False,
-                 minimum=1),
+            _get(cfg, "data.synthetic.days", int, default=300, minimum=1),
             d,
-            _get(cfg, "data.synthetic.annual_vol", float, default=0.2, required=False),
-            _get(cfg, "data.synthetic.annual_drift", float, default=0.0, required=False),
+            _get(cfg, "data.synthetic.annual_vol", float, default=0.2, minimum=0),
+            _get(cfg, "data.synthetic.annual_drift", float, default=0.0),
             bound=bound,
             rng=substream(seed, "synthetic-data"),
         )
         if clipped > 1e-4:
-            raise ConfigError(f"synthetic clipping probability {clipped} too high")
-    return _build_hedging(cfg, bound), series
+            raise ConfigError(f"problem.return_bound: clipping probability {clipped} too high")
+    return _build_hedging(cfg, d, bound), series
 
 
 def _build_radius(cfg, hp, n_history):
-    kind = _get(cfg, "ambiguity.radius.kind", str, default="constant", required=False)
+    kind = _get(cfg, "ambiguity.radius.kind", str, default="constant")
     if kind == "constant":
         return amb.ConstantRadius(
-            _get(cfg, "ambiguity.radius.value", float, default=0.0, required=False))
+            _get(cfg, "ambiguity.radius.value", float, default=0.0, minimum=0))
     if kind == "adaptive":
-        alpha = _get(cfg, "ambiguity.radius.alpha", float, default=0.9, required=False)
+        alpha = _get(cfg, "ambiguity.radius.alpha", float, default=0.9)
         if hp.d == 1:
             return amb.Adaptive1DRadius(
                 n_history, alpha=alpha,
-                n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000,
-                             required=False),
-                n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000,
-                             required=False),
+                n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000),
+                n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000),
             )
         return amb.AdaptiveMultiDRadius(hp.d, hp.return_bound, n_history, alpha=alpha)
     raise ConfigError("ambiguity.radius.kind: expected 'constant' or 'adaptive'")
 
 
 def _build_reference(cfg, hp, history):
-    kind = _get(cfg, "ambiguity.reference.kind", str, default="empirical", required=False)
+    kind = _get(cfg, "ambiguity.reference.kind", str, default="empirical")
     space = hp.space
     if kind == "empirical":
         return amb.ConstantKernel(DiscreteMeasure.empirical(history, space=space))
     if kind == "kernel_weighted":
-        beta = _get(cfg, "ambiguity.reference.beta", float, default=500.0, required=False)
+        beta = _get(cfg, "ambiguity.reference.beta", float, default=500.0)
         return amb.KernelWeighted(history, beta=beta, space=space)
     if kind == "adaptive":
         return amb.AdaptiveEmpirical(history, space=space)
@@ -250,13 +247,13 @@ def _build_reference(cfg, hp, history):
 
 
 def _build_kernels(cfg, hp, history):
-    kind = _get(cfg, "ambiguity.kind", str, default="singleton", required=False)
+    kind = _get(cfg, "ambiguity.kind", str, default="singleton")
     radius = _build_radius(cfg, hp, len(history))
     reference = _build_reference(cfg, hp, history)
     if kind == "singleton":
         kernels = [amb.Singleton(reference, space=hp.space)] * hp.horizon
     elif kind == "wasserstein":
-        order = _get(cfg, "ambiguity.order", int, default=1, required=False)
+        order = _get(cfg, "ambiguity.order", int, default=1, minimum=1)
         kernels = [
             amb.WassersteinBall(reference, radius, order, space=hp.space)
         ] * hp.horizon
@@ -266,7 +263,7 @@ def _build_kernels(cfg, hp, history):
 
 
 def _split_series(cfg, series):
-    split = _get(cfg, "data.train_fraction", float, default=0.8, required=False)
+    split = _get(cfg, "data.train_fraction", float, default=0.8)
     if not 0.0 < split < 1.0:
         raise ConfigError("data.train_fraction: must lie in (0, 1)")
     n_train = max(2, int(len(series) * split))
@@ -339,7 +336,7 @@ def _tiny_instance(rng, horizon=2, n_grid=3, n_actions=2, n_measures=2):
 def cmd_oracle_check(cfg, out_dir, seed):
     rng = substream(seed, "oracle-check")
     results = []
-    for i in range(int(_get(cfg, "oracle.instances", int, default=10, required=False))):
+    for i in range(int(_get(cfg, "oracle.instances", int, default=10))):
         horizon = int(rng.integers(1, 3))
         prob, g = _tiny_instance(
             rng,
@@ -369,12 +366,13 @@ def cmd_solve_exact(cfg, out_dir, seed):
     hp, series = _load_problem_and_series(cfg, seed)
     train, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train.values)
-    resolution = _get(cfg, "controls.resolution", int, default=3, required=False)
-    grid_points = _get(cfg, "solver.grid_points", int, default=3, required=False,
-                       minimum=1)
+    if _get(cfg, "solver.kind", str, default="exact") != "exact":
+        raise ConfigError("solver.kind: expected 'exact'")
+    resolution = _get(cfg, "controls.resolution", int, default=3, minimum=1)
+    grid_points = _get(cfg, "solver.grid_points", int, default=3, minimum=1)
     problem = hg.make_control_problem(hp, kernels, action_resolution=resolution)
     local_grid = hp.space.grid(grid_points)
-    n_meas = _get(cfg, "solver.n_measures", int, default=3, required=False)
+    n_meas = _get(cfg, "solver.n_measures", int, default=3, minimum=1)
     cands = dp.build_candidates(
         problem, local_grid, dp.sampler_from_kernel(n_meas),
         substream(seed, "measure-sampling"),
@@ -393,21 +391,22 @@ def cmd_solve_exact(cfg, out_dir, seed):
 
 
 def _train_config(cfg, seed):
-    """TrainConfig from solver.train; unknown keys and wrongly typed values
-    are named by their config path (the seed is the top-level one)."""
-    given = _get(cfg, "solver.train", dict, default={}, required=False) or {}
+    """TrainConfig from solver.train, each field checked alone (none depends on
+    another) and named by its config path; the seed is the top-level one."""
+    given = _get(cfg, "solver.train", dict, default={})
     defaults = {f.name: f.default for f in dataclasses.fields(nn.TrainConfig)
                 if f.name != "seed"}
+    kwargs = {}
     for key in given:
         if key not in defaults:
             raise ConfigError(f"solver.train.{key}: unknown field (expected one "
                               f"of {', '.join(sorted(defaults))})")
-    kwargs = {key: _get(cfg, f"solver.train.{key}", type(defaults[key]))
-              for key in given}
-    try:
-        return nn.TrainConfig(seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"solver.train: {exc}") from None
+        kwargs[key] = _get(cfg, f"solver.train.{key}", type(defaults[key]))
+        try:
+            nn.TrainConfig(**{key: kwargs[key]})
+        except ValueError as exc:
+            raise ConfigError(f"solver.train.{key}: {exc}") from None
+    return nn.TrainConfig(seed=seed, **kwargs)
 
 
 def cmd_train(cfg, out_dir, seed):
@@ -416,11 +415,13 @@ def cmd_train(cfg, out_dir, seed):
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
     tcfg = _train_config(cfg, seed)
-    algo = _get(cfg, "solver.kind", str, default="algorithm1", required=False)
+    algo = _get(cfg, "solver.kind", str, default="algorithm1")
     rng = substream(seed, "training")
     if algo == "algorithm1":
         result = nn.train_algorithm1(problem, config=tcfg, rng=rng)
     elif algo == "algorithm2":
+        if not isinstance(kernels[0], amb.WassersteinBall):
+            raise ConfigError("ambiguity.kind: algorithm2 needs 'wasserstein'")
         result = nn.train_algorithm2(problem, config=tcfg, rng=rng)
     else:
         raise ConfigError("solver.kind: expected 'algorithm1' or 'algorithm2'")
@@ -465,10 +466,10 @@ def cmd_evaluate(cfg, out_dir, seed):
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
     policy = _load_policy(out_dir, hp)
-    n_paths = _get(cfg, "evaluate.paths", int, default=2000, required=False)
+    n_paths = _get(cfg, "evaluate.paths", int, default=2000)
     rng = substream(seed, "evaluation")
     sampler = dp.sampler_from_kernel(
-        _get(cfg, "solver.n_measures", int, default=3, required=False))
+        _get(cfg, "solver.n_measures", int, default=3, minimum=1))
     cands = {t: sampler(kernels[t], np.zeros((t, hp.d)), t, rng) for t in range(hp.horizon)}
     values = nn.mc_policy_values(problem, policy, cands, n_paths, rng)
     _write(out_dir, "evaluate.json", _json_text({
@@ -488,7 +489,7 @@ def cmd_hedge_backtest(cfg, out_dir, seed):
     policies = {}
     if hp.d == 1:
         vol = hg.estimate_annual_vol(train_series)
-        strike = _get(cfg, "problem.payoff.strike", float, default=1.0, required=False)
+        strike = _get(cfg, "problem.payoff.strike", float, default=1.0)
         policies["black_scholes"] = hg.bs_delta_hedge(hp, vol, strike)
     nets_dir = Path(out_dir)
     if (nets_dir / "action_net_0.txt").exists():
@@ -508,8 +509,8 @@ def cmd_bounds(cfg, out_dir, seed):
     rng = substream(seed, "bounds")
     g = np.array([[-0.5], [0.5]])
     space = LocalSpace(1, 1.0)
-    eps = _get(cfg, "bounds.radius", float, default=0.2, required=False)
-    horizon = _get(cfg, "bounds.horizon", int, default=2, required=False)
+    eps = _get(cfg, "bounds.radius", float, default=0.2)
+    horizon = _get(cfg, "bounds.horizon", int, default=2)
 
     refs, trues = [], []
     for _ in range(horizon):
@@ -590,11 +591,13 @@ def main(argv=None):
             cfg = parse_config(Path(args.config).read_text())
         else:
             cfg = {"seed": 0}
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: expected at least 0, got {args.seed}")
         seed = args.seed if args.seed is not None else _get(cfg, "seed", int)
         out_dir = (
             args.out
             or os.environ.get("ROBUSTDP_OUT")
-            or _get(cfg, "out", str, default="robustdp-out", required=False)
+            or _get(cfg, "out", str, default="robustdp-out")
         )
         return COMMANDS[args.command](cfg, out_dir, seed)
     except (ConfigError, ValueError, KeyError, OSError) as exc:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import (
-    FiniteSet,
-    Singleton,
     WassersteinBall,
     ball_infimum,
     sample_measures,
@@ -111,16 +109,9 @@ def _nearest_rows(local_grid, points):
 
 
 def sampler_from_kernel(n_measures):
-    """Sampler drawing n_measures candidates via sample_measures."""
-
-    def sampler(kernel, path, t, rng):
-        if isinstance(kernel, Singleton):
-            return [kernel.center(path)]
-        if isinstance(kernel, FiniteSet):
-            return kernel.evaluate_all(path)
-        return sample_measures(kernel, path, n_measures, rng)
-
-    return sampler
+    """The sampler sample_measures(kernel, path, n_measures, rng): n_measures
+    candidates from a ball, the center of a singleton, a finite set's members."""
+    return lambda kernel, path, t, rng: sample_measures(kernel, path, n_measures, rng)
 
 
 def pool_sampler(pool):

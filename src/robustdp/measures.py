@@ -20,6 +20,7 @@ __all__ = [
     "DiscreteMeasure",
     "w_q_discrete",
     "optimal_coupling",
+    "cost_matrix",
     "moment",
 ]
 
@@ -145,9 +146,9 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({self.n_atoms} atoms, d={self.dimension})"
 
 
-def _cost_matrix(mu, nu, q):
-    diff = mu.support[:, None, :] - nu.support[None, :, :]
-    return np.linalg.norm(diff, axis=-1) ** q
+def cost_matrix(x, z, q):
+    """Ground costs ||x_i - z_j||^q (..., m, n) of points x (..., m, d), z (..., n, d)."""
+    return np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
 
 
 def _quantile_plan(mu, nu):
@@ -209,7 +210,7 @@ def optimal_coupling(mu, nu, q):
         raise ValueError(f"dimension mismatch: {mu.dimension} vs {nu.dimension}")
     if q < 1 or int(q) != q:
         raise ValueError("order q must be a positive integer")
-    cost = _cost_matrix(mu, nu, q)
+    cost = cost_matrix(mu.support, nu.support, q)
     if mu.n_atoms == 1:
         plan = nu.weights[None, :].copy()
     elif nu.n_atoms == 1:

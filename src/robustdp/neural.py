@@ -38,9 +38,11 @@ from .ambiguity import (
     KernelWeighted,
     Singleton,
     WassersteinBall,
+    dual_inner_min,
+    sample_measures,
 )
 from .controls import ConstantSet
-from .dp import rollout, sampler_from_kernel
+from .dp import rollout
 
 __all__ = [
     "Mlp",
@@ -325,18 +327,9 @@ def _reference_states(kernel, omega_b, n_mc, rng):
     if isinstance(ref, ConstantKernel):
         return _draw_states(ref.measure, b, n_mc, rng)
     if isinstance(ref, KernelWeighted):
-        hist = ref.history
-        n = hist.shape[0]
-        if t >= n:
-            raise ValueError("path longer than history")
-        windows = np.stack([hist[s - t : s].ravel() for s in range(t, n)])
-        flat = omega_b.reshape(b, t * d)
-        logits = -ref.beta * ((windows[None, :, :] - flat[:, None, :]) ** 2).sum(-1)
-        logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
-        w /= w.sum(axis=1, keepdims=True)
+        w = ref.weights(omega_b)
         u = rng.random((b, n_mc))
-        return hist[t:n][np.stack([_choice_indices(wi, ui) for wi, ui in zip(w, u)])]
+        return ref.history[t:][np.stack([_choice_indices(wi, ui) for wi, ui in zip(w, u)])]
     if isinstance(ref, AdaptiveEmpirical):
         hist = ref.history
         n = hist.shape[0]
@@ -355,7 +348,7 @@ def _stage_candidates(kernel, t, d, config, rng):
     """Fixed candidate measures for one stage (element 0 = reference)."""
     if isinstance(kernel, Singleton):
         return None  # per-path reference draws instead
-    return sampler_from_kernel(config.n_measures)(kernel, np.zeros((t, d)), t, rng)
+    return sample_measures(kernel, np.zeros((t, d)), config.n_measures, rng)
 
 
 def _input_scale(problem, t):
@@ -555,7 +548,8 @@ class _WassersteinDual:
         mean_i min_j { psi(z_j) + lambda ||x_i - z_j||^q } - lambda eps^q,
 
     on reference draws x_i and a z grid, with one lambda = exp(raw) per
-    stage trained jointly with the action net."""
+    stage trained jointly with the action net.  The inner minimum is
+    ambiguity.dual_inner_min, which dual_inner_value also calls."""
 
     def __init__(self, problem, kernels, config):
         for k in kernels:
@@ -590,10 +584,8 @@ class _WassersteinDual:
         nxt = np.broadcast_to(z, (b,) + z.shape)
         psi_z = ad.reshape(psi(omega_b, past, ad.repeat_rows(a, n_z), nxt), (b, 1, n_z))
         kernel = self.kernels[t]
-        cost = np.linalg.norm(states[:, :, None, :] - z[None, None, :, :],
-                              axis=-1) ** kernel.order
         lam = ad.exp(own[0])
-        inner = ad.vmin(psi_z + lam * ad.const(cost), axis=2)  # (b, n_mc)
+        inner = dual_inner_min(psi_z, lam, states, z, kernel.order)  # (b, n_mc)
         eps = np.array([kernel.eps(w) for w in omega_b])
         return ad.vmean(inner, axis=1) - lam * ad.const(eps**kernel.order)
 

@@ -352,6 +352,27 @@ def table_dict(result, tables, t):
     }
 
 
+def composed_dual_inner_min(psi_z, lam, x, z, q):
+    """Oracle: the W_q dual's inner minimum as composed tape ops, the norm of
+    the differences, its q-th power, psi_z + lam * cost and vmin over z."""
+    cost = np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
+    return ad.vmin(ad.as_var(psi_z) + lam * ad.const(cost), axis=-1)
+
+
+def kernel_weighted_weights_loop(ref, path):
+    """Oracle: a KernelWeighted reference's successor weights along one path
+    (t, d), one window at a time."""
+    t, n = path.shape[0], ref.history.shape[0]
+    flat = path.ravel()
+    logits = np.empty(n - t)
+    for s in range(t, n):
+        window = ref.history[s - t : s].ravel()
+        logits[s - t] = -ref.beta * float(np.sum((window - flat) ** 2))
+    logits -= logits.max()
+    w = np.exp(logits)
+    return w / w.sum()
+
+
 def kernel_weighted_states_loop(ref, omega_b, n_mc, rng):
     """Oracle: KernelWeighted reference draws (b, n_mc, d) with one
     rng.choice call per path, over the window weights of that path."""

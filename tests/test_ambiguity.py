@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from conftest import kernel_weighted_weights_loop
 from robustdp import ambiguity as amb
 from robustdp.measures import (
     DiscreteMeasure,
@@ -40,6 +41,22 @@ def test_kernel_weighted_requires_room():
     kw = amb.KernelWeighted(np.array([[0.1], [0.2]]), beta=1.0)
     with pytest.raises(ValueError):
         kw(np.array([[0.1], [0.2]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(0, 4),
+       st.sampled_from([1.0, 50.0, 500.0, 5000.0]))
+def test_kernel_weighted_weights_equal_the_window_loop(seed, d, t, beta):
+    # every row of the batched softmax, bit for bit, and the measure's
+    # weights at one path
+    rng = np.random.default_rng(seed)
+    kw = amb.KernelWeighted(rng.uniform(-0.1, 0.1, (t + int(rng.integers(1, 12)), d)), beta)
+    paths = rng.uniform(-0.1, 0.1, (int(rng.integers(1, 6)), t, d))
+    got = kw.weights(paths)
+    assert got.shape == (len(paths), kw.history.shape[0] - t)
+    for row, path in zip(got, paths):
+        assert row.tobytes() == kernel_weighted_weights_loop(kw, path).tobytes()
+    assert np.array_equal(kw(paths[0]).weights, got[0] / got[0].sum())
 
 
 def test_adaptive_uniform_at_time_zero():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -339,6 +340,16 @@ def test_bad_train_config_is_json_error(tmp_path, capsys, train, named):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert named in err["error"] and err["command"] == "train"
+    assert err["error"].startswith(f"solver.train.{next(iter(train))}:")
+
+
+def test_algorithm2_without_a_ball_names_the_ambiguity_kind(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, ambiguity={"kind": "singleton"},
+               solver={"kind": "algorithm2", "train": {"iter_a": 1, "iter_psi": 1}})
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "ambiguity.kind" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_corrupt_network_is_json_error(tmp_path, capsys):
@@ -377,6 +388,18 @@ def mutated(cfg, dotted, value):
     ("problem.bounds.position", float("inf")),
     ("data.synthetic.days", 0),
     ("solver.grid_points", 0),
+    ("ambiguity.order", 0),
+    ("ambiguity.radius.value", -1),
+    ("controls.resolution", 0),
+    ("data.synthetic.annual_vol", -1),
+    ("problem.bounds.cash", 0),
+    ("problem.bounds.position", -1),
+    ("problem.horizon", 0),
+    ("problem.return_bound", 0),
+    ("seed", -1),
+    ("solver.n_measures", 0),
+    ("solver.kind", "x"),
+    ("solver.kind", True),
 ])
 def test_wrongly_typed_config_key_is_json_error(tmp_path, capsys, dotted, value):
     cfg = mutated(BASE_CONFIG, dotted, value)
@@ -415,17 +438,26 @@ def _leaves(cfg, prefix=""):
 
 
 MISSING = object()
+TINY_MUTATED_TRAIN = dict(TINY_TRAIN, iter_a=1, iter_psi=1)
+MUTATED_RUNS = {"solve-exact": BASE_CONFIG} | {
+    kind: dict(BASE_CONFIG, solver={"kind": kind, "train": TINY_MUTATED_TRAIN})
+    for kind in ("algorithm1", "algorithm2")}
+MUTATED_LEAVES = [(run, dotted) for run, cfg in MUTATED_RUNS.items()
+                  for dotted in sorted(_leaves(cfg))]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_leaves(BASE_CONFIG))),
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MUTATED_LEAVES),
        st.sampled_from(["x", True, 0, -1, float("nan"), float("inf"),
                         float("-inf"), [1], MISSING]))
-def test_mutated_config_exits_with_json_error_or_solves(dotted, value):
-    # solve-exact on BASE_CONFIG with one leaf replaced or removed: exit 0,
-    # or exit 1 with one JSON error line last on stderr; an uncaught
-    # exception fails the test
-    cfg = json.loads(json.dumps(BASE_CONFIG))
+def test_mutated_config_exits_with_json_error_or_solves(case, value):
+    # solve-exact on BASE_CONFIG, or train with either algorithm on a tiny
+    # solver.train, with one leaf replaced or removed: exit 0, or exit 1
+    # with one JSON error line last on stderr that names the leaf; an
+    # uncaught exception fails the test
+    run, dotted = case
+    command = "solve-exact" if run == "solve-exact" else "train"
+    cfg = json.loads(json.dumps(MUTATED_RUNS[run]))
     if value is MISSING:
         *parents, leaf = dotted.split(".")
         node = cfg
@@ -439,10 +471,10 @@ def test_mutated_config_exits_with_json_error_or_solves(dotted, value):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["solve-exact", "--config", str(path), "--out", f"{tmp}/run"])
+            rc = cli.main([command, "--config", str(path), "--out", f"{tmp}/run"])
     if rc != 0:
         assert rc == 1
-        assert "error" in json.loads(err.getvalue().splitlines()[-1])
+        assert dotted in json.loads(err.getvalue().splitlines()[-1])["error"]
 
 
 def test_unknown_problem_kind_is_json_error(tmp_path, capsys):
@@ -470,6 +502,13 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "error" in parsed and parsed["command"] == "train"
 
 
+def test_negative_seed_flag_is_json_error(tmp_path, capsys):
+    rc = cli.main(["solve-exact", "--config", write_config(tmp_path), "--seed", "-1",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "--seed" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_out_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ROBUSTDP_OUT", str(tmp_path / "env_out"))
     rc = cli.main(["oracle-check", "--seed", "1"])
@@ -485,6 +524,22 @@ def test_every_export_resolves(name):
     # a name deleted from a module must leave its __all__ too
     module = importlib.import_module(f"robustdp.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in Path(robustdp.__file__).parent.glob("*.py")))
+def test_every_import_is_used(name):
+    # a name a module imports and never reads is a dead dependency
+    tree = ast.parse((Path(robustdp.__file__).parent / name).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0]: node.lineno for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name: node.lineno for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {n: line for n, line in imported.items() if n not in used} == {}
+
 
 SCIPY_GUARD = """
 import importlib, json, pkgutil, sys

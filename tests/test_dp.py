@@ -20,6 +20,27 @@ PM_ACTIONS = ConstantSet(points=[[-1.0], [1.0]])
 GRID3 = np.array([[-1.0], [0.0], [1.0]])
 
 
+@pytest.mark.parametrize("kind", ["wasserstein", "parametric", "singleton", "finite"])
+def test_sampler_from_kernel_is_sample_measures(kind):
+    # one candidate dispatch: the same measures and the same rng stream
+    ref = amb.ConstantKernel(DiscreteMeasure([[-0.5], [0.5]], [0.3, 0.7]))
+    other = amb.ConstantKernel(DiscreteMeasure.dirac([0.0]))
+    kernel = {
+        "wasserstein": amb.WassersteinBall(ref, amb.ConstantRadius(0.2), 2, space=SPACE),
+        "parametric": amb.ParametricBall(amb.NormalDiagFamily(1), amb.ConstantRadius(0.1),
+                                         theta0=[0.0, 0.2], n_atoms=5),
+        "singleton": amb.Singleton(ref),
+        "finite": amb.FiniteSet([ref, other, ref]),
+    }[kind]
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    got = dp.sampler_from_kernel(4)(kernel, np.zeros((0, 1)), 0, r1)
+    expect = amb.sample_measures(kernel, np.zeros((0, 1)), 4, r2)
+    assert len(got) == {"singleton": 1, "finite": 3}.get(kind, 4)
+    assert [(m.support.tobytes(), m.weights.tobytes()) for m in got] == [
+        (m.support.tobytes(), m.weights.tobytes()) for m in expect]
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
 def bilinear(omega, actions):
     return float(np.atleast_1d(actions[0])[0] * omega[0, 0])
 

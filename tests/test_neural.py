@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    composed_dual_inner_min,
     composed_forward_var,
     exact_policy,
     kernel_weighted_states_loop,
@@ -539,6 +540,34 @@ def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, 
     expect = amb.dual_inner_value(f, ref, eps, q, float(np.exp(raw)), z)
     assert got.value.shape == (1,)
     assert abs(got.value[0] - expect) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2), st.booleans())
+def test_dual_inner_min_equals_composed_ops(seed, q, d, tied):
+    # bit for bit: the value and the psi and lambda gradients on Algorithm
+    # 2's shapes (b, n_mc, d) x (n_z, d), and the value on the numpy
+    # caller's arrays and float lambda.  Lattice points, a repeated z and
+    # integer psi make ties, where the first-index rule of vmin decides.
+    rng = np.random.default_rng(seed)
+    b, n_mc, n_z = (int(k) for k in rng.integers(1, 5, size=3))
+    if tied:
+        x = rng.integers(-2, 3, (b, n_mc, d)) / 2.0
+        z = rng.integers(-2, 3, (n_z, d)) / 2.0
+        z = np.vstack([z, z[:1]])
+        psi = rng.integers(-2, 3, (b, 1, n_z + 1)).astype(float)
+    else:
+        x, z = rng.uniform(-1, 1, (b, n_mc, d)), rng.uniform(-1, 1, (n_z, d))
+        psi = rng.normal(size=(b, 1, n_z))
+    raw, weights = rng.normal(size=1), rng.normal(size=(b, n_mc))
+    bits = []
+    for f in (amb.dual_inner_min, composed_dual_inner_min):
+        psi_v, raw_v = ad.Var(psi), ad.Var(raw)
+        out = f(psi_v, ad.exp(raw_v), x, z, q)
+        ad.backward(ad.vsum(out * ad.const(weights)))
+        plain = f(psi[0, 0], float(np.exp(raw[0])), x[0], z, q).value
+        bits.append([a.tobytes() for a in (out.value, psi_v.grad, raw_v.grad, plain)])
+    assert bits[0] == bits[1]
 
 
 # -- training --------------------------------------------------------------------
