@@ -526,8 +526,9 @@ def dual_inner_min(psi_z, lam, x, z, q):
     """The W_q dual's inner minimum min_j {psi_z[j] + lam ||x_i - z_j||^q}, a Var
     (..., m) over points x (..., m, d) and z (..., n, d).  psi_z and lam may be
     tape Vars, whose gradients go to the first-index minimum, or arrays and
-    floats; the caller reduces over x and subtracts lam eps^q."""
-    return ad.vmin(ad.as_var(psi_z) + lam * ad.const(cost_matrix(x, z, q)), axis=-1)
+    floats; the caller reduces over x and subtracts lam eps^q.  One fused tape
+    node, ad.dual_min."""
+    return ad.dual_min(psi_z, lam, cost_matrix(x, z, q))
 
 
 def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):

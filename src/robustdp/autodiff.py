@@ -3,8 +3,9 @@
 Just enough machinery to differentiate rectifier networks composed with
 the minimax training objectives: broadcast-aware arithmetic, matmul,
 relu/tanh, axis reductions, min along an axis with ties resolved to the
-lowest index (whose subgradient convention the tests rely on), and one
-fused node for a whole network forward (`mlp`).
+lowest index (whose subgradient convention the tests rely on), and two
+fused nodes: a whole network forward (`mlp`) and the W_q dual's inner
+minimum min_j {psi_j + lam c_ij} (`dual_min`).
 
 Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
 `as_var` make constant leaves.  An op keeps an edge to a parent only when
@@ -15,6 +16,8 @@ and no backward step computes a parameter gradient nobody reads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "repeat_rows",
     "reshape",
     "mlp",
+    "dual_min",
     "backward",
 ]
 
@@ -317,8 +321,71 @@ def mlp(x, weights, biases, in_scale=None, box=None):
     return Var(out, parents, bw)
 
 
-# Scratch arrays of the frozen forward and of the mlp backward, one per
-# (role, layer) slot.  A slot's array is replaced by a larger one when a
+def dual_min(psi, lam, cost):
+    """min along the last axis of psi + lam * cost as one tape node, the W_q
+    dual's inner minimum min_j {psi_j + lam c_ij}, with vmin's first-index
+    argmin.
+
+    The forward writes lam * cost, then + psi, into a reused buffer: the
+    values of the composed ops vmin(psi + lam * const(cost)).  The backward
+    keeps only the argmin and the costs at it, and scatters the gradients
+    without the dense (..., m, n) arrays of the composed vjps, bit-identical
+    to them (see _unbroadcast_picked).  With no trainable input it returns a
+    constant and keeps nothing.  psi and lam are Vars, arrays or floats;
+    cost is an array.
+    """
+    psi, lam = as_var(psi), as_var(lam)
+    full = np.broadcast_shapes(psi.shape, lam.shape, cost.shape)
+    total = np.multiply(lam.value, cost, out=_buffer(("dual", 0), full))
+    total += psi.value
+    idx = np.argmin(total, axis=-1)[..., None]
+    out = np.take_along_axis(total, idx, axis=-1)[..., 0]  # a copy, not a view
+    parents = tuple(p for p in (psi, lam) if p.requires_grad)
+    if not parents:
+        return const(out)
+    if lam.requires_grad:
+        picked = np.take_along_axis(np.broadcast_to(cost, full), idx, axis=-1)[..., 0]
+
+    def bw(g):
+        if psi.requires_grad:
+            _accum(psi, _unbroadcast_picked(g, idx, full, psi.shape))
+        if lam.requires_grad:
+            _accum(lam, _unbroadcast_picked(g * picked, idx, full, lam.shape))
+
+    return Var(out, parents, bw)
+
+
+def _unbroadcast_picked(values, idx, full, shape):
+    """The first sum _unbroadcast(G, shape) makes of the array G of shape
+    full that holds values (..., m) at the last-axis positions idx and zeros
+    elsewhere, without building G; _accum makes the sums that remain.
+
+    numpy sums an axis that is not the last one in ascending order (the last
+    axis, of length n > 1, stays its inner loop), and np.add.at adds the
+    values into zeros in that order; the zeros add nothing, and neither sum
+    can give -0.0.  A sum over the last axis meets one value per cell, and
+    with no sum (shape is full) the result is G, up to the sign of a zero.
+    With n = 1, G is the values themselves and numpy may sum another axis
+    pairwise, so G is handed on whole."""
+    if full[-1] == 1:
+        return np.ascontiguousarray(values, dtype=float).reshape(full)
+    pos = list(np.indices(values.shape, sparse=True)) + [idx[..., 0]]
+    out_shape = list(full)
+    if len(full) > len(shape):
+        del out_shape[0], pos[0]
+    else:
+        for i, s in enumerate(shape):
+            if s == 1 and full[i] != 1:
+                out_shape[i], pos[i] = 1, 0
+                break
+    out = np.zeros(out_shape)
+    np.add.at(out, tuple(pos), values)
+    return out
+
+
+# Scratch arrays, one per slot: ("in", 0) and ("hidden", layer) of the
+# frozen forward, ("grad", layer) of the mlp backward, and ("dual", 0) of
+# the dual_min forward.  A slot's array is replaced by a larger one when a
 # call needs more room, so memory stays at one array per slot, as large as
 # the largest call.  Every use writes a view in full before reading it and
 # no view outlives the call, so nothing is shared between successive
@@ -328,8 +395,8 @@ _buffers = {}
 
 
 def _buffer(slot, shape):
-    """A C-contiguous (rows, cols) float view into the slot's array."""
-    size = shape[0] * shape[1]
+    """A C-contiguous float view of the given shape into the slot's array."""
+    size = math.prod(shape)
     buf = _buffers.get(slot)
     if buf is None or buf.size < size:
         buf = _buffers[slot] = np.empty(size)

@@ -34,7 +34,7 @@ from .ambiguity import (
     membership,
 )
 from .controls import clamp_to, grid
-from .measures import moment
+from .measures import cost_matrix, moment
 
 __all__ = [
     "ControlProblem",
@@ -98,14 +98,12 @@ class ControlProblem:
 
 def nearest_index(local_grid, x):
     """Index of the grid point closest to x; lowest index wins ties."""
-    d = np.linalg.norm(local_grid - np.asarray(x, dtype=float), axis=1)
-    return int(np.argmin(d))
+    return int(_nearest_rows(local_grid, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def _nearest_rows(local_grid, points):
     """nearest_index of every row of points (N, d) at once."""
-    dist = np.linalg.norm(local_grid[None] - points[:, None], axis=2)
-    return np.argmin(dist, axis=1)
+    return np.argmin(cost_matrix(points, local_grid, 1), axis=1)
 
 
 def sampler_from_kernel(n_measures):

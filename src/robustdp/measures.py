@@ -147,8 +147,18 @@ class DiscreteMeasure:
 
 
 def cost_matrix(x, z, q):
-    """Ground costs ||x_i - z_j||^q (..., m, n) of points x (..., m, d), z (..., n, d)."""
-    return np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
+    """Ground costs ||x_i - z_j||^q (..., m, n) of points x (..., m, d), z (..., n, d).
+
+    For d = 1 the norm is |x - z|, built in one array: sqrt(fl(u * u)) == |u|
+    in round-to-nearest unless u * u underflows or overflows (|u| below about
+    1e-154 or above 1e154), so the costs are the norm's bit for bit."""
+    if x.shape[-1] != 1:
+        return np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
+    cost = np.subtract(x[..., :, None, 0], z[..., None, :, 0], dtype=float)
+    np.abs(cost, out=cost)
+    if q != 1:
+        cost **= q  # the same fast paths (square for q = 2) as ** q
+    return cost
 
 
 def _quantile_plan(mu, nu):

@@ -352,11 +352,16 @@ def table_dict(result, tables, t):
     }
 
 
+def norm_cost_matrix(x, z, q):
+    """Oracle: the ground costs ||x_i - z_j||^q (..., m, n) as the norm of the
+    differences of x (..., m, d) and z (..., n, d), to the q-th power."""
+    return np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
+
+
 def composed_dual_inner_min(psi_z, lam, x, z, q):
     """Oracle: the W_q dual's inner minimum as composed tape ops, the norm of
     the differences, its q-th power, psi_z + lam * cost and vmin over z."""
-    cost = np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
-    return ad.vmin(ad.as_var(psi_z) + lam * ad.const(cost), axis=-1)
+    return ad.vmin(ad.as_var(psi_z) + lam * ad.const(norm_cost_matrix(x, z, q)), axis=-1)
 
 
 def kernel_weighted_weights_loop(ref, path):

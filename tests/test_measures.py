@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_lp_coupling, kr_dual_check
+from conftest import dense_lp_coupling, kr_dual_check, norm_cost_matrix
 from robustdp.measures import (
     DiscreteMeasure,
     LocalSpace,
+    cost_matrix,
     moment,
     optimal_coupling,
     w_q_discrete,
@@ -288,6 +289,27 @@ def test_sparse_lp_cost_equals_dense_lp(seed, d, q):
     assert abs(
         plan_cost(plan, mu, nu, q) - plan_cost(oracle_plan, mu, nu, q)
     ) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 3),
+       st.integers(0, 2), st.booleans())
+def test_cost_matrix_equals_norm_bit_for_bit(seed, q, d, n_lead, lattice):
+    # the d = 1 path takes |x - z| with no norm; every d must give the
+    # norm expression's bits, with leading batch axes on x alone or on both,
+    # and with points equal to grid points (zero differences)
+    rng = np.random.default_rng(seed)
+    lead = tuple(int(k) for k in rng.integers(1, 4, size=n_lead))
+    m, n = (int(k) for k in rng.integers(1, 9, size=2))
+    if lattice:
+        x, z = rng.integers(-2, 3, lead + (m, d)) / 4.0, rng.integers(-2, 3, (n, d)) / 4.0
+    else:
+        x, z = rng.uniform(-1, 1, lead + (m, d)), rng.uniform(-1, 1, (n, d))
+    x[..., 0, :] = z[0]
+    for zz in (z, np.broadcast_to(z, lead + z.shape)):
+        got = cost_matrix(x, zz, q)
+        assert got.shape == lead + (m, n)
+        assert got.tobytes() == norm_cost_matrix(x, zz, q).tobytes()
 
 
 # -- serialization ------------------------------------------------------------

@@ -543,14 +543,20 @@ def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, 
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2), st.booleans())
-def test_dual_inner_min_equals_composed_ops(seed, q, d, tied):
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 3), st.booleans(),
+       st.booleans())
+def test_dual_inner_min_equals_composed_ops(seed, q, d, tied, large):
     # bit for bit: the value and the psi and lambda gradients on Algorithm
     # 2's shapes (b, n_mc, d) x (n_z, d), and the value on the numpy
     # caller's arrays and float lambda.  Lattice points, a repeated z and
     # integer psi make ties, where the first-index rule of vmin decides.
+    # The large sizes reach Algorithm 2's (48, 48, 64), where numpy's sums
+    # over z are pairwise and a reordered lambda gradient would show.
     rng = np.random.default_rng(seed)
-    b, n_mc, n_z = (int(k) for k in rng.integers(1, 5, size=3))
+    if large:
+        b, n_mc, n_z = int(rng.integers(1, 51)), int(rng.integers(1, 51)), int(rng.integers(1, 71))
+    else:
+        b, n_mc, n_z = (int(k) for k in rng.integers(1, 5, size=3))
     if tied:
         x = rng.integers(-2, 3, (b, n_mc, d)) / 2.0
         z = rng.integers(-2, 3, (n_z, d)) / 2.0
@@ -568,6 +574,41 @@ def test_dual_inner_min_equals_composed_ops(seed, q, d, tied):
         plain = f(psi[0, 0], float(np.exp(raw[0])), x[0], z, q).value
         bits.append([a.tobytes() for a in (out.value, psi_v.grad, raw_v.grad, plain)])
     assert bits[0] == bits[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2))
+def test_dual_min_tapes_do_not_share_the_buffer(seed, q, d):
+    # dual_min writes every forward into one reused buffer: two tapes built
+    # before either backward, then run backward in reverse order, must each
+    # give the composed oracle's gradients, and a forward on arrays alone is
+    # a constant with the oracle's value.
+    rng = np.random.default_rng(seed)
+    shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 12)))
+              for _ in range(2)]
+    draws = [(rng.normal(size=(b, 1, n_z)), rng.normal(size=1), rng.uniform(-1, 1, (b, n_mc, d)),
+              rng.uniform(-1, 1, (n_z, d)), rng.normal(size=(b, n_mc)))
+             for b, n_mc, n_z in shapes]
+
+    def tape(f, psi, raw, x, z, w):
+        psi_v, raw_v = ad.Var(psi), ad.Var(raw)
+        out = f(psi_v, ad.exp(raw_v), x, z, q)
+        return out, ad.vsum(out * ad.const(w)), psi_v, raw_v
+
+    fused = [tape(amb.dual_inner_min, *draw) for draw in draws]
+    for _, root, _, _ in reversed(fused):
+        ad.backward(root)
+    for (out, _, psi_v, raw_v), draw in zip(fused, draws):
+        expect, oracle, psi_o, raw_o = tape(composed_dual_inner_min, *draw)
+        ad.backward(oracle)
+        assert out.value.tobytes() == expect.value.tobytes()
+        assert psi_v.grad.tobytes() == psi_o.grad.tobytes()
+        assert raw_v.grad.tobytes() == raw_o.grad.tobytes()
+    psi, raw, x, z, _ = draws[0]
+    plain = amb.dual_inner_min(psi, float(np.exp(raw[0])), x, z, q)
+    assert not plain.requires_grad and plain.parents == ()
+    expect = composed_dual_inner_min(psi, float(np.exp(raw[0])), x, z, q).value
+    assert plain.value.tobytes() == expect.tobytes()
 
 
 # -- training --------------------------------------------------------------------
