@@ -5,7 +5,10 @@ the minimax training objectives: broadcast-aware arithmetic, matmul,
 relu/tanh, axis reductions, min along an axis with ties resolved to the
 lowest index (whose subgradient convention the tests rely on), and two
 fused nodes: a whole network forward (`mlp`) and the W_q dual's inner
-minimum min_j {psi_j + lam c_ij} (`dual_min`).
+minimum min_j {psi_j + lam c_ij} (`dual_min`).  The network node runs its
+layers over row tiles of TILE rows, so a tile's activations stay in cache,
+and picks the tile height so that every tiled product gives the bits of
+the untiled call.
 
 Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
 `as_var` make constant leaves.  An op keeps an edge to a parent only when
@@ -287,6 +290,15 @@ def mlp(x, weights, biases, in_scale=None, box=None):
     needs it.  Every gradient is bit-identical to the same network composed
     of the elementwise ops above.  weights and biases are Vars; x is a Var
     or an array.
+
+    The backward of a frozen net runs its hidden layers over row tiles, as
+    the forward does (`_tiles`).  Two products stay whole.  A trainable net
+    keeps one tile, because its weight gradients are sums over all rows.
+    The input-layer product g W_0^T is one call on the full (M, width)
+    gradient of layer 0, held in a reused buffer: with an input two columns
+    wide, OpenBLAS rounds it by another kernel on TILE-row tiles than on the
+    whole call (see `_tiles_agree`), and tiling it would make every tile
+    taller.
     """
     x = as_var(x)
     params = [p for wb in zip(weights, biases) for p in wb]
@@ -304,18 +316,30 @@ def mlp(x, weights, biases, in_scale=None, box=None):
     def bw(g):
         if box is not None:
             g = g * 0.5 * (box[1] - box[0]) * (1.0 - th**2)
-        for i in range(last, -1, -1):
-            if i < last:  # g is the buffer the step below wrote
-                np.multiply(g, saved[i + 1] > 0 if keep == "acts" else saved[i], out=g)
-            w, b = weights[i], biases[i]
-            if w.requires_grad:
-                _accum(w, saved[i].T @ g)
-            if b.requires_grad:
-                _accum(b, g)
-            if i > 0 or x.requires_grad:
-                # the gradient in layer i's input; _accum copies what it keeps
-                g = np.matmul(g, w.value.T, out=_buffer(("grad", i), (len(g), w.shape[0])))
+        m = len(g)
+        if keep == "acts":
+            tiles = [slice(0, m)]
+        else:
+            tiles = _tiles(m, [(w.shape[1], w.shape[0], True) for w in weights[1:]])
+        # the gradient in layer 1's input, whole for the input-layer product
+        g1 = g if last == 0 else _buffer(("grad", 1), (m, weights[0].shape[1]))
+        for sl in tiles:
+            gt = g[sl]
+            for i in range(last, -1, -1):
+                if i < last:  # gt is the buffer the step above wrote
+                    np.multiply(gt, saved[i + 1][sl] > 0 if keep == "acts" else saved[i][sl],
+                                out=gt)
+                w, b = weights[i], biases[i]
+                if w.requires_grad:
+                    _accum(w, saved[i].T @ gt)
+                if b.requires_grad:
+                    _accum(b, gt)
+                if i > 0:
+                    into = g1[sl] if i == 1 else _buffer(("grad", i), (len(gt), w.shape[0]))
+                    gt = np.matmul(gt, w.value.T, out=into)
         if x.requires_grad:
+            # _accum copies what it keeps
+            g = np.matmul(g1, weights[0].value.T, out=_buffer(("grad", 0), x.shape))
             _accum(x, g if in_scale is None else g * in_scale)
 
     return Var(out, parents, bw)
@@ -383,14 +407,16 @@ def _unbroadcast_picked(values, idx, full, shape):
     return out
 
 
-# Scratch arrays, one per slot: ("in", 0) and ("hidden", layer) of the
-# frozen forward, ("grad", layer) of the mlp backward, and ("dual", 0) of
-# the dual_min forward.  A slot's array is replaced by a larger one when a
-# call needs more room, so memory stays at one array per slot, as large as
-# the largest call.  Every use writes a view in full before reading it and
-# no view outlives the call, so nothing is shared between successive
-# calls.  Calls from several threads at once would share the arrays;
-# nothing in the package runs networks concurrently.
+# Scratch arrays, one per slot: ("in", 0), ("hidden", layer) and
+# ("bias", layer) of the mlp forward, ("grad", layer) of the mlp backward,
+# and ("dual", 0) of the dual_min forward.  ("hidden", i), ("bias", i) and
+# ("grad", i) for i >= 2 hold one row tile; ("in", 0), ("grad", 0) and
+# ("grad", 1) hold every row of a call.  A slot's array is replaced by a
+# larger one when a call needs more room, so memory stays at one array per
+# slot, as large as the largest call.  Every use writes a view in full
+# before reading it and no view outlives the call, so nothing is shared
+# between successive calls.  Calls from several threads at once would share
+# the arrays; nothing in the package runs networks concurrently.
 _buffers = {}
 
 
@@ -403,40 +429,112 @@ def _buffer(slot, shape):
     return buf[:size].reshape(shape)
 
 
+# Rows per tile of the network node: a 512 x 32 float tile is 128 KiB, so a
+# tile's activations stay in a core's L2 cache from layer to layer.
+TILE = 512
+
+
+def _tiles(m, products):
+    """The row slices an m-row network call runs over, for the products
+    (k, n, transposed) of its tile loop, each an (m, k) array times a (k, n)
+    one, held transposed or not.  Tiles are h rows high, h the least
+    multiple of TILE at which `_tiles_agree` holds for every product; they
+    start at multiples of h and the last one takes the remainder, so none
+    is shorter than h unless the call is, and a call of fewer than 2 h rows
+    is one tile."""
+    h = TILE
+    while m >= 2 * h and not all(_tiles_agree(m, h, *p) for p in products):
+        h += TILE
+    return _slices(m, h)
+
+
+def _slices(m, h):
+    n = max(m // h, 1)
+    return [slice(i * h, m if i == n - 1 else (i + 1) * h) for i in range(n)]
+
+
+# (m, h, k, n, transposed) -> whether h-row tiles give an m-row product's bits
+_agree = {}
+
+
+def _tiles_agree(m, h, k, n, transposed):
+    """Whether the product of an (m, k) and a (k, n) array (the second held
+    transposed or not) gives the same bits on the tiles of `_slices(m, h)`
+    as in one call, checked once per shape on seeded probe data.
+
+    A BLAS may pick its kernel by the size of a product.  OpenBLAS 0.3.31
+    with SkylakeX kernels sends m n k <= 100^3 (and, for a transposed right
+    factor, also m n <= 1200 with k >= 32) to a small-matrix kernel that
+    rounds some shapes differently: (m, 32) x (32, 33), or (m, 32) x
+    (2, 32)^T.  Its row results do not otherwise depend on the row count or
+    on a tile's place, so one probe per shape settles every call of it."""
+    key = (m, h, k, n, transposed)
+    if key not in _agree:
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(m, k))
+        w = rng.normal(size=(n, k)).T if transposed else rng.normal(size=(k, n))
+        whole = a @ w
+        _agree[key] = all(np.array_equal(a[sl] @ w, whole[sl]) for sl in _slices(m, h))
+    return _agree[key]
+
+
 def mlp_forward(x, weights, biases, in_scale=None, box=None, keep=None):
     """The network on arrays: per layer z = h @ W; z += b, then relu in
     place on every layer but the last; then, with box = (low, high), the
     squash low + (high - low) * (tanh(z) + 1) / 2.
 
+    Every layer runs over the row tiles of `_tiles`, tile by tile, so a
+    tile's hidden layers stay in cache; a call of fewer than 2 TILE rows is
+    one tile.  With more than one tile each bias is added from a contiguous
+    tile-shaped block of copies, which is faster than its broadcast.
+
     keep names what a backward will read.  "acts" keeps the scaled input
-    and each hidden post-activation (a net with trainable parameters).
-    Otherwise the scaled input and hidden layers are written into reused
-    module buffers (`_buffer`), the same BLAS calls into `out=` arrays, so
-    a frozen forward allocates only its output; "masks" keeps each hidden
-    layer's relu mask as booleans (a frozen net whose input needs a
-    gradient), and None keeps nothing.  Returns the output, the kept list
-    and tanh(z) of the last layer (None without a box)."""
-    reuse = keep != "acts"
+    and each hidden post-activation (a net with trainable parameters),
+    written tile by tile into whole arrays.  Otherwise the scaled input and
+    hidden layers are written into reused module buffers (`_buffer`), the
+    hidden ones one tile high, so a frozen forward allocates only its
+    output; "masks" keeps each hidden layer's relu mask in a boolean array
+    (a frozen net whose input needs a gradient), and None keeps nothing.
+    Returns the output, the kept list and tanh(z) of the last layer (None
+    without a box)."""
+    acts = keep == "acts"
     if in_scale is None:
-        h = x
+        h0 = x
     else:
-        h = np.multiply(x, in_scale, out=_buffer(("in", 0), x.shape) if reuse else None)
-    saved = [] if reuse else [h]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        hidden = reuse and i < last
-        z = np.matmul(h, w, out=_buffer(("hidden", i), (len(h), w.shape[1])) if hidden else None)
-        z += b
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-            if keep is not None:
-                saved.append(z if keep == "acts" else z > 0)
-        h = z
+        h0 = np.multiply(x, in_scale, out=None if acts else _buffer(("in", 0), x.shape))
+    m, last = len(x), len(weights) - 1
+    tiles = _tiles(m, [(*w.shape, False) for w in weights])
+    height = m - tiles[-1].start  # the tallest tile
+    widths = [w.shape[1] for w in weights]
+    if acts:
+        hidden = [np.empty((m, n)) for n in widths[:-1]]
+        saved = [h0] + hidden
+    else:
+        hidden = [_buffer(("hidden", i), (height, n)) for i, n in enumerate(widths[:-1])]
+        saved = [np.empty((m, n), dtype=bool) for n in widths[:-1]] if keep else []
+    out = np.empty((m, widths[-1]))
+    if len(tiles) == 1:
+        blocks = [b[None] for b in biases]  # added by broadcast
+    else:
+        blocks = [_buffer(("bias", i), (height, len(b))) for i, b in enumerate(biases)]
+        for block, b in zip(blocks, biases):
+            block[...] = b
+    for sl in tiles:
+        h = h0[sl]
+        for i, w in enumerate(weights):
+            z = out[sl] if i == last else hidden[i][sl] if acts else hidden[i][: len(h)]
+            np.matmul(h, w, out=z)
+            z += blocks[i][: len(h)]
+            if i < last:
+                np.maximum(z, 0.0, out=z)
+                if keep == "masks":
+                    np.greater(z, 0.0, out=saved[i][sl])
+            h = z
     th = None
     if box is not None:
-        th = np.tanh(h)
-        h = box[0] + (box[1] - box[0]) * (th + 1.0) * 0.5
-    return h, saved, th
+        th = np.tanh(out)
+        out = box[0] + (box[1] - box[0]) * (th + 1.0) * 0.5
+    return out, saved, th
 
 
 def backward(root):
@@ -455,6 +553,7 @@ def backward(root):
         order.append(v)
 
     visit(root)
+    del visit  # visit's closure holds visit itself, and through order the tape
     root.grad = np.ones_like(root.value)
     for v in reversed(order):
         if v.bw is not None and v.grad is not None:

@@ -285,25 +285,30 @@ def _sample_past_actions(specs, batch, rng):
 def _choice_indices(weights, u):
     """The atoms Generator.choice(len(weights), p=weights) picks with its
     uniform draws u: per draw, the first index whose normalized cumulative
-    weight exceeds it (cdf.searchsorted(u, "right")).  For uniform weights
-    floor(u n) starts within an atom of that index and steps onto it
-    against the same cdf, which is exact for any nondecreasing cdf.  The
-    search spends its time in data-dependent branches: on 9,216 draws over
-    250 atoms (a Xeon host) it takes about 0.87 ms and this path about
-    0.09 ms, which takes 14 % off hedge-t5 wall_s."""
+    weight exceeds it (cdf.searchsorted(u, "right")).  A draw in bucket
+    k = floor(u n) starts at the first index whose cdf exceeds the bucket's
+    midpoint (k + 1/2) / n, which is k itself for uniform weights, and steps
+    down, then up, onto its index against the same cdf; that is exact for
+    any nondecreasing cdf.  The search spends its time in data-dependent
+    branches: on 9,216 draws over 250 uniform atoms (a Xeon host) it takes
+    about 0.77 ms and the steps about 0.09 ms, and on 2,304 draws from the
+    200-atom candidates of a robust hedging run about 0.2 and 0.1 ms."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     n = len(cdf)
-    if not np.all(weights == weights[0]):
-        return cdf.searchsorted(u, "right")
-    idx = np.minimum((u * n).astype(np.intp), n - 1)
+    below = np.concatenate([[-1.0], cdf[:-1]])  # the cdf of the atom before
+    mid = np.minimum(cdf.searchsorted((np.arange(n + 1) + 0.5) / n, "right"), n - 1)
+    idx = mid.take((u * n).astype(np.intp))
     while True:
-        up = cdf[idx] <= u
-        down = (idx > 0) & (cdf[idx - 1] > u)
-        if not (up.any() or down.any()):
+        down = below.take(idx) > u
+        if not down.any():
+            break
+        idx -= down
+    while True:
+        up = cdf.take(idx) <= u
+        if not up.any():
             return idx
         idx += up
-        idx -= down
 
 
 def _draw_states(measure, batch, n_mc, rng):
@@ -509,7 +514,15 @@ class _SampledSetMin:
     """Algorithm 1's inner problem: the minimum over a stage's fixed
     candidate measures of the Monte Carlo mean of the next value.  A
     singleton kernel has no candidates; its draws come per path from the
-    reference (the non-robust special case)."""
+    reference (the non-robust special case).
+
+    The objective runs psi once over all K candidate blocks, block-major:
+    the paths and past actions repeated K times and the repeated action
+    concatenated K times, so the feature step, the value net and its tape
+    node run once per objective rather than once per candidate.  The result
+    is that of one psi call per block, bit for bit, wherever the BLAS
+    rounds a block's rows as it does among all K blocks (see
+    autodiff._tiles_agree)."""
 
     def __init__(self, problem, kernels, config, rng):
         d = problem.local_space.dimension
@@ -534,11 +547,11 @@ class _SampledSetMin:
 
     def objective(self, t, psi, a, omega_b, past, blocks, own):
         """Var (b,): per path, the least candidate mean of psi."""
-        b, n_mc = blocks[0].shape[:2]
-        a_rep = ad.repeat_rows(a, n_mc)
-        means = [ad.reshape(ad.vmean(psi(omega_b, past, a_rep, blk), axis=1), (1, b))
-                 for blk in blocks]
-        return ad.vmin(ad.concat(means, axis=0), axis=0)
+        k, (b, n_mc) = len(blocks), blocks[0].shape[:2]
+        a_rep = ad.concat([ad.repeat_rows(a, n_mc)] * k, axis=0)
+        values = psi(np.concatenate([omega_b] * k), [np.concatenate([p] * k) for p in past],
+                     a_rep, np.concatenate(blocks))
+        return ad.vmin(ad.reshape(ad.vmean(values, axis=1), (k, b)), axis=0)
 
 
 class _WassersteinDual:

@@ -352,6 +352,17 @@ def table_dict(result, tables, t):
     }
 
 
+def per_candidate_objective(psi, a, omega_b, past, blocks):
+    """Oracle: Algorithm 1's objective with one psi call per candidate block,
+    the per-path least candidate mean of psi as a Var (b,): each block's
+    next states continue every path under the action repeated n_mc times."""
+    b, n_mc = blocks[0].shape[:2]
+    a_rep = ad.repeat_rows(a, n_mc)
+    means = [ad.reshape(ad.vmean(psi(omega_b, past, a_rep, blk), axis=1), (1, b))
+             for blk in blocks]
+    return ad.vmin(ad.concat(means, axis=0), axis=0)
+
+
 def norm_cost_matrix(x, z, q):
     """Oracle: the ground costs ||x_i - z_j||^q (..., m, n) as the norm of the
     differences of x (..., m, d) and z (..., n, d), to the q-th power."""

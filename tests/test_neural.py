@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from conftest import (
     composed_forward_var,
     exact_policy,
     kernel_weighted_states_loop,
+    per_candidate_objective,
     per_path_rollout,
     primal_ball_lp,
 )
@@ -195,45 +198,52 @@ def _tape_grads(forward, net, x, x_trainable, p_trainable, upstream):
     return out.value, [p.grad for p in pv], xv.grad if x_trainable else None
 
 
+# call heights: any up to 3 TILE + 17 rows, and a multiple of TILE plus 0-15
+HEIGHTS = st.one_of(st.integers(1, 3 * ad.TILE + 17),
+                    st.builds(lambda k, r: k * ad.TILE + r, st.integers(1, 3), st.integers(0, 15)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans(),
-       st.lists(st.integers(1, 600), min_size=1, max_size=4))
-def test_fused_node_equals_composed_oracle(seed, in_dim, hidden, out_dim, boxed, scaled,
+       st.integers(1, 40), st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+       st.lists(HEIGHTS, min_size=1, max_size=3))
+def test_fused_node_equals_composed_oracle(seed, in_dim, hidden, out_dim, width, boxed, scaled,
                                            x_trainable, p_trainable, heights):
-    # repeated calls at changing heights: a frozen net's forward and every
-    # backward write reused buffers, grown when a call needs more room
+    # repeated calls at changing heights, one row tile or several: a frozen
+    # net's forward and every backward write reused buffers, grown when a
+    # call needs more room
     rng = np.random.default_rng(seed)
     box = (rng.uniform(-2, 0, out_dim), rng.uniform(0.1, 2, out_dim)) if boxed else None
     scale = rng.uniform(0.2, 3.0, in_dim) if scaled else None
-    net = nn.Mlp(in_dim, out_dim, hidden, int(rng.integers(1, 6)), rng, out_box=box,
-                 in_scale=scale)
+    net = nn.Mlp(in_dim, out_dim, hidden, width, rng, out_box=box, in_scale=scale)
     net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
     for rows in heights:
         x = rng.normal(size=(rows, in_dim))
         upstream = rng.normal(size=(len(x), out_dim))
+        upstream[rng.random(upstream.shape) < 0.2] = -0.0  # exact zeros, signed
 
         fused = _tape_grads(lambda n, xv, pv: n.forward_var(xv, pv), net, x, x_trainable,
                             p_trainable, upstream)
         oracle = _tape_grads(composed_forward_var, net, x, x_trainable, p_trainable,
                              upstream)
-        assert np.array_equal(fused[0], oracle[0])
-        assert np.array_equal(net.forward(x), net.forward_var(x).value)
-        assert np.array_equal(net.forward(x), oracle[0])
+        assert fused[0].tobytes() == oracle[0].tobytes()
+        assert net.forward(x).tobytes() == net.forward_var(x).value.tobytes()
+        assert net.forward(x).tobytes() == oracle[0].tobytes()
         for got, want in zip(fused[1] + [fused[2]], oracle[1] + [oracle[2]]):
             assert (got is None) == (want is None)
-            assert got is None or np.array_equal(got, want)
+            assert got is None or got.tobytes() == want.tobytes()
         assert all((g is not None) == p_trainable for g in fused[1])
 
 
 def test_three_frozen_nodes_of_one_net_in_one_tape():
-    # Algorithm 1 per candidate: one frozen value net on three blocks of
-    # continuation rows in one tape, their means, then the least mean.  The
-    # middle block is taller, so the reused buffers grow between nodes.
+    # the per-candidate layout of Algorithm 1's objective (its oracle in
+    # conftest): one frozen value net on three blocks of continuation rows
+    # in one tape, their means, then the least mean.  The middle block is
+    # two row tiles high, so the reused buffers grow between nodes.
     rng = np.random.default_rng(8)
     net = nn.Mlp(3, 1, 3, 16, rng, in_scale=[1.0, 0.5, 2.0])
     net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
-    b, ns = 5, (40, 130, 40)
+    b, ns = 5, (40, 230, 40)
     blocks = [rng.normal(size=(b * n, 2)) for n in ns]
     a0 = rng.normal(size=(b, 1))
     runs = []
@@ -260,6 +270,22 @@ def test_constant_expression_has_no_parents():
     for e in exprs:
         assert e.parents == () and e.bw is None and not e.requires_grad
     assert ad.Var(1.0).requires_grad  # a Var made directly is a trainable leaf
+
+
+def test_backward_leaves_no_reference_cycle():
+    # a tape is freed when its last name goes, without the cycle collector,
+    # so its arrays do not wait for a collection that may come much later
+    gc.disable()
+    try:
+        value = np.ones(3)
+        ref = weakref.ref(value)
+        x = ad.Var(value)
+        root = ad.vsum(ad.relu(x) * 2.0)
+        ad.backward(root)
+        del x, root, value
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_frozen_net_parameters_receive_no_grad():
@@ -498,6 +524,47 @@ def test_sampled_set_objective_matches_oracle(seed, t, d, b, n_mc, n_cands):
     got = inner.objective(t, psi_tape, ad.Var(a), omega_b, past, blocks, [])
     np.testing.assert_allclose(got.value, sampled_set_oracle(a, omega_b, past, blocks),
                                rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 2), st.sampled_from([4, 8, 32]),
+       st.booleans(), st.booleans())
+def test_one_call_objective_equals_per_candidate_oracle(seed, k, t, width, tied, at_horizon):
+    # Algorithm 1's objective runs psi once over all K blocks, the oracle once
+    # per block: the value and the action gradient agree bit for bit, through
+    # the hedging feature step and a frozen value net over several row tiles,
+    # or through the terminal objective.  Each block has more than 600 rows:
+    # with fewer, BLAS may round a 32-wide net's input-layer gradient product
+    # on one block by another kernel than on all K (see autodiff._tiles_agree).
+    from robustdp import hedging as hg
+
+    rng = np.random.default_rng(seed)
+    hp = hg.HedgingProblem(d=1, horizon=t + 1 if at_horizon else t + 2, return_bound=0.07,
+                           payoff=hg.CallPayoff(1.0))
+    ref = amb.ConstantKernel(DiscreteMeasure([[-0.02], [0.01], [0.03]], [0.3, 0.5, 0.2]))
+    prob = hg.make_control_problem(hp, [amb.Singleton(ref)] * hp.horizon)
+    prob.net_inputs = "features"
+    scale = nn._input_scale(prob, t + 1)
+    net = nn.Mlp(len(scale), 1, 2, width, rng, in_scale=scale)
+    net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
+    psi = nn._next_value(prob, t + 1, net)
+    b, n_mc = 8, int(rng.integers(76, 140))
+    omega_b = rng.uniform(-0.07, 0.07, (b, t, 1))
+    past = [rng.uniform(-1, 1, (b, spec.dim)) for spec in prob.action_specs[:t]]
+    blocks = [rng.uniform(-0.07, 0.07, (b, n_mc, 1)) for _ in range(k)]
+    if tied:
+        blocks[-1] = blocks[0].copy()  # equal means: vmin takes the first
+    a0 = rng.uniform(-1, 1, (b, prob.action_specs[t].dim))
+    inner = nn._SampledSetMin(prob, prob.kernels, nn.TrainConfig(), rng)
+    runs = []
+    for objective in (lambda a: inner.objective(t, psi, a, omega_b, past, blocks, []),
+                      lambda a: per_candidate_objective(psi, a, omega_b, past, blocks)):
+        a = ad.Var(a0)
+        out = objective(a)
+        ad.backward(ad.vmean(out))
+        runs.append((out.value.tobytes(), a.grad.tobytes()))
+        assert np.any(a.grad != 0.0)
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -915,18 +982,25 @@ def test_draw_states_are_choice_draws(seed, n, uniform, batch, n_mc):
     assert r_new.bit_generator.state == r_old.bit_generator.state
 
 
-def test_uniform_choice_indices_at_cdf_boundaries():
-    # uniform weights index by floor(u n) and a correction against the cdf;
-    # draws on, just below and just above every cdf value and every k/n
-    # must land where the search of rng.choice puts them
+def test_choice_indices_at_cdf_boundaries():
+    # a draw starts at its bucket's guess and steps against the cdf; draws
+    # on, just below and just above every cdf value, every k/n and every
+    # bucket midpoint must land where the search of rng.choice puts them,
+    # for uniform weights and for weights with exact zeros (atoms never drawn)
+    rng = np.random.default_rng(0)
     for n in range(1, 301):
-        w = np.full(n, 1.0 / n)
-        cdf = np.cumsum(w)
-        cdf /= cdf[-1]
-        edges = np.concatenate([cdf, np.arange(n + 1) / n, [0.0]])
-        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        assert np.array_equal(nn._choice_indices(w, u), cdf.searchsorted(u, "right")), n
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.3] = 0.0
+        w[int(rng.integers(n))] += 1.0
+        for weights in (np.full(n, 1.0 / n), w / w.sum()):
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            edges = np.concatenate([cdf, np.arange(n + 1) / n, (np.arange(n) + 0.5) / n, [0.0]])
+            u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            got = nn._choice_indices(weights, u)
+            assert np.array_equal(got, cdf.searchsorted(u, "right")), n
+            assert np.all(weights[got] > 0.0)
 
 
 @settings(max_examples=40, deadline=None)
