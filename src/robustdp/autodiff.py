@@ -1,14 +1,14 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Just enough machinery to differentiate rectifier networks composed with
-the minimax training objectives: broadcast-aware arithmetic, matmul,
-relu/tanh, axis reductions, min along an axis with ties resolved to the
-lowest index (whose subgradient convention the tests rely on), and two
-fused nodes: a whole network forward (`mlp`) and the W_q dual's inner
-minimum min_j {psi_j + lam c_ij} (`dual_min`).  The network node runs its
-layers over row tiles of TILE rows, so a tile's activations stay in cache,
-and picks the tile height so that every tiled product gives the bits of
-the untiled call.
+the minimax training objectives: broadcast-aware arithmetic, matmul, exp,
+the positive-part power, axis reductions, min along an axis with ties
+resolved to the lowest index (whose subgradient convention the tests rely
+on), and two fused nodes: a whole network forward (`mlp`) and the W_q
+dual's inner minimum min_j {psi_j + lam c_ij} (`dual_min`).  The network
+node runs its layers over row tiles of TILE rows, so a tile's activations
+stay in cache, and picks the tile height so that every tiled product gives
+the bits of the untiled call.
 
 Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
 `as_var` make constant leaves.  An op keeps an edge to a parent only when
@@ -29,9 +29,6 @@ __all__ = [
     "const",
     "as_var",
     "exp",
-    "relu",
-    "tanh",
-    "absolute",
     "pow_pos",
     "vsum",
     "vmean",
@@ -184,23 +181,6 @@ def exp(a):
     a = as_var(a)
     e = np.exp(a.value)
     return _op(e, (a, lambda g: g * e))
-
-
-def relu(a):
-    a = as_var(a)
-    # np.maximum is one pass; np.where with a scalar is several times slower
-    return _op(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0)))
-
-
-def tanh(a):
-    a = as_var(a)
-    th = np.tanh(a.value)
-    return _op(th, (a, lambda g: g * (1.0 - th**2)))
-
-
-def absolute(a):
-    a = as_var(a)
-    return _op(np.abs(a.value), (a, lambda g: g * np.sign(a.value)))
 
 
 def pow_pos(a, p):

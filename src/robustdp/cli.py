@@ -84,6 +84,14 @@ def _get(cfg, dotted, typ=None, default=..., minimum=None, above=None):
     return node
 
 
+def _fraction(cfg, dotted, default):
+    """A float strictly between 0 and 1 at a dotted config path."""
+    value = _get(cfg, dotted, float, default=default, above=0)
+    if not value < 1:
+        raise ConfigError(f"{dotted}: expected less than 1, got {value}")
+    return value
+
+
 def _finite_list(cfg, dotted, length):
     """An optional list of `length` finite numbers at a dotted config path."""
     vals = _get(cfg, dotted, list, default=None)
@@ -173,8 +181,8 @@ def _build_hedging(cfg, d, return_bound):
         return_bound=return_bound,
         payoff=payoff,
         loss=hg.LossParams(
-            _get(cfg, "problem.loss.a", float, default=0.88),
-            _get(cfg, "problem.loss.b", float, default=2.25),
+            _fraction(cfg, "problem.loss.a", 0.88),
+            _get(cfg, "problem.loss.b", float, default=2.25, above=1),
         ),
         a_bound=_get(cfg, "problem.bounds.position", float, default=1.5, above=0),
         b_bound=_get(cfg, "problem.bounds.cash", float, default=1.0, above=0),
@@ -220,12 +228,12 @@ def _build_radius(cfg, hp, n_history):
         return amb.ConstantRadius(
             _get(cfg, "ambiguity.radius.value", float, default=0.0, minimum=0))
     if kind == "adaptive":
-        alpha = _get(cfg, "ambiguity.radius.alpha", float, default=0.9)
+        alpha = _fraction(cfg, "ambiguity.radius.alpha", 0.9)
         if hp.d == 1:
             return amb.Adaptive1DRadius(
                 n_history, alpha=alpha,
-                n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000),
-                n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000),
+                n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000, minimum=1),
+                n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000, minimum=1),
             )
         return amb.AdaptiveMultiDRadius(hp.d, hp.return_bound, n_history, alpha=alpha)
     raise ConfigError("ambiguity.radius.kind: expected 'constant' or 'adaptive'")
@@ -237,7 +245,7 @@ def _build_reference(cfg, hp, history):
     if kind == "empirical":
         return amb.ConstantKernel(DiscreteMeasure.empirical(history, space=space))
     if kind == "kernel_weighted":
-        beta = _get(cfg, "ambiguity.reference.beta", float, default=500.0)
+        beta = _get(cfg, "ambiguity.reference.beta", float, default=500.0, above=0)
         return amb.KernelWeighted(history, beta=beta, space=space)
     if kind == "adaptive":
         return amb.AdaptiveEmpirical(history, space=space)
@@ -263,9 +271,7 @@ def _build_kernels(cfg, hp, history):
 
 
 def _split_series(cfg, series):
-    split = _get(cfg, "data.train_fraction", float, default=0.8)
-    if not 0.0 < split < 1.0:
-        raise ConfigError("data.train_fraction: must lie in (0, 1)")
+    split = _fraction(cfg, "data.train_fraction", 0.8)
     n_train = max(2, int(len(series) * split))
     train = hg.ReturnSeries(series.dates[:n_train], series.values[:n_train])
     test = hg.ReturnSeries(series.dates[n_train:], series.values[n_train:])
@@ -336,7 +342,7 @@ def _tiny_instance(rng, horizon=2, n_grid=3, n_actions=2, n_measures=2):
 def cmd_oracle_check(cfg, out_dir, seed):
     rng = substream(seed, "oracle-check")
     results = []
-    for i in range(int(_get(cfg, "oracle.instances", int, default=10))):
+    for i in range(_get(cfg, "oracle.instances", int, default=10, minimum=1)):
         horizon = int(rng.integers(1, 3))
         prob, g = _tiny_instance(
             rng,
@@ -465,8 +471,8 @@ def cmd_evaluate(cfg, out_dir, seed):
     train_series, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
+    n_paths = _get(cfg, "evaluate.paths", int, default=2000, minimum=1)
     policy = _load_policy(out_dir, hp)
-    n_paths = _get(cfg, "evaluate.paths", int, default=2000)
     rng = substream(seed, "evaluation")
     sampler = dp.sampler_from_kernel(
         _get(cfg, "solver.n_measures", int, default=3, minimum=1))
@@ -509,8 +515,8 @@ def cmd_bounds(cfg, out_dir, seed):
     rng = substream(seed, "bounds")
     g = np.array([[-0.5], [0.5]])
     space = LocalSpace(1, 1.0)
-    eps = _get(cfg, "bounds.radius", float, default=0.2)
-    horizon = _get(cfg, "bounds.horizon", int, default=2)
+    eps = _get(cfg, "bounds.radius", float, default=0.2, minimum=0)
+    horizon = _get(cfg, "bounds.horizon", int, default=2, minimum=1)
 
     refs, trues = [], []
     for _ in range(horizon):

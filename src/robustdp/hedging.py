@@ -289,8 +289,9 @@ def _feature_tape(problem):
     extended by each of its n next returns under the stage action a (b n
     rows).  It runs the book once per path over the prefix and one
     _book_step per row, the incremental state of Buehler et al., Deep
-    hedging (2019).  The features of whole paths are its n = 1 case
-    (neural._stage_features); stage 0 has none."""
+    hedging (2019).  neural._continuation places it beside the path and
+    the actions, or alone; the features of whole paths are its n = 1 case
+    (neural._stage_input_tape), and stage 0 has none."""
     C, s0 = problem.return_bound, problem.s0
 
     def step(t, omega_b, past, a, nxt):

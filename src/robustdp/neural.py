@@ -360,33 +360,17 @@ def _input_scale(problem, t):
     """Per-input standardization: returns scaled by 1/C, actions by their
     half-width, so first-layer activations are O(1) regardless of units.
     Feature-map outputs are expected pre-normalized and get scale 1."""
-    if _features_only(problem):
-        return np.ones(_n_features(problem, t))
     d = problem.local_space.dimension
-    parts = [np.full(t * d, 1.0 / problem.local_space.bound)] if t > 0 else []
+    zeros = [np.zeros((1, spec.dim)) for spec in problem.action_specs[:t]]
+    width = _stage_input_tape(problem, t, np.zeros((1, t, d)), zeros).shape[1]
+    if _features_only(problem) or t == 0:
+        return np.ones(width)
+    parts = [np.full(t * d, 1.0 / problem.local_space.bound)]
     for spec in problem.action_specs[:t]:
         low, high = _action_box(spec)
         parts.append(2.0 / np.maximum(high - low, 1e-12))
-    parts.append(np.ones(_n_features(problem, t)))
+    parts.append(np.ones(width - sum(map(len, parts))))
     return np.concatenate(parts)
-
-
-def _n_features(problem, t):
-    if getattr(problem, "feature_tape", None) is None:
-        return 0
-    d = problem.local_space.dimension
-    omega = np.zeros((1, t, d))
-    actions = [np.zeros((1, spec.dim)) for spec in problem.action_specs[:t]]
-    return _stage_features(problem, t, omega, actions).value.shape[1]
-
-
-def _stage_features(problem, t, omega, actions):
-    """The features at stage t along paths omega (N, t, d) after the past
-    actions: none at t = 0, else the problem.feature_tape step from stage
-    t-1 with one next state per path, its last return."""
-    if t == 0:
-        return ad.const(np.zeros((len(omega), 0)))
-    return problem.feature_tape(t - 1, omega[:, :-1], actions[:-1], actions[-1], omega[:, -1:])
 
 
 def _features_only(problem):
@@ -403,18 +387,13 @@ def _features_only(problem):
 
 def _stage_input_tape(problem, t, omega, actions):
     """Net input at stage t along paths omega (N, t, d) after the past
-    actions, a list of (N, m_s) arrays or Vars: the path flattened to
-    (N, t d), the past actions and the derived features, side by side.  A
-    problem with net_inputs="features" feeds the feature map alone (its
-    outputs are functions of the same arguments, so the networks stay maps
-    of (path, past actions) with a restricted parameterization)."""
-    parts = []
-    if not _features_only(problem):
-        flat = omega.reshape(len(omega), t * omega.shape[2])
-        parts = [ad.const(flat)] + [ad.as_var(a) for a in actions]
-    if getattr(problem, "feature_tape", None) is not None:
-        parts.append(_stage_features(problem, t, omega, actions))
-    return ad.concat(parts, axis=1)
+    actions, a list of t arrays (N, m_s) whose last may be a Var: the
+    _continuation from stage t-1 with one next state per path, its last
+    return.  Stage 0 has an empty (N, 0) input."""
+    if t == 0:
+        return ad.const(np.zeros((len(omega), 0)))
+    return _continuation(problem, t - 1, omega[:, :-1], actions[:-1],
+                         ad.as_var(actions[-1]), omega[:, -1:])
 
 
 def _maybe_warm_start(net, prev, config):
@@ -458,15 +437,23 @@ def _continued_paths(omega_b, past, nxt):
 def _continuation(problem, t, omega_b, past, a_rep, nxt):
     """The stage-(t+1) net input (a Var, b n rows) along every path of
     omega_b (b, t, d) continued by each of its next states nxt (b, n, d),
-    after the past actions and the stage action a_rep: _stage_input_tape
-    of the continued paths, bit for bit.  With net_inputs="features" it
-    is the problem's feature_tape step, which runs the prefix once per path
-    and one step per row; only net_inputs="both", which feeds the paths
-    themselves, builds the (b n, t+1, d) paths."""
+    after the past actions (arrays (b, m_s)) and the stage action a_rep
+    (a Var, b n rows); the one builder of every network input.
+
+    Side by side: the continued path flattened to (b n, (t+1) d), the past
+    actions and the stage action, and the problem's feature_tape(t, omega_b,
+    past, a_rep, nxt) step, which runs the prefix once per path and one step
+    per row.  With net_inputs="features" the feature step alone is the input
+    (its outputs are functions of the same arguments, so the networks stay
+    maps of (path, past actions) with a restricted parameterization)."""
+    features = getattr(problem, "feature_tape", None)
     if _features_only(problem):
-        return problem.feature_tape(t, omega_b, past, a_rep, nxt)
+        return features(t, omega_b, past, a_rep, nxt)
     omega, past_rep = _continued_paths(omega_b, past, nxt)
-    return _stage_input_tape(problem, t + 1, omega, past_rep + [a_rep])
+    parts = [omega.reshape(len(omega), -1)] + past_rep + [a_rep]
+    if features is not None:
+        parts.append(features(t, omega_b, past, a_rep, nxt))
+    return ad.concat(parts, axis=1)
 
 
 class NeuralPolicy:
@@ -614,7 +601,7 @@ def _train_backward(problem, kernels, config, rng, inner):
     objective(t, psi, action, omega_b, past, draws, own parameter Vars)
     and log_lambda(t) for the log's lambda column.  Paths omega_b are
     (b, t, d) arrays and the past actions a list of (b, m_s) arrays from
-    the draw to the net input, which _stage_input_tape flattens.
+    the draw to the net input, which _continuation assembles.
     """
     T, d = problem.horizon, problem.local_space.dimension
     action_nets = [None] * T

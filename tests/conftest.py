@@ -51,6 +51,23 @@ def dense_lp_coupling(mu, nu, q):
     return plan, float((plan * cost).sum()) ** (1.0 / q)
 
 
+def relu(a):
+    """Tape rectifier max(x, 0), subgradient 0 at the kink."""
+    a = ad.as_var(a)
+    return ad._op(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0)))
+
+
+def tanh(a):
+    a = ad.as_var(a)
+    th = np.tanh(a.value)
+    return ad._op(th, (a, lambda g: g * (1.0 - th**2)))
+
+
+def absolute(a):
+    a = ad.as_var(a)
+    return ad._op(np.abs(a.value), (a, lambda g: g * np.sign(a.value)))
+
+
 def composed_forward_var(net, x, params=None):
     """Oracle: the tape forward of an Mlp composed of elementwise ops, one
     node per input scaling, matmul, bias add, relu and squash step."""
@@ -63,10 +80,10 @@ def composed_forward_var(net, x, params=None):
     for i in range(len(net.weights)):
         h = h @ params[2 * i] + params[2 * i + 1]
         if i < last:
-            h = ad.relu(h)
+            h = relu(h)
     if net.out_low is not None:
         span = net.out_high - net.out_low
-        h = ad.const(net.out_low) + ad.const(span) * (ad.tanh(h) + 1.0) * 0.5
+        h = ad.const(net.out_low) + ad.const(span) * (tanh(h) + 1.0) * 0.5
     return h
 
 

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from conftest import (
+    absolute,
     dense_lp_coupling,
     kr_dual_check,
     primal_ball_lp,
@@ -401,7 +402,7 @@ def test_criterion_9_gradient_checks():
 
             def tape(apply_fn, X=X):
                 out = apply_fn(X)
-                return ad.vmean(ad.absolute(out)) + ad.vmean(out**2)
+                return ad.vmean(absolute(out)) + ad.vmean(out**2)
 
             def loss_np(net, X=X):
                 out = net.forward(X)

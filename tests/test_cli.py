@@ -429,6 +429,34 @@ def test_bad_basket_vector_is_json_error(tmp_path, capsys, dotted, value):
     assert dotted in err["error"] and "2 finite numbers" in err["error"]
 
 
+@pytest.mark.parametrize("command, dotted, value", [
+    ("solve-exact", "ambiguity.radius.n_paths", 0),
+    ("solve-exact", "ambiguity.radius.n_steps", -3),
+    ("solve-exact", "ambiguity.radius.alpha", 1.5),
+    ("solve-exact", "ambiguity.radius.alpha", 0),
+    ("solve-exact", "ambiguity.reference.beta", -1),
+    ("solve-exact", "problem.loss.a", 1.5),
+    ("solve-exact", "problem.loss.b", 0.5),
+    ("solve-exact", "data.train_fraction", 1),
+    ("evaluate", "evaluate.paths", 0),
+    ("evaluate", "evaluate.paths", -1),
+    ("oracle-check", "oracle.instances", 0),
+    ("bounds", "bounds.horizon", 0),
+    ("bounds", "bounds.radius", -0.5),
+])
+def test_out_of_range_optional_key_is_json_error(tmp_path, capsys, command, dotted, value):
+    # keys BASE_CONFIG leaves out, set out of range on a config that reads
+    # them: the radius and reference keys under their adaptive and
+    # kernel-weighted kinds
+    cfg = mutated(BASE_CONFIG, "ambiguity.radius", {"kind": "adaptive"})
+    cfg = mutated(cfg, "ambiguity.reference", {"kind": "kernel_weighted"})
+    rc = cli.main([command, "--config", write_config(tmp_path, mutated(cfg, dotted, value)),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert dotted in err["error"] and err["command"] == command
+
+
 def _leaves(cfg, prefix=""):
     for key, val in cfg.items():
         if isinstance(val, dict):
@@ -539,6 +567,28 @@ def test_every_import_is_used(name):
             imported |= {a.asname or a.name: node.lineno for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {n: line for n, line in imported.items() if n not in used} == {}
+
+
+def test_every_private_definition_is_used():
+    # a private module-level function or class that nothing in the package
+    # names outside its own body is dead code
+    trees = {p.name: ast.parse(p.read_text())
+             for p in Path(robustdp.__file__).parent.glob("*.py")}
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    counts = {}
+    for tree in trees.values():
+        for name in names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unused = [f"{module}:{node.name}" for module, tree in sorted(trees.items())
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and counts.get(node.name, 0) == names(node).count(node.name)]
+    assert unused == []
 
 
 SCIPY_GUARD = """

@@ -260,7 +260,7 @@ def test_one_step_features_equal_full_path_formula(seed, d, T, b, n):
         for g, w in zip(got, want):
             assert np.array_equal(g, w), t
         got = value_and_grad(
-            lambda a: nn._stage_features(cp, t + 1, omega[:, :t + 1], past + [a]), t, 1)
+            lambda a: nn._stage_input_tape(cp, t + 1, omega[:, :t + 1], past + [a]), t, 1)
         want = value_and_grad(
             lambda a: full_path_features(prob, t + 1, omega[:, :t + 1], past + [a]), t, 1)
         for g, w in zip(got, want):
@@ -275,6 +275,38 @@ def test_one_step_features_equal_full_path_formula(seed, d, T, b, n):
     want = value_and_grad(lambda a: terminal_oracle(actions[:-1] + [a]), T - 1, 1)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["both", "features"]), st.integers(1, 2),
+       st.integers(0, 3), st.integers(1, 4), st.integers(1, 6))
+def test_continuation_equals_one_next_state_per_repeated_path(seed, net_inputs, d, t, b, n):
+    # the net input of b paths with n next states each (the prefix once per
+    # path) against that of the b n repeated paths with one next state each:
+    # values and the gradient in the stage action, bit for bit
+    rng = np.random.default_rng(seed)
+    prob = hg.HedgingProblem(d=d, horizon=t + 1, return_bound=0.2, payoff=hg.BasketPayoff(d),
+                             s0=rng.uniform(0.5, 1.5, d))
+    cp = hg.make_control_problem(prob, [amb.Singleton(
+        amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(d))))] * prob.horizon)
+    cp.net_inputs = net_inputs
+    omega_b = rng.uniform(-0.2, 0.2, (b, t, d))
+    nxt = rng.uniform(-0.2, 0.2, (b, n, d))
+    past = [rng.uniform(-1, 1, (b, spec.dim)) for spec in cp.action_specs[:t]]
+    a0 = rng.uniform(-1, 1, (b, cp.action_specs[t].dim))
+    up = rng.normal(size=b * n)
+
+    def value_and_grad(omega, acts, states):
+        a = ad.Var(a0)
+        out = nn._continuation(cp, t, omega, acts, ad.repeat_rows(a, n), states)
+        ad.backward(ad.vsum(out * ad.const(up[:, None])))
+        return out.value, a.grad
+
+    got = value_and_grad(omega_b, past, nxt)
+    want = value_and_grad(np.repeat(omega_b, n, axis=0), [np.repeat(p, n, axis=0) for p in past],
+                          nxt.reshape(b * n, 1, d))
+    for g, w in zip(got, want):
+        assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
 
 
 # -- Black-Scholes baseline ----------------------------------------------------------

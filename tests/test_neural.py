@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    absolute,
     composed_dual_inner_min,
     composed_forward_var,
     exact_policy,
@@ -14,6 +15,8 @@ from conftest import (
     per_candidate_objective,
     per_path_rollout,
     primal_ball_lp,
+    relu,
+    tanh,
 )
 from robustdp import ambiguity as amb
 from robustdp import autodiff as ad
@@ -122,7 +125,7 @@ def test_random_net_finite_difference():
 
     def tape(apply_fn):
         out = apply_fn(X)
-        return ad.vmean(ad.absolute(out)) + ad.vmean(out**2)
+        return ad.vmean(absolute(out)) + ad.vmean(out**2)
 
     def loss_np(net):
         out = net.forward(X)
@@ -265,7 +268,7 @@ def test_three_frozen_nodes_of_one_net_in_one_tape():
 def test_constant_expression_has_no_parents():
     a, b = ad.const(np.ones((2, 3))), ad.as_var(np.arange(3.0))
     net = nn.Mlp(3, 1, 1, 4)
-    exprs = [ad.relu(a * b + 1.0) @ np.ones((3, 1)), ad.vmin(ad.concat([a, a]), axis=0),
+    exprs = [relu(a * b + 1.0) @ np.ones((3, 1)), ad.vmin(ad.concat([a, a]), axis=0),
              net.forward_var(a), ad.exp(ad.reshape(ad.vsum(a, axis=1), (1, 2)))]
     for e in exprs:
         assert e.parents == () and e.bw is None and not e.requires_grad
@@ -280,7 +283,7 @@ def test_backward_leaves_no_reference_cycle():
         value = np.ones(3)
         ref = weakref.ref(value)
         x = ad.Var(value)
-        root = ad.vsum(ad.relu(x) * 2.0)
+        root = ad.vsum(relu(x) * 2.0)
         ad.backward(root)
         del x, root, value
         assert ref() is None
@@ -310,7 +313,7 @@ def test_frozen_net_input_gradient_equals_oracle_tape():
     for forward in (lambda x: net.forward_var(x), lambda x: composed_forward_var(net, x)):
         a = ad.Var(a0)
         x = ad.concat([ad.const(data), ad.repeat_rows(a, 3)], axis=1)
-        ad.backward(ad.vmean(ad.tanh(forward(x))))
+        ad.backward(ad.vmean(tanh(forward(x))))
         grads.append(a.grad)
     assert np.array_equal(grads[0], grads[1])
 
