@@ -5,10 +5,10 @@ the minimax training objectives: broadcast-aware arithmetic, matmul, exp,
 the positive-part power, axis reductions, min along an axis with ties
 resolved to the lowest index (whose subgradient convention the tests rely
 on), and two fused nodes: a whole network forward (`mlp`) and the W_q
-dual's inner minimum min_j {psi_j + lam c_ij} (`dual_min`).  The network
-node runs its layers over row tiles of TILE rows, so a tile's activations
-stay in cache, and picks the tile height so that every tiled product gives
-the bits of the untiled call.
+dual's inner minimum min_j {psi_j + lam c_ij} (`dual_min`).  A network
+with a trainable parameter runs in one call; a frozen one runs on
+zero-padded tiles of exactly TILE rows, so each of its rows gives the same
+bits whatever the number of rows it is called with.
 
 Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
 `as_var` make constant leaves.  An op keeps an edge to a parent only when
@@ -267,18 +267,14 @@ def mlp(x, weights, biases, in_scale=None, box=None):
     parameters that require them; a frozen net whose input needs a
     gradient keeps only its relu masks, and one needing no gradient keeps
     nothing.  The gradient is carried into the input only when the input
-    needs it.  Every gradient is bit-identical to the same network composed
-    of the elementwise ops above.  weights and biases are Vars; x is a Var
-    or an array.
+    needs it.  weights and biases are Vars; x is a Var or an array.
 
-    The backward of a frozen net runs its hidden layers over row tiles, as
-    the forward does (`_tiles`).  Two products stay whole.  A trainable net
-    keeps one tile, because its weight gradients are sums over all rows.
-    The input-layer product g W_0^T is one call on the full (M, width)
-    gradient of layer 0, held in a reused buffer: with an input two columns
-    wide, OpenBLAS rounds it by another kernel on TILE-row tiles than on the
-    whole call (see `_tiles_agree`), and tiling it would make every tile
-    taller.
+    The backward follows the forward's rows: a trainable net's is one call
+    (its weight gradients are sums over all rows anyway), a frozen net's
+    runs every product g W^T on zero-padded TILE-row tiles, so a row's
+    input gradient depends on that row alone.  Either way every gradient
+    is bit-identical to the same network composed of the elementwise ops
+    above, run on the same rows.
     """
     x = as_var(x)
     params = [p for wb in zip(weights, biases) for p in wb]
@@ -296,33 +292,45 @@ def mlp(x, weights, biases, in_scale=None, box=None):
     def bw(g):
         if box is not None:
             g = g * 0.5 * (box[1] - box[0]) * (1.0 - th**2)
-        m = len(g)
         if keep == "acts":
-            tiles = [slice(0, m)]
+            masks = [a > 0 for a in saved[1:]]
+            gx = _layers_backward(g, weights, biases, masks, [None] * len(weights), saved,
+                                  x.requires_grad)
         else:
-            tiles = _tiles(m, [(w.shape[1], w.shape[0], True) for w in weights[1:]])
-        # the gradient in layer 1's input, whole for the input-layer product
-        g1 = g if last == 0 else _buffer(("grad", 1), (m, weights[0].shape[1]))
-        for sl in tiles:
-            gt = g[sl]
-            for i in range(last, -1, -1):
-                if i < last:  # gt is the buffer the step above wrote
-                    np.multiply(gt, saved[i + 1][sl] > 0 if keep == "acts" else saved[i][sl],
-                                out=gt)
-                w, b = weights[i], biases[i]
-                if w.requires_grad:
-                    _accum(w, saved[i].T @ gt)
-                if b.requires_grad:
-                    _accum(b, gt)
-                if i > 0:
-                    into = g1[sl] if i == 1 else _buffer(("grad", i), (len(gt), w.shape[0]))
-                    gt = np.matmul(gt, w.value.T, out=into)
+            gx = np.empty(x.shape)
+            g_out = _buffer(("grad", last + 1), (TILE, g.shape[1]))
+            into = [_buffer(("grad", i), (TILE, w.shape[0])) for i, w in enumerate(weights)]
+            for s in range(0, len(g), TILE):
+                sl = slice(s, s + TILE)
+                gt = _layers_backward(_pad(g_out, g[sl]), weights, biases,
+                                      [mask[sl] for mask in saved], into)
+                gx[sl] = gt[: len(gx[sl])]
         if x.requires_grad:
-            # _accum copies what it keeps
-            g = np.matmul(g1, weights[0].value.T, out=_buffer(("grad", 0), x.shape))
-            _accum(x, g if in_scale is None else g * in_scale)
+            _accum(x, gx if in_scale is None else gx * in_scale)
 
     return Var(out, parents, bw)
+
+
+def _layers_backward(gt, weights, biases, masks, into, acts=None, into_input=True):
+    """Carry the gradient gt in a net's output down its layers, and into its
+    input when into_input; the product g W_i^T is written into into[i], a
+    new array where that is None.  masks[i] is hidden layer i's relu mask on
+    gt's first len(masks[i]) rows (the rest is padding).  acts, each layer's
+    input, are given when a parameter is trainable, and then gt holds every
+    row; otherwise gt is a TILE-row tile."""
+    last = len(weights) - 1
+    for i in range(last, -1, -1):
+        if i < last:  # gt is the product the step above made
+            rows = gt[: len(masks[i])]
+            np.multiply(rows, masks[i], out=rows)
+        w, b = weights[i], biases[i]
+        if acts is not None and w.requires_grad:
+            _accum(w, acts[i].T @ gt)
+        if acts is not None and b.requires_grad:
+            _accum(b, gt)
+        if i > 0 or into_input:
+            gt = np.matmul(gt, w.value.T, out=into[i])
+    return gt
 
 
 def dual_min(psi, lam, cost):
@@ -387,16 +395,16 @@ def _unbroadcast_picked(values, idx, full, shape):
     return out
 
 
-# Scratch arrays, one per slot: ("in", 0), ("hidden", layer) and
-# ("bias", layer) of the mlp forward, ("grad", layer) of the mlp backward,
-# and ("dual", 0) of the dual_min forward.  ("hidden", i), ("bias", i) and
-# ("grad", i) for i >= 2 hold one row tile; ("in", 0), ("grad", 0) and
-# ("grad", 1) hold every row of a call.  A slot's array is replaced by a
+# Scratch arrays, one per slot: ("in", 0), ("hidden", layer) and ("bias",
+# layer) of a frozen mlp forward and ("grad", layer) of a frozen mlp
+# backward (the gradient in that layer's input; layer = depth holds the
+# output's), each one TILE-row tile, and ("dual", 0) of the dual_min
+# forward, which holds a whole call.  A slot's array is replaced by a
 # larger one when a call needs more room, so memory stays at one array per
-# slot, as large as the largest call.  Every use writes a view in full
+# slot, as large as the largest use.  Every use writes a view in full
 # before reading it and no view outlives the call, so nothing is shared
-# between successive calls.  Calls from several threads at once would share
-# the arrays; nothing in the package runs networks concurrently.
+# between successive calls.  Calls from several threads at once would
+# share the arrays; nothing in the package runs networks concurrently.
 _buffers = {}
 
 
@@ -409,107 +417,79 @@ def _buffer(slot, shape):
     return buf[:size].reshape(shape)
 
 
-# Rows per tile of the network node: a 512 x 32 float tile is 128 KiB, so a
-# tile's activations stay in a core's L2 cache from layer to layer.
+# Rows per tile of a frozen network node.  Every tile is exactly this high
+# (the last one zero-padded), so each product has one shape per layer and
+# OpenBLAS one kernel for it, whatever the call's height: a row's result
+# depends on that row alone.  At 512 rows the forward's (512, 32) x (32, n)
+# products stay on the small-matrix kernel (m n k <= 100^3; 1,024 rows take
+# the blocked one, which is slower here), and a 512 x 32 float tile, 128
+# KiB, stays in a core's L2 cache from layer to layer.
 TILE = 512
 
 
-def _tiles(m, products):
-    """The row slices an m-row network call runs over, for the products
-    (k, n, transposed) of its tile loop, each an (m, k) array times a (k, n)
-    one, held transposed or not.  Tiles are h rows high, h the least
-    multiple of TILE at which `_tiles_agree` holds for every product; they
-    start at multiples of h and the last one takes the remainder, so none
-    is shorter than h unless the call is, and a call of fewer than 2 h rows
-    is one tile."""
-    h = TILE
-    while m >= 2 * h and not all(_tiles_agree(m, h, *p) for p in products):
-        h += TILE
-    return _slices(m, h)
-
-
-def _slices(m, h):
-    n = max(m // h, 1)
-    return [slice(i * h, m if i == n - 1 else (i + 1) * h) for i in range(n)]
-
-
-# (m, h, k, n, transposed) -> whether h-row tiles give an m-row product's bits
-_agree = {}
-
-
-def _tiles_agree(m, h, k, n, transposed):
-    """Whether the product of an (m, k) and a (k, n) array (the second held
-    transposed or not) gives the same bits on the tiles of `_slices(m, h)`
-    as in one call, checked once per shape on seeded probe data.
-
-    A BLAS may pick its kernel by the size of a product.  OpenBLAS 0.3.31
-    with SkylakeX kernels sends m n k <= 100^3 (and, for a transposed right
-    factor, also m n <= 1200 with k >= 32) to a small-matrix kernel that
-    rounds some shapes differently: (m, 32) x (32, 33), or (m, 32) x
-    (2, 32)^T.  Its row results do not otherwise depend on the row count or
-    on a tile's place, so one probe per shape settles every call of it."""
-    key = (m, h, k, n, transposed)
-    if key not in _agree:
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(m, k))
-        w = rng.normal(size=(n, k)).T if transposed else rng.normal(size=(k, n))
-        whole = a @ w
-        _agree[key] = all(np.array_equal(a[sl] @ w, whole[sl]) for sl in _slices(m, h))
-    return _agree[key]
+def _pad(buf, rows, scale=None):
+    """buf, a TILE-row buffer, holding rows (at most TILE of them), times
+    scale when given, and zeros below them."""
+    if scale is None:
+        buf[: len(rows)] = rows
+    else:
+        np.multiply(rows, scale, out=buf[: len(rows)])
+    buf[len(rows):] = 0.0
+    return buf
 
 
 def mlp_forward(x, weights, biases, in_scale=None, box=None, keep=None):
-    """The network on arrays: per layer z = h @ W; z += b, then relu in
-    place on every layer but the last; then, with box = (low, high), the
-    squash low + (high - low) * (tanh(z) + 1) / 2.
+    """The network on arrays: the input times in_scale, then per layer
+    z = h @ W; z += b, then relu in place on every layer but the last; then,
+    with box = (low, high), the squash low + (high - low) * (tanh(z) + 1) / 2.
 
-    Every layer runs over the row tiles of `_tiles`, tile by tile, so a
-    tile's hidden layers stay in cache; a call of fewer than 2 TILE rows is
-    one tile.  With more than one tile each bias is added from a contiguous
+    keep names what a backward will read.  "acts" (a net with trainable
+    parameters) runs every row in one call and keeps the scaled input and
+    each hidden post-activation.  Otherwise the net is frozen and runs on
+    zero-padded TILE-row tiles of reused buffers (`_buffer`), so it
+    allocates only its output, and a row's output depends on that row
+    alone; on more than one tile each bias is added from a contiguous
     tile-shaped block of copies, which is faster than its broadcast.
-
-    keep names what a backward will read.  "acts" keeps the scaled input
-    and each hidden post-activation (a net with trainable parameters),
-    written tile by tile into whole arrays.  Otherwise the scaled input and
-    hidden layers are written into reused module buffers (`_buffer`), the
-    hidden ones one tile high, so a frozen forward allocates only its
-    output; "masks" keeps each hidden layer's relu mask in a boolean array
-    (a frozen net whose input needs a gradient), and None keeps nothing.
+    "masks" keeps each hidden layer's relu mask in a boolean array (a
+    frozen net whose input needs a gradient), and None keeps nothing.
     Returns the output, the kept list and tanh(z) of the last layer (None
     without a box)."""
-    acts = keep == "acts"
-    if in_scale is None:
-        h0 = x
-    else:
-        h0 = np.multiply(x, in_scale, out=None if acts else _buffer(("in", 0), x.shape))
-    m, last = len(x), len(weights) - 1
-    tiles = _tiles(m, [(*w.shape, False) for w in weights])
-    height = m - tiles[-1].start  # the tallest tile
-    widths = [w.shape[1] for w in weights]
-    if acts:
-        hidden = [np.empty((m, n)) for n in widths[:-1]]
-        saved = [h0] + hidden
-    else:
-        hidden = [_buffer(("hidden", i), (height, n)) for i, n in enumerate(widths[:-1])]
-        saved = [np.empty((m, n), dtype=bool) for n in widths[:-1]] if keep else []
-    out = np.empty((m, widths[-1]))
-    if len(tiles) == 1:
-        blocks = [b[None] for b in biases]  # added by broadcast
-    else:
-        blocks = [_buffer(("bias", i), (height, len(b))) for i, b in enumerate(biases)]
-        for block, b in zip(blocks, biases):
-            block[...] = b
-    for sl in tiles:
-        h = h0[sl]
-        for i, w in enumerate(weights):
-            z = out[sl] if i == last else hidden[i][sl] if acts else hidden[i][: len(h)]
-            np.matmul(h, w, out=z)
-            z += blocks[i][: len(h)]
+    last = len(weights) - 1
+    if keep == "acts":
+        h = x if in_scale is None else x * in_scale
+        saved = [h]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            h = h @ w
+            h += b
             if i < last:
-                np.maximum(z, 0.0, out=z)
-                if keep == "masks":
-                    np.greater(z, 0.0, out=saved[i][sl])
-            h = z
+                np.maximum(h, 0.0, out=h)
+                saved.append(h)
+        out = h
+    else:
+        m = len(x)
+        out = np.empty((m, weights[-1].shape[1]))
+        saved = [np.empty((m, w.shape[1]), dtype=bool) for w in weights[:-1]] if keep else []
+        if m > TILE:
+            blocks = [_buffer(("bias", i), (TILE, len(b))) for i, b in enumerate(biases)]
+            for block, b in zip(blocks, biases):
+                block[...] = b
+        else:
+            blocks = [b[None] for b in biases]  # added by broadcast
+        h0 = _buffer(("in", 0), (TILE, x.shape[1]))
+        hidden = [_buffer(("hidden", i), (TILE, w.shape[1])) for i, w in enumerate(weights)]
+        for s in range(0, m, TILE):
+            sl = slice(s, s + TILE)
+            rows = len(out[sl])
+            h = _pad(h0, x[sl], in_scale)
+            for i, w in enumerate(weights):
+                h = np.matmul(h, w, out=hidden[i])
+                z = h[:rows]  # the padding rows stay 0 and take no bias
+                z += blocks[i][:rows]
+                if i < last:
+                    np.maximum(z, 0.0, out=z)
+                    if keep:
+                        np.greater(z, 0.0, out=saved[i][sl])
+            out[sl] = z
     th = None
     if box is not None:
         th = np.tanh(out)

@@ -298,7 +298,8 @@ def _json_text(obj):
             return o.tolist()
         raise TypeError(f"not JSON serializable: {type(o)}")
 
-    return json.dumps(obj, indent=2, sort_keys=True, default=pythonize) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=pythonize,
+                      allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +607,7 @@ def main(argv=None):
             or _get(cfg, "out", str, default="robustdp-out")
         )
         return COMMANDS[args.command](cfg, out_dir, seed)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, FloatingPointError) as exc:
         sys.stderr.write(
             json.dumps({"error": str(exc), "command": args.command}) + "\n"
         )

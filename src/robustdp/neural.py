@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,10 @@ class Mlp:
     scaled tanh, so action networks always emit admissible actions.  An
     input dimension of zero makes the network a trainable constant.  Both
     forward (arrays) and forward_var (one fused tape node) run the one
-    kernel ad.mlp_forward, so their outputs are bit-identical.
+    kernel ad.mlp_forward.  On frozen parameters the two are bit-identical
+    and each output row depends on that row alone; forward_var on trainable
+    parameters runs every row in one call, whose rows may differ from the
+    frozen ones in the last bits.
     """
 
     def __init__(self, in_dim, out_dim, hidden_layers=5, hidden_units=32,
@@ -507,9 +511,8 @@ class _SampledSetMin:
     the paths and past actions repeated K times and the repeated action
     concatenated K times, so the feature step, the value net and its tape
     node run once per objective rather than once per candidate.  The result
-    is that of one psi call per block, bit for bit, wherever the BLAS
-    rounds a block's rows as it does among all K blocks (see
-    autodiff._tiles_agree)."""
+    is that of one psi call per block, bit for bit: the value net is
+    frozen, so each of its rows is computed as in any other call."""
 
     def __init__(self, problem, kernels, config, rng):
         d = problem.local_space.dimension
@@ -590,6 +593,16 @@ class _WassersteinDual:
         return ad.vmean(inner, axis=1) - lam * ad.const(eps**kernel.order)
 
 
+@contextmanager
+def _diverged(t, phase):
+    """Re-raises a NaN loss inside as training diverged at stage t's phase."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"training diverged at stage {t}, {phase} phase ({exc})") from None
+
+
 def _train_backward(problem, kernels, config, rng, inner):
     """The backward recursion of both trainers, stage T-1 down to 0.
 
@@ -633,32 +646,34 @@ def _train_backward(problem, kernels, config, rng, inner):
             return inner.objective(t, psi, a, omega_b, past, draws, pvars[k:])
 
         adam = AdamState.init(params, lr=config.lr)
-        for it in range(config.iter_a):
-            adam.lr = _lr_at(config, it, config.iter_a)
-            pvars = [ad.Var(p) for p in params]
-            obj = ad.vmean(objective(pvars, *draw_batch(t)))
-            adam_step(adam, params, _backprop(-obj, pvars))
-            log.append((t, "action", it, float(obj.value), inner.log_lambda(t)))
+        with _diverged(t, "action"):
+            for it in range(config.iter_a):
+                adam.lr = _lr_at(config, it, config.iter_a)
+                pvars = [ad.Var(p) for p in params]
+                obj = ad.vmean(objective(pvars, *draw_batch(t)))
+                adam_step(adam, params, _backprop(-obj, pvars))
+                log.append((t, "action", it, float(obj.value), inner.log_lambda(t)))
 
         frozen = [ad.const(p) for p in params]
         net_psi = Mlp(in_dim, 1, config.hidden_layers, config.hidden_units, rng,
                       in_scale=scale)
         _maybe_warm_start(net_psi, value_nets[t + 1] if t + 1 < T else None, config)
         adam_psi = AdamState.init(net_psi.parameters(), lr=config.lr)
-        for it in range(config.iter_psi if t > 0 else 0):
-            adam_psi.lr = _lr_at(config, it, config.iter_psi)
-            batch = draw_batch(t)
-            target = ad.const(objective(frozen, *batch).value)
-            held = []
+        with _diverged(t, "value"):
+            for it in range(config.iter_psi if t > 0 else 0):
+                adam_psi.lr = _lr_at(config, it, config.iter_psi)
+                batch = draw_batch(t)
+                target = ad.const(objective(frozen, *batch).value)
+                held = []
 
-            def mse(apply_fn):
-                pred = ad.reshape(apply_fn(batch[2]), (-1,))
-                held.append(ad.vmean((pred - target) ** 2))
-                return held[0]
+                def mse(apply_fn):
+                    pred = ad.reshape(apply_fn(batch[2]), (-1,))
+                    held.append(ad.vmean((pred - target) ** 2))
+                    return held[0]
 
-            adam_step(adam_psi, net_psi.parameters(), grad(net_psi, mse))
-            if it % 50 == 0:
-                log.append((t, "value", it, float(held[0].value), inner.log_lambda(t)))
+                adam_step(adam_psi, net_psi.parameters(), grad(net_psi, mse))
+                if it % 50 == 0:
+                    log.append((t, "value", it, float(held[0].value), inner.log_lambda(t)))
 
         action_nets[t] = net_a
         value_nets[t] = net_psi
@@ -766,6 +781,8 @@ def _dump_floats(fields, n, what):
         raise ValueError(f"network dump: {what} is not numeric") from None
     if vals.size != n:
         raise ValueError(f"network dump: {what} has {vals.size} values, expected {n}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"network dump: {what} has a non-finite value")
     return vals
 
 

@@ -363,6 +363,34 @@ def test_corrupt_network_is_json_error(tmp_path, capsys):
     assert "action_net_0.txt" in err["error"] and "truncated" in err["error"]
 
 
+def test_diverging_training_is_json_error(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1",
+                                    "train": dict(TINY_TRAIN, lr=1e300)})
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "train"
+    assert err["error"].startswith("training diverged at stage 1, value phase")
+
+
+def test_non_finite_network_is_json_error(tmp_path, capsys):
+    # a NaN weight in a trained dump: evaluate exits 1 and writes no
+    # evaluate.json, which would hold a bare NaN
+    cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": TINY_MUTATED_TRAIN})
+    path, out = write_config(tmp_path, cfg), tmp_path / "run"
+    assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+    net = out / "action_net_1.txt"
+    lines = net.read_text().splitlines()
+    lines[-2] = "nan " + lines[-2].split(" ", 1)[1]
+    net.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "action_net_1.txt" in err["error"] and "non-finite" in err["error"]
+    assert not (out / "evaluate.json").exists()
+
+
 def mutated(cfg, dotted, value):
     """A deep copy of cfg with the value at a dotted path set, sections
     created as needed."""

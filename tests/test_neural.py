@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     absolute,
@@ -201,6 +201,35 @@ def _tape_grads(forward, net, x, x_trainable, p_trainable, upstream):
     return out.value, [p.grad for p in pv], xv.grad if x_trainable else None
 
 
+def _padded_tape_grads(net, x, x_trainable, upstream):
+    """_tape_grads of the composed oracle on a frozen net, run on each
+    zero-padded TILE-row block of x (upstream padded with zeros), the real
+    rows kept: the rows a frozen network node computes on."""
+    outs, grads = [], []
+    for s in range(0, len(x), ad.TILE):
+        rows = len(x[s:s + ad.TILE])
+
+        def pad(a):
+            return np.vstack([a[s:s + ad.TILE], np.zeros((ad.TILE - rows, a.shape[1]))])
+
+        out, _, gx = _tape_grads(composed_forward_var, net, pad(x), x_trainable, False,
+                                 pad(upstream))
+        outs.append(out[:rows])
+        grads.append(gx[:rows] if x_trainable else None)
+    return (np.vstack(outs), [None] * len(net.parameters()),
+            np.vstack(grads) if x_trainable else None)
+
+
+def _mlp_case(seed, in_dim, hidden, out_dim, width, boxed, scaled):
+    """A random net with nonzero biases, and the rng that drew it."""
+    rng = np.random.default_rng(seed)
+    box = (rng.uniform(-2, 0, out_dim), rng.uniform(0.1, 2, out_dim)) if boxed else None
+    scale = rng.uniform(0.2, 3.0, in_dim) if scaled else None
+    net = nn.Mlp(in_dim, out_dim, hidden, width, rng, out_box=box, in_scale=scale)
+    net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
+    return net, rng
+
+
 # call heights: any up to 3 TILE + 17 rows, and a multiple of TILE plus 0-15
 HEIGHTS = st.one_of(st.integers(1, 3 * ad.TILE + 17),
                     st.builds(lambda k, r: k * ad.TILE + r, st.integers(1, 3), st.integers(0, 15)))
@@ -214,12 +243,9 @@ def test_fused_node_equals_composed_oracle(seed, in_dim, hidden, out_dim, width,
                                            x_trainable, p_trainable, heights):
     # repeated calls at changing heights, one row tile or several: a frozen
     # net's forward and every backward write reused buffers, grown when a
-    # call needs more room
-    rng = np.random.default_rng(seed)
-    box = (rng.uniform(-2, 0, out_dim), rng.uniform(0.1, 2, out_dim)) if boxed else None
-    scale = rng.uniform(0.2, 3.0, in_dim) if scaled else None
-    net = nn.Mlp(in_dim, out_dim, hidden, width, rng, out_box=box, in_scale=scale)
-    net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
+    # call needs more room.  A trainable net runs as one call, a frozen one
+    # on zero-padded TILE-row blocks, and each oracle does the same.
+    net, rng = _mlp_case(seed, in_dim, hidden, out_dim, width, boxed, scaled)
     for rows in heights:
         x = rng.normal(size=(rows, in_dim))
         upstream = rng.normal(size=(len(x), out_dim))
@@ -227,15 +253,46 @@ def test_fused_node_equals_composed_oracle(seed, in_dim, hidden, out_dim, width,
 
         fused = _tape_grads(lambda n, xv, pv: n.forward_var(xv, pv), net, x, x_trainable,
                             p_trainable, upstream)
-        oracle = _tape_grads(composed_forward_var, net, x, x_trainable, p_trainable,
-                             upstream)
+        frozen = _padded_tape_grads(net, x, x_trainable, upstream)
+        oracle = frozen
+        if p_trainable:
+            oracle = _tape_grads(composed_forward_var, net, x, x_trainable, True, upstream)
         assert fused[0].tobytes() == oracle[0].tobytes()
         assert net.forward(x).tobytes() == net.forward_var(x).value.tobytes()
-        assert net.forward(x).tobytes() == oracle[0].tobytes()
+        assert net.forward(x).tobytes() == frozen[0].tobytes()
         for got, want in zip(fused[1] + [fused[2]], oracle[1] + [oracle[2]]):
             assert (got is None) == (want is None)
             assert got is None or got.tobytes() == want.tobytes()
         assert all((g is not None) == p_trainable for g in fused[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 3), st.integers(1, 2),
+       st.integers(1, 40), st.booleans(), st.booleans(), HEIGHTS)
+def test_frozen_rows_are_batch_invariant(seed, in_dim, hidden, out_dim, width, boxed, scaled,
+                                         rows):
+    # a frozen net's output row, and the input gradient of its forward_var
+    # node, depend on that row alone: a call of any height, a sub-batch and a
+    # single-row call give the same bits
+    net, rng = _mlp_case(seed, in_dim, hidden, out_dim, width, boxed, scaled)
+    x = rng.normal(size=(rows, in_dim))
+    upstream = rng.normal(size=(rows, out_dim))
+
+    def run(lo, hi):
+        xv = ad.Var(x[lo:hi])
+        ad.backward(ad.vsum(net.forward_var(xv) * ad.const(upstream[lo:hi])))
+        return net.forward(x[lo:hi]), xv.grad
+
+    out, gx = run(0, rows)
+    lo = int(rng.integers(0, rows))
+    hi = int(rng.integers(lo + 1, rows + 1))
+    sub_out, sub_gx = run(lo, hi)
+    assert sub_out.tobytes() == out[lo:hi].tobytes()
+    assert sub_gx.tobytes() == gx[lo:hi].tobytes()
+    for i in rng.choice(rows, size=min(rows, 5), replace=False):
+        one_out, one_gx = run(i, i + 1)
+        assert one_out.tobytes() == out[i:i + 1].tobytes()
+        assert one_gx.tobytes() == gx[i:i + 1].tobytes()
 
 
 def test_three_frozen_nodes_of_one_net_in_one_tape():
@@ -530,15 +587,15 @@ def test_sampled_set_objective_matches_oracle(seed, t, d, b, n_mc, n_cands):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 2), st.sampled_from([4, 8, 32]),
-       st.booleans(), st.booleans())
-def test_one_call_objective_equals_per_candidate_oracle(seed, k, t, width, tied, at_horizon):
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from([4, 8, 32, 33, 35]), st.booleans(), st.booleans(), st.integers(1, 8),
+       st.integers(1, 139))
+def test_one_call_objective_equals_per_candidate_oracle(seed, k, t, width, tied, at_horizon,
+                                                        b, n_mc):
     # Algorithm 1's objective runs psi once over all K blocks, the oracle once
     # per block: the value and the action gradient agree bit for bit, through
-    # the hedging feature step and a frozen value net over several row tiles,
-    # or through the terminal objective.  Each block has more than 600 rows:
-    # with fewer, BLAS may round a 32-wide net's input-layer gradient product
-    # on one block by another kernel than on all K (see autodiff._tiles_agree).
+    # the hedging feature step and a frozen value net over one row tile or
+    # several, or through the terminal objective, for blocks of any size.
     from robustdp import hedging as hg
 
     rng = np.random.default_rng(seed)
@@ -551,7 +608,6 @@ def test_one_call_objective_equals_per_candidate_oracle(seed, k, t, width, tied,
     net = nn.Mlp(len(scale), 1, 2, width, rng, in_scale=scale)
     net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
     psi = nn._next_value(prob, t + 1, net)
-    b, n_mc = 8, int(rng.integers(76, 140))
     omega_b = rng.uniform(-0.07, 0.07, (b, t, 1))
     past = [rng.uniform(-1, 1, (b, spec.dim)) for spec in prob.action_specs[:t]]
     blocks = [rng.uniform(-0.07, 0.07, (b, n_mc, 1)) for _ in range(k)]
@@ -566,8 +622,9 @@ def test_one_call_objective_equals_per_candidate_oracle(seed, k, t, width, tied,
         out = objective(a)
         ad.backward(ad.vmean(out))
         runs.append((out.value.tobytes(), a.grad.tobytes()))
-        assert np.any(a.grad != 0.0)
     assert runs[0] == runs[1]
+    # a few rows may meet only dead relus; such a draw counts as no example
+    assume(np.any(a.grad != 0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -846,6 +903,7 @@ def _corrupt_dumps():
         "truncated": "\n".join(lines[:-2]) + "\n",
         "short row": "\n".join(lines[:4] + [lines[4].rsplit(" ", 1)[0]] + lines[5:]),
         "non-numeric": "\n".join(lines[:-1] + ["x"]),
+        "non-finite": "\n".join(lines[:-2] + ["nan " + lines[-2].split(" ", 1)[1], lines[-1]]),
         "trailing": text + "1 2 3\n",
     }
 
@@ -915,9 +973,8 @@ def random_policy(kind, T, d, rng):
        st.integers(1, 3), st.integers(1, 2), st.integers(1, 5))
 def test_rollout_matches_per_path_actions(seed, kind, T, d, n):
     # dp.rollout on n paths against n single-row act calls, for every
-    # policy type.  Exact and delta rows are bit-identical.  A neural row
-    # goes through a BLAS matrix product whose rounding depends on the
-    # number of rows, so neural rows agree to 1e-12.
+    # policy type: the rows are bit-identical (a frozen net's output row
+    # depends on that row alone).
     if kind in ("exact", "delta"):
         d = 1
     rng = np.random.default_rng(seed)
@@ -926,10 +983,7 @@ def test_rollout_matches_per_path_actions(seed, kind, T, d, n):
     rows = per_path_rollout(policy, omega)
     for t, (batch, spec) in enumerate(zip(dp.rollout(policy, omega), prob.action_specs)):
         assert batch.shape == rows[t].shape == (n, spec.dim)
-        if kind.startswith("neural"):
-            assert np.max(np.abs(batch - rows[t])) <= 1e-12
-        else:
-            assert batch.tobytes() == rows[t].tobytes()
+        assert batch.tobytes() == rows[t].tobytes()
         assert np.all((spec.low <= batch) & (batch <= spec.high))
 
 
