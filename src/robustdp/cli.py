@@ -475,9 +475,9 @@ def cmd_evaluate(cfg, out_dir, seed):
     n_paths = _get(cfg, "evaluate.paths", int, default=2000, minimum=1)
     policy = _load_policy(out_dir, hp)
     rng = substream(seed, "evaluation")
-    sampler = dp.sampler_from_kernel(
-        _get(cfg, "solver.n_measures", int, default=3, minimum=1))
-    cands = {t: sampler(kernels[t], np.zeros((t, hp.d)), t, rng) for t in range(hp.horizon)}
+    n = _get(cfg, "solver.n_measures", int, default=3, minimum=1)
+    cands = {t: amb.sample_measures(kernels[t], np.zeros((t, hp.d)), n, rng)
+             for t in range(hp.horizon)}
     values = nn.mc_policy_values(problem, policy, cands, n_paths, rng)
     _write(out_dir, "evaluate.json", _json_text({
         "schema_version": 1,

@@ -109,7 +109,7 @@ def _nearest_rows(local_grid, points):
 def sampler_from_kernel(n_measures):
     """The sampler sample_measures(kernel, path, n_measures, rng): n_measures
     candidates from a ball, the center of a singleton, a finite set's members."""
-    return lambda kernel, path, t, rng: sample_measures(kernel, path, n_measures, rng)
+    return lambda kernel, path, rng: sample_measures(kernel, path, n_measures, rng)
 
 
 def pool_sampler(pool):
@@ -119,7 +119,7 @@ def pool_sampler(pool):
     from one fixed pool are exactly monotone in the radius.
     """
 
-    def sampler(kernel, path, t, rng):
+    def sampler(kernel, path, rng):
         out = [kernel.center(path)]
         for m in pool:
             ok, _ = membership(kernel, path, m)
@@ -131,7 +131,8 @@ def pool_sampler(pool):
 
 
 def build_candidates(problem, local_grid, sampler, rng=None):
-    """Materialize the candidate-measure dict (t, node) -> [measures].
+    """Materialize the candidate-measure dict (t, node) -> [measures], the
+    list at a node being sampler(kernel, path, rng).
 
     Sampling happens once, in deterministic node order, so the same dict
     feeds both the solver and the brute-force oracle.
@@ -141,7 +142,7 @@ def build_candidates(problem, local_grid, sampler, rng=None):
     for t in range(problem.horizon):
         for node in itertools.product(range(n), repeat=t):
             path = local_grid[list(node)]
-            cands = sampler(problem.kernels[t], path, t, rng)
+            cands = sampler(problem.kernels[t], path, rng)
             if not cands:
                 raise ValueError(f"empty candidate set at stage {t}, node {node}")
             if problem.growth_c_p is not None:

@@ -4,7 +4,11 @@ Returns (not prices) are the canonical state: the local space is the box
 [-C, C]^d and prices are reconstructed as S_t = S_0 * prod(1 + r_k) on
 demand.  The stage objective handed to the solvers is minus the prospect
 loss of the terminal hedging error of a self-financing strategy (initial
-cash d_0 plus per-stage positions Delta_t within configured bounds).
+cash d_0 plus per-stage positions Delta_t within configured bounds).  One
+book (`_book`) carries that strategy's wealth and one `prospect_loss`
+scores its error, as tape Vars: the trainers differentiate them, and the
+exact solver and the backtest read their values on constant actions,
+which build no tape.
 scipy is imported inside `_norm_cdf` only, on the first Black-Scholes
 delta: nothing else here uses it, and its import would add about a second
 to every process.
@@ -12,6 +16,7 @@ to every process.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -33,7 +38,6 @@ __all__ = [
     "HedgingProblem",
     "ReturnSeries",
     "prices_from_returns",
-    "wealth_from_returns",
     "hedging_objective",
     "make_control_problem",
     "holder_data",
@@ -63,16 +67,13 @@ class LossParams:
 
 
 def prospect_loss(x, params=LossParams()):
-    """U(x) = x^a for x >= 0, b * (-x)^a for x < 0 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    pos = np.clip(x, 0.0, None) ** params.a
-    neg = params.b * np.clip(-x, 0.0, None) ** params.a
-    out = pos + neg
-    return float(out) if out.ndim == 0 else out
-
-
-def _prospect_loss_tape(x, params):
-    return ad.pow_pos(x, params.a) + params.b * ad.pow_pos(-x, params.a)
+    """U(x) = x^a for x >= 0, b * (-x)^a for x < 0, elementwise on an array
+    or a tape Var; a Var in gives a Var out, with subgradient 0 at x = 0."""
+    v = ad.as_var(x)
+    u = ad.pow_pos(v, params.a) + params.b * ad.pow_pos(-v, params.a)
+    if isinstance(x, ad.Var):
+        return u
+    return float(u.value) if u.value.ndim == 0 else u.value
 
 
 class CallPayoff:
@@ -194,30 +195,15 @@ def prices_from_returns(returns, s0):
     return s0 * np.concatenate([ones, growth], axis=-2)
 
 
-def wealth_from_returns(returns, actions, s0):
-    """Terminal value d_0 + (p_0 + p_1 + ...) of the self-financing
-    strategy, with p_t = Delta_t . (S_{t+1} - S_t).
-
-    One path (T, d) takes actions[t] of shape (m_t,) and gives a float;
-    paths (N, T, d) take actions[t] of shape (N, m_t) and give (N,)."""
-    prices = prices_from_returns(returns, s0)
-    incr = np.diff(prices, axis=-2)
-    a0 = np.atleast_1d(np.asarray(actions[0], dtype=float))
-    deltas = [a0[..., 1:]] + [np.atleast_1d(np.asarray(a, dtype=float)) for a in actions[1:]]
-    return a0[..., 0] + sum(
-        (dl[..., None, :] @ incr[..., j, :, None])[..., 0, 0] for j, dl in enumerate(deltas)
-    )
-
-
 def hedging_objective(problem, path, actions):
     """The stage objective: minus prospect loss of (wealth - payoff).
 
     One path (T, d) takes actions[t] of shape (m_t,) and gives a float;
-    paths (N, T, d) take actions[t] of shape (N, m_t) and give (N,), each
-    equal bit for bit to the call on its own path when the payoff is (the
-    built-in ones are).  The loss powers are taken on Python floats for
-    that reason: numpy's vectorized power on an array can differ from the
-    scalar one in the last bit."""
+    paths (N, T, d) take actions[t] of shape (N, m_t) and give (N,).  After
+    the domain and bound checks it is the value of the trainers' terminal
+    on constant actions.  A single path goes through the book as one row,
+    so every row of a batch equals the call on its own path bit for bit,
+    given a payoff whose rows do (the built-in ones do)."""
     path = np.asarray(path, dtype=float)
     paths = path.reshape(-1, problem.horizon, problem.d)
     acts = [np.asarray(a, dtype=float).reshape(len(paths), -1) for a in actions]
@@ -230,25 +216,24 @@ def hedging_objective(problem, path, actions):
     for a in acts[1:]:
         if np.any(np.abs(a) > problem.a_bound + 1e-9):
             raise ValueError("position outside bounds")
-    prices = prices_from_returns(paths, problem.s0)
-    err = wealth_from_returns(paths, acts, problem.s0) - problem.payoff(prices)
-    a = problem.loss.a
-    powers = np.array([x**a for x in np.abs(err).tolist()])
-    out = -np.where(err >= 0, powers, problem.loss.b * powers)
+    out = _terminal(problem, paths, acts).value
     return float(out[0]) if path.ndim < 3 else out
 
 
 def _book_step(growth, wealth, action, r, s0):
-    """One step of the self-financing book, the one place where the tape
-    moves prices and wealth.
+    """One step of the self-financing book, the one place where prices and
+    wealth move.
 
     From the growth g_t = prod_{k<=t}(1 + r_k) (M, d) and the wealth W_t
     (a Var (M,), or None before stage 0, whose action carries the cash d_0
     ahead of its positions), the stage action (M, m_t), an array or a Var,
     and the next returns r (M, d) to g_{t+1} = g_t (1 + r) and
-    W_{t+1} = W_t + Delta_t . (S_{t+1} - S_t), with S = s0 g.  The growth is
-    carried rather than the price: s0 (g_t (1 + r)) is what
-    prices_from_returns gives, and S_t (1 + r) can differ in the last bit."""
+    W_{t+1} = W_t + Delta_t . (S_{t+1} - S_t), with S = s0 g.  So the
+    terminal wealth is ((d_0 + p_0) + p_1) + ..., p_t the stage's gain.
+    The growth is carried rather than the price: s0 (g_t (1 + r)) is what
+    prices_from_returns gives, and S_t (1 + r) can differ in the last bit.
+    Each row's bits depend on that row alone, so a batch of paths gives
+    what each path gives as a batch of one."""
     a = ad.as_var(action)
     nxt = growth * (1.0 + r)
     if wealth is None:
@@ -265,16 +250,17 @@ def _book(omega, actions, s0):
     return growth, wealth
 
 
-def _terminal_tape(problem):
-    """Batched, tape-differentiable total objective for the trainers."""
+def _hedging_error(problem, omega, actions):
+    """Terminal wealth minus payoff along paths omega (N, T, d), a Var (N,)
+    that is constant when the actions are."""
+    payoff = problem.payoff(prices_from_returns(omega, problem.s0))
+    return _book(omega, actions, problem.s0)[1] - ad.const(payoff)
 
-    def terminal(omega, actions):
-        omega = np.asarray(omega, dtype=float)
-        payoff = np.asarray(problem.payoff(prices_from_returns(omega, problem.s0)), dtype=float)
-        err = _book(omega, actions, problem.s0)[1] - ad.const(payoff)
-        return -_prospect_loss_tape(err, problem.loss)
 
-    return terminal
+def _terminal(problem, omega, actions):
+    """Minus the prospect loss of the hedging error, a Var (N,): the total
+    objective, differentiable in the actions."""
+    return -prospect_loss(_hedging_error(problem, omega, actions), problem.loss)
 
 
 def _feature_tape(problem):
@@ -324,9 +310,7 @@ def make_control_problem(problem, kernels, action_resolution=5, holder=None):
         for _ in range(problem.horizon - 1)
     ]
 
-    def terminal(omega, actions):
-        return hedging_objective(problem, omega, actions)
-
+    terminal = functools.partial(hedging_objective, problem)
     cp = ControlProblem(
         horizon=problem.horizon,
         local_space=problem.space,
@@ -337,7 +321,7 @@ def make_control_problem(problem, kernels, action_resolution=5, holder=None):
         growth_p=0,
         holder=holder if holder is not None else holder_data(problem),
     )
-    cp.terminal_tape = _terminal_tape(problem)
+    cp.terminal_tape = functools.partial(_terminal, problem)
     cp.feature_tape = _feature_tape(problem)
     return cp
 
@@ -520,18 +504,18 @@ def backtest(problem, policies, series):
     Each start consumes the next T returns, so a series of length n yields
     n - T windows, stacked into one paths array (n - T, T, d) along which
     every policy acts through dp.rollout, one act(t, omega, past) call per
-    stage over all windows at once.  Records per policy the raw
-    hedging error, its absolute value and the prospect loss, one array
-    each in window order, with summary statistics.
+    stage over all windows at once.  The errors come from the book the
+    solvers use.  Records per policy the raw hedging error, its absolute
+    value and the prospect loss, one array each in window order, with
+    summary statistics.
     """
     T = problem.horizon
     if len(series) < T + 1:
         raise ValueError("series shorter than one hedge window")
     paths = np.stack([series.values[s : s + T] for s in range(len(series) - T)])
-    payoff = np.asarray(problem.payoff(prices_from_returns(paths, problem.s0)), dtype=float)
     outcomes = {}
     for name, policy in policies.items():
-        err = wealth_from_returns(paths, rollout(policy, paths), problem.s0) - payoff
+        err = _hedging_error(problem, paths, rollout(policy, paths)).value
         outcomes[name] = {"error": err, "abs": np.abs(err),
                           "prospect": prospect_loss(err, problem.loss)}
     summary = {

@@ -683,6 +683,9 @@ def _train_backward(problem, kernels, config, rng, inner):
     draws0 = inner.draw(0, omega0, config.eval_mc, rng, final=True)
     x0 = _stage_input_tape(problem, 0, omega0, []).value
     value_estimate = float(objective(frozen, omega0, [], x0, draws0).value[0])
+    with _diverged(0, "action"):  # no value phase follows to catch its escape
+        if not math.isfinite(value_estimate):
+            raise FloatingPointError(f"value estimate is {value_estimate}")
     return TrainResult(
         action_nets=action_nets,
         value_nets=value_nets,
@@ -742,9 +745,7 @@ def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):
         omega = np.empty((n_paths, T, d))
         for t in range(T):
             m = candidate_sets[t][k]
-            cum = np.cumsum(m.weights)
-            idx = np.searchsorted(cum, u[:, t], side="right").clip(0, m.n_atoms - 1)
-            omega[:, t] = m.support[idx]
+            omega[:, t] = m.support[_choice_indices(m.weights, u[:, t])]
         vals = problem.terminal_tape(omega, rollout(policy, omega)).value
         values.append(float(vals.mean()))
     return values

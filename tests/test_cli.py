@@ -287,7 +287,7 @@ PINNED_RUNS = {
             "action_net_0.txt": "eb0e535a705541784730a247b49604ba78951fdb468840bd884d0b7a122df941",
             "action_net_1.txt": "66cf55ea1b882a09593d31f51d389521e162a87d6fe4323e6f8535ac26d62139",
             "action_net_2.txt": "b9bb5e3ed7d96de2e319b5f9fc004d861c369f7b9ba237a69ead6c510b5d75a3",
-            "backtest.csv": "8eec438d79beba69f8c3d98c82d5010665363be5390e41107a39ab4ae307efb0",
+            "backtest.csv": "d73816fcb47e8116b5cd48fc6293b00d14473328a20cec1da9cb06ba5a565f2a",
             "train.json": "30b7d1f761fd06495ca1059cddbada1472bdf67a37ed8a329f95bba80e9c28fc",
             "training_log.csv": "3f266767e64ae4ae61e4ad11588fd72649a22e4f9c0db07514ef38871a239755",
             "value_net_1.txt": "ea1da7d9f65d8cc988883ef75cc24ce5356b4862ad152a1431823650869fa048",
@@ -372,6 +372,22 @@ def test_diverging_training_is_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "train"
     assert err["error"].startswith("training diverged at stage 1, value phase")
+
+
+@pytest.mark.parametrize("kind, horizon, message", [
+    ("algorithm1", 2, "training diverged at stage "),
+    # one stage: no value phase follows the action phase, so only the
+    # stage-0 value estimate can show that its last step diverged
+    ("algorithm2", 1, "training diverged at stage 0, action phase"),
+])
+def test_diverged_training_writes_no_network(tmp_path, capsys, kind, horizon, message):
+    cfg = dict(BASE_CONFIG, problem=dict(BASE_CONFIG["problem"], horizon=horizon),
+               solver={"kind": kind, "train": {"iter_a": 1, "iter_psi": 1, "lr": 1e300}})
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(message)
+    assert not list(tmp_path.glob("**/*_net_*.txt"))
 
 
 def test_non_finite_network_is_json_error(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_sampler_from_kernel_is_sample_measures(kind):
         "finite": amb.FiniteSet([ref, other, ref]),
     }[kind]
     r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
-    got = dp.sampler_from_kernel(4)(kernel, np.zeros((0, 1)), 0, r1)
+    got = dp.sampler_from_kernel(4)(kernel, np.zeros((0, 1)), r1)
     expect = amb.sample_measures(kernel, np.zeros((0, 1)), 4, r2)
     assert len(got) == {"singleton": 1, "finite": 3}.get(kind, 4)
     assert [(m.support.tobytes(), m.weights.tobytes()) for m in got] == [
@@ -143,7 +143,7 @@ def ragged_instance(rng):
         w = np.full(k, 1.0 / k) if rng.random() < 0.5 else rng.dirichlet(np.ones(k))
         return DiscreteMeasure(pts, w)
 
-    def sampler(kernel, path, t, rng_):
+    def sampler(kernel, path, rng_):
         out = [draw_measure()]
         for _ in range(int(rng.integers(0, 3))):
             out.append(out[-1] if rng.random() < 0.3 else draw_measure())

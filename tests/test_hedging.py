@@ -108,11 +108,11 @@ def test_objective_on_a_batch_equals_per_path_calls(seed, d, T, n):
     batch = hg.hedging_objective(prob, paths, actions)
     assert batch.shape == (n,)
     for i in range(n):
-        row = [a[i] for a in actions]
-        prices = hg.prices_from_returns(paths[i], prob.s0)
-        err = hg.wealth_from_returns(paths[i], row, prob.s0) - float(prob.payoff(prices))
-        single = hg.hedging_objective(prob, paths[i], row)
-        assert batch[i] == single == -hg.prospect_loss(err, prob.loss)
+        single = hg.hedging_objective(prob, paths[i], [a[i] for a in actions])
+        prices = hg.prices_from_returns(paths[i:i + 1], prob.s0)
+        err = (full_path_wealth_tape(prices, [a[i:i + 1] for a in actions])
+               - ad.const(prob.payoff(prices)))
+        assert batch[i] == single == -hg.prospect_loss(err, prob.loss).value[0]
 
 
 @pytest.mark.parametrize(
@@ -161,7 +161,7 @@ def test_self_financing_identity():
     actions = [np.concatenate([[0.3], rng.uniform(-1, 1, 2)])] + [
         rng.uniform(-1, 1, 2) for _ in range(5)
     ]
-    w1 = hg.wealth_from_returns(path, actions, prob.s0)
+    w1 = hg._book(path[None], [a[None] for a in actions], prob.s0)[1].value[0]
     prices = hg.prices_from_returns(path, prob.s0)
     deltas = [actions[0][1:]] + actions[1:]
     w2 = actions[0][0] + sum(
@@ -179,10 +179,10 @@ def test_wealth_on_a_batch_equals_per_path_calls(seed, d, T, n):
         rng.uniform(-1, 1, size=(n, d)) for _ in range(T - 1)
     ]
     s0 = rng.uniform(0.5, 2.0, size=d)
-    batch = hg.wealth_from_returns(paths, actions, s0)
+    batch = hg._book(paths, actions, s0)[1].value
     assert batch.shape == (n,)
     for i in range(n):
-        assert batch[i] == hg.wealth_from_returns(paths[i], [a[i] for a in actions], s0)
+        assert batch[i] == hg._book(paths[i:i + 1], [a[i:i + 1] for a in actions], s0)[1].value[0]
 
 
 def test_holder_audit_on_difference_quotients():
@@ -269,7 +269,7 @@ def test_one_step_features_equal_full_path_formula(seed, d, T, b, n):
     def terminal_oracle(acts):
         prices = hg.prices_from_returns(omega, prob.s0)
         err = full_path_wealth_tape(prices, acts) - ad.const(prob.payoff(prices))
-        return -hg._prospect_loss_tape(err, prob.loss)
+        return -hg.prospect_loss(err, prob.loss)
 
     got = value_and_grad(lambda a: cp.terminal_tape(omega, actions[:-1] + [a]), T - 1, 1)
     want = value_and_grad(lambda a: terminal_oracle(actions[:-1] + [a]), T - 1, 1)
@@ -421,20 +421,22 @@ class ZeroPolicy:
 
 def backtest_oracle(problem, policies, series):
     """The per-window backtest: every policy acts window by window and
-    stage by stage through single-row act calls, and each error is scored
+    stage by stage through single-row act calls, each window's wealth
+    comes from its whole-path price increments, and each error is scored
     on its own."""
     T = problem.horizon
     outcomes = {name: {"error": [], "abs": [], "prospect": []} for name in policies}
     for s in range(len(series) - T):
-        path = series.values[s : s + T]
-        payoff = float(problem.payoff(hg.prices_from_returns(path, problem.s0)))
+        path = series.values[s : s + T][None]
+        prices = hg.prices_from_returns(path, problem.s0)
         for name, policy in policies.items():
-            actions = [a[0] for a in per_path_rollout(policy, path[None])]
-            err = hg.wealth_from_returns(path, actions, problem.s0) - payoff
+            wealth = full_path_wealth_tape(prices, per_path_rollout(policy, path)).value
+            err = wealth - problem.payoff(prices)
             outcomes[name]["error"].append(err)
-            outcomes[name]["abs"].append(abs(err))
+            outcomes[name]["abs"].append(np.abs(err))
             outcomes[name]["prospect"].append(hg.prospect_loss(err, problem.loss))
-    return outcomes
+    return {name: {k: np.concatenate(v) for k, v in rec.items()}
+            for name, rec in outcomes.items()}
 
 
 def trained_hedge_policy(prob, net_inputs, seed=2):
@@ -467,7 +469,7 @@ def test_backtest_matches_per_window_oracle(which):
     for metric in ("error", "abs", "prospect"):
         got = rep.outcomes[which][metric]
         assert len(got) == len(oracle[metric]) == 26
-        assert np.max(np.abs(got - np.array(oracle[metric]))) <= 1e-12
+        assert got.tobytes() == oracle[metric].tobytes()
     assert rep.summary[which]["abs"]["count"] == rep.summary[which]["prospect"]["count"] == 26
 
 

@@ -295,11 +295,25 @@ def test_frozen_rows_are_batch_invariant(seed, in_dim, hidden, out_dim, width, b
         assert one_gx.tobytes() == gx[i:i + 1].tobytes()
 
 
+def _padded_forward_var(net, x):
+    """The composed oracle of a frozen net as one tape expression: each
+    zero-padded TILE-row block of x through composed_forward_var, the real
+    rows kept (the rows of _padded_tape_grads)."""
+    x = ad.as_var(x)
+    outs = []
+    for s in range(0, x.shape[0], ad.TILE):
+        block = x[s:s + ad.TILE]
+        rows = block.shape[0]
+        pad = ad.const(np.zeros((ad.TILE - rows, x.shape[1])))
+        outs.append(composed_forward_var(net, ad.concat([block, pad], axis=0))[:rows])
+    return ad.concat(outs, axis=0)
+
+
 def test_three_frozen_nodes_of_one_net_in_one_tape():
     # the per-candidate layout of Algorithm 1's objective (its oracle in
     # conftest): one frozen value net on three blocks of continuation rows
     # in one tape, their means, then the least mean.  The middle block is
-    # two row tiles high, so the reused buffers grow between nodes.
+    # two row tiles high.
     rng = np.random.default_rng(8)
     net = nn.Mlp(3, 1, 3, 16, rng, in_scale=[1.0, 0.5, 2.0])
     net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
@@ -307,7 +321,7 @@ def test_three_frozen_nodes_of_one_net_in_one_tape():
     blocks = [rng.normal(size=(b * n, 2)) for n in ns]
     a0 = rng.normal(size=(b, 1))
     runs = []
-    for forward in (lambda x: net.forward_var(x), lambda x: composed_forward_var(net, x)):
+    for forward in (lambda x: net.forward_var(x), lambda x: _padded_forward_var(net, x)):
         a = ad.Var(a0)
         means = []
         for n, data in zip(ns, blocks):
