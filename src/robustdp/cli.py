@@ -314,11 +314,10 @@ def _tiny_instance(rng, horizon=2, n_grid=3, n_actions=2, n_measures=2):
     coefs = rng.normal(size=(horizon, 3))
 
     def terminal(omega, actions, c=coefs):
-        total = 0.0
-        for t in range(len(actions)):
-            a = float(np.atleast_1d(actions[t])[0])
-            w = float(omega[t, 0])
-            total += c[t, 0] * a * w + c[t, 1] * abs(a - w) + c[t, 2] * w
+        total = np.zeros(len(omega))
+        for t, a in enumerate(actions):
+            a, w = a[:, 0], omega[:, t, 0]
+            total += c[t, 0] * a * w + c[t, 1] * np.abs(a - w) + c[t, 2] * w
         return total
 
     kernels = []
@@ -529,10 +528,7 @@ def cmd_bounds(cfg, out_dir, seed):
         trues.append(amb.ConstantKernel(DiscreteMeasure(g, w_true)))
 
     def terminal(omega, actions):
-        return float(
-            sum(-abs(float(np.atleast_1d(a)[0]) - omega[t, 0])
-                for t, a in enumerate(actions))
-        )
+        return sum(-np.abs(a[:, 0] - omega[:, t, 0]) for t, a in enumerate(actions))
 
     acts = ConstantSet(points=[[-0.5], [0.0], [0.5]])
 

@@ -4,7 +4,8 @@ Backward induction over the path tree: at each node the adversary picks
 the candidate measure minimizing the expected continuation value, then the
 controller picks the action maximizing that worst case.  A brute-force
 enumeration over all tabular policies and adversary selections serves as
-the oracle the solver is tested against.
+the oracle the solver is tested against.  Both read the objective through
+the one batched ControlProblem.terminal, the oracle on batches of one.
 
 Paths are tuples of indices into a finite local grid; candidate measures
 with off-grid atoms are snapped to the nearest grid point (lowest index on
@@ -14,7 +15,7 @@ The solver keeps one array per stage and table.  Nodes and action keys
 become mixed-radix ids (see SolveResult), action grids of different sizes
 are padded to the largest one of their stage, and each candidate's snapped
 support becomes (index, weight) arrays built once.  The terminal layer is
-one batched call of the problem's terminal_batch; a stage step gathers
+one call of the problem's batched terminal; a stage step gathers
 the child values, adds them atom by atom in support order (the order of
 the scalar sum, so values are bit-identical to it), then takes the
 first-index argmin over candidates and argmax over real actions.
@@ -58,14 +59,16 @@ __all__ = [
 class ControlProblem:
     """Finite-horizon max-min control problem.
 
-    terminal(omega, actions) evaluates the objective on a full path
-    (array of shape (T, d)) and the list of per-stage action vectors.
-    terminal_batch, when supplied, does the same on paths (N, T, d) with
-    actions[t] of shape (N, m_t) and returns (N,) values equal to the
-    per-path terminal calls; the exact solver then fills its terminal
-    layer with one call.
+    terminal(omega, actions) is the objective Psi of every solver: on
+    paths omega (N, T, d) with actions[t] of shape (N, m_t) it returns (N,)
+    values, each row depending on that row alone.  The exact solver makes
+    one call for its terminal layer, the oracles batches of one.
     holder, when supplied, carries the declared regularity data
     {"L_psi", "alpha", "C_psi"} consumed by the bounds module.
+    The neural trainers read terminal_tape(omega, actions), the same
+    objective as a tape Var (N,), and two network-input fields: the step
+    feature_tape of neural._continuation, when supplied, and net_inputs,
+    "both" (path, actions and features) or "features" (features alone).
     """
 
     horizon: int
@@ -76,7 +79,9 @@ class ControlProblem:
     growth_p: int = 0
     holder: dict = None
     growth_c_p: list = None
-    terminal_batch: object = None
+    terminal_tape: object = None
+    feature_tape: object = None
+    net_inputs: str = "both"
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -333,9 +338,8 @@ def _controller_max(j, counts):
 
 
 def _terminal_layer(problem, local_grid, stage, valid):
-    """psi_T on its (n^T, P_T) layout: one batched terminal call on the
-    valid entries (per-path calls without terminal_batch), zeros on
-    padding."""
+    """psi_T on its (n^T, P_T) layout: one terminal call on the valid
+    entries, zeros on padding."""
     T = problem.horizon
     n = len(local_grid)
     u, p = np.nonzero(valid)
@@ -343,20 +347,18 @@ def _terminal_layer(problem, local_grid, stage, valid):
     keys = np.unravel_index(p, [acts.shape[1] for acts, _ in stage])
     omega = local_grid[nodes]  # (N, T, d)
     actions = [acts[u // n ** (T - s), keys[s]] for s, (acts, _) in enumerate(stage)]
-    if problem.terminal_batch is not None:
-        vals = np.asarray(problem.terminal_batch(omega, actions), dtype=float)
-    else:
-        vals = np.array(
-            [
-                float(problem.terminal(path, [a[i] for a in actions]))
-                for i, path in enumerate(omega)
-            ]
-        )
+    vals = np.asarray(problem.terminal(omega, actions), dtype=float)
     if np.isnan(vals).any():
         raise ValueError("terminal utility returned NaN")
     psi = np.zeros(valid.shape)
     psi[u, p] = vals
     return psi
+
+
+def _terminal_at(problem, path, actions):
+    """The objective on one path (T, d) after its stage actions (m_t,), as
+    a batch of one."""
+    return float(problem.terminal(path[None], [np.reshape(a, (1, -1)) for a in actions])[0])
 
 
 def _dual_lower(problem, local_grid, t, child, low, valid_j):
@@ -496,9 +498,8 @@ def brute_force_value(problem, local_grid, candidates, guard=10_000_000):
     def terminal_value(node, akey):
         key = (node, akey)
         if key not in term_cache:
-            omega = local_grid[list(node)]
-            term_cache[key] = float(
-                problem.terminal(omega, _actions_from_key(grids, node, akey))
+            term_cache[key] = _terminal_at(
+                problem, local_grid[list(node)], _actions_from_key(grids, node, akey)
             )
         return term_cache[key]
 
@@ -592,7 +593,7 @@ def evaluate_policy(problem, policy, selection, local_grid):
     def rec(t, node, actions):
         path = local_grid[list(node)]
         if t == T:
-            return float(problem.terminal(path, actions))
+            return _terminal_at(problem, path, actions)
         a = policy.act(t, path[None], [p[None] for p in actions])[0]
         acts = actions + [a]
         m = selection(t, path, acts)

@@ -49,6 +49,8 @@ __all__ = [
     "BacktestReport",
 ]
 
+TRADING_DAYS = 252  # a year: GBM steps, volatility annualization, BS expiry
+
 
 @dataclass(frozen=True)
 class LossParams:
@@ -293,7 +295,7 @@ def _feature_tape(problem):
     return step
 
 
-def make_control_problem(problem, kernels, action_resolution=5, holder=None):
+def make_control_problem(problem, kernels, action_resolution=5):
     """Wrap the hedging instance as a ControlProblem for the solvers."""
     specs = [
         ConstantSet(
@@ -309,21 +311,16 @@ def make_control_problem(problem, kernels, action_resolution=5, holder=None):
         )
         for _ in range(problem.horizon - 1)
     ]
-
-    terminal = functools.partial(hedging_objective, problem)
-    cp = ControlProblem(
+    return ControlProblem(
         horizon=problem.horizon,
         local_space=problem.space,
-        terminal=terminal,
-        terminal_batch=terminal,
+        terminal=functools.partial(hedging_objective, problem),
         action_specs=specs,
         kernels=kernels,
-        growth_p=0,
-        holder=holder if holder is not None else holder_data(problem),
+        holder=holder_data(problem),
+        terminal_tape=functools.partial(_terminal, problem),
+        feature_tape=_feature_tape(problem),
     )
-    cp.terminal_tape = functools.partial(_terminal, problem)
-    cp.feature_tape = _feature_tape(problem)
-    return cp
 
 
 def holder_data(problem):
@@ -336,7 +333,7 @@ def holder_data(problem):
     T = problem.horizon
     d = problem.d
     s_max = float(np.max(problem.s0)) * (1.0 + C) ** T
-    l_payoff = getattr(problem.payoff, "holder_beta", 1.0)
+    l_payoff = problem.payoff.holder_beta
     l_actions = max(1.0, s_max * C * math.sqrt(d))
     l_omega = (2.0 * problem.a_bound * d * T + d * T) * s_max / max(1.0 - C, 1e-9)
     lip = max(l_actions, l_omega)
@@ -371,7 +368,7 @@ class BSDeltaPolicy:
     the initial premium.  At expiry the delta degenerates to the moneyness
     indicator.  A policy in the sense of dp.rollout: act(t, omega, past)."""
 
-    def __init__(self, problem, annual_vol, strike, day_count=252):
+    def __init__(self, problem, annual_vol, strike):
         if problem.d != 1:
             raise ValueError("delta hedge implemented for a single asset")
         if annual_vol <= 0:
@@ -379,7 +376,6 @@ class BSDeltaPolicy:
         self.problem = problem
         self.sigma = float(annual_vol)
         self.strike = float(strike)
-        self.day_count = int(day_count)
 
     def _delta(self, s, tau):
         """N(d_1) at the prices s (an array) with tau years to expiry; at
@@ -394,7 +390,7 @@ class BSDeltaPolicy:
 
     def premium(self):
         s = float(self.problem.s0[0])
-        tau = self.problem.horizon / self.day_count
+        tau = self.problem.horizon / TRADING_DAYS
         d1 = (math.log(s / self.strike) + 0.5 * self.sigma**2 * tau) / (
             self.sigma * math.sqrt(tau)
         )
@@ -407,38 +403,38 @@ class BSDeltaPolicy:
         clipped premium at t = 0; the past actions are not read."""
         prices = prices_from_returns(omega[:, :t], self.problem.s0)[:, t, 0]
         a = self.problem.a_bound
-        delta = np.clip(self._delta(prices, (self.problem.horizon - t) / self.day_count), -a, a)
+        delta = np.clip(self._delta(prices, (self.problem.horizon - t) / TRADING_DAYS), -a, a)
         if t > 0:
             return delta[:, None]
         d0 = np.clip(self.premium(), -self.problem.b_bound, self.problem.b_bound)
         return np.stack([np.full_like(delta, d0), delta], axis=1)
 
 
-def bs_delta_hedge(problem, annual_vol, strike, day_count=252):
-    return BSDeltaPolicy(problem, annual_vol, strike, day_count)
+def bs_delta_hedge(problem, annual_vol, strike):
+    return BSDeltaPolicy(problem, annual_vol, strike)
 
 
-def estimate_annual_vol(series, trading_days=252):
+def estimate_annual_vol(series):
     """Sample standard deviation of daily returns, annualized by sqrt(days)."""
     values = series.values if isinstance(series, ReturnSeries) else np.atleast_2d(series)
     if values.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    sd = values.std(axis=0, ddof=1) * math.sqrt(trading_days)
+    sd = values.std(axis=0, ddof=1) * math.sqrt(TRADING_DAYS)
     if np.any(sd == 0.0):
         warnings.warn("constant return series: zero volatility estimate")
     return float(sd[0]) if sd.shape[0] == 1 else sd
 
 
 def simulate_gbm_returns(n_days, d, annual_vol, annual_drift=0.0, bound=None, rng=None):
-    """Daily simple returns from geometric Brownian motion, 252 trading
-    days a year, dated "000000", "000001", ...
+    """Daily simple returns from geometric Brownian motion, TRADING_DAYS
+    a year, dated "000000", "000001", ...
 
     Log returns are Gaussian with the usual drift correction; simple
     returns are clipped into [-bound, bound] when a bound is given and the
     clip fraction is reported (acceptance demands it stay below 1e-4).
     """
     rng = rng or np.random.default_rng(0)
-    dt = 1.0 / 252
+    dt = 1.0 / TRADING_DAYS
     sig = np.broadcast_to(np.asarray(annual_vol, dtype=float), (d,))
     mu = np.broadcast_to(np.asarray(annual_drift, dtype=float), (d,))
     g = rng.normal(

@@ -163,32 +163,27 @@ def _backprop(loss, pvars):
     ]
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: list
     v: list
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def init(cls, params, lr=1e-3):
+        return cls(m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(state, params, grads):
-    """Standard bias-corrected Adam update (in place on params)."""
+    """Standard bias-corrected Adam update (in place on params), with
+    beta1, beta2 and eps the module's ADAM_BETA1, ADAM_BETA2, ADAM_EPS."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -196,7 +191,7 @@ def adam_step(state, params, grads):
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
         mhat = state.m[i] / c1
         vhat = state.v[i] / c2
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return params, state
 
 
@@ -367,7 +362,7 @@ def _input_scale(problem, t):
     d = problem.local_space.dimension
     zeros = [np.zeros((1, spec.dim)) for spec in problem.action_specs[:t]]
     width = _stage_input_tape(problem, t, np.zeros((1, t, d)), zeros).shape[1]
-    if _features_only(problem) or t == 0:
+    if problem.net_inputs == "features" or t == 0:
         return np.ones(width)
     parts = [np.full(t * d, 1.0 / problem.local_space.bound)]
     for spec in problem.action_specs[:t]:
@@ -377,16 +372,15 @@ def _input_scale(problem, t):
     return np.concatenate(parts)
 
 
-def _features_only(problem):
-    """Whether the nets read the feature map alone: problem.net_inputs is
-    "both" (the default) or "features", which needs problem.feature_tape,
-    the step feature_tape(t, omega_b, past, a, nxt) of _continuation."""
-    mode = getattr(problem, "net_inputs", "both")
+def _check_net_inputs(problem):
+    """problem.net_inputs is "both" or "features", and "features" needs
+    problem.feature_tape, the step feature_tape(t, omega_b, past, a, nxt)
+    of _continuation."""
+    mode = problem.net_inputs
     if mode not in ("both", "features"):
         raise ValueError(f"net_inputs must be 'both' or 'features', got {mode!r}")
-    if mode == "features" and getattr(problem, "feature_tape", None) is None:
+    if mode == "features" and problem.feature_tape is None:
         raise ValueError("net_inputs='features' needs problem.feature_tape")
-    return mode == "features"
 
 
 def _stage_input_tape(problem, t, omega, actions):
@@ -450,8 +444,8 @@ def _continuation(problem, t, omega_b, past, a_rep, nxt):
     per row.  With net_inputs="features" the feature step alone is the input
     (its outputs are functions of the same arguments, so the networks stay
     maps of (path, past actions) with a restricted parameterization)."""
-    features = getattr(problem, "feature_tape", None)
-    if _features_only(problem):
+    features = problem.feature_tape
+    if problem.net_inputs == "features":
         return features(t, omega_b, past, a_rep, nxt)
     omega, past_rep = _continued_paths(omega_b, past, nxt)
     parts = [omega.reshape(len(omega), -1)] + past_rep + [a_rep]
@@ -470,6 +464,7 @@ class NeuralPolicy:
     the same hedging instance, act as trained."""
 
     def __init__(self, problem, action_nets):
+        _check_net_inputs(problem)
         self.problem = problem
         self.action_nets = action_nets
 
@@ -493,11 +488,12 @@ class TrainResult:
 
 
 def _prepare(problem, kernels, config):
-    if getattr(problem, "terminal_tape", None) is None:
+    if problem.terminal_tape is None:
         raise ValueError(
             "neural training needs problem.terminal_tape "
             "(a batched, tape-differentiable terminal objective)"
         )
+    _check_net_inputs(problem)
     return config or TrainConfig(), kernels if kernels is not None else problem.kernels
 
 
@@ -746,7 +742,7 @@ def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):
         for t in range(T):
             m = candidate_sets[t][k]
             omega[:, t] = m.support[_choice_indices(m.weights, u[:, t])]
-        vals = problem.terminal_tape(omega, rollout(policy, omega)).value
+        vals = problem.terminal(omega, rollout(policy, omega))
         values.append(float(vals.mean()))
     return values
 

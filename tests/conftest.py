@@ -185,13 +185,12 @@ def random_tabular_instance(rng, max_horizon=3, enum_guard=200_000):
     coefs = rng.normal(size=(horizon, 4))
 
     def terminal(omega, actions, c=coefs):
-        total = 0.0
-        for t in range(len(actions)):
-            a = float(np.atleast_1d(actions[t])[0])
-            w = float(omega[t, 0])
+        total = np.zeros(len(omega))
+        for t, a in enumerate(actions):
+            a, w = a[:, 0], omega[:, t, 0]
             total += (
                 c[t, 0] * a * w
-                + c[t, 1] * abs(a - w)
+                + c[t, 1] * np.abs(a - w)
                 + c[t, 2] * w
                 + c[t, 3] * a * a
             )
@@ -223,7 +222,7 @@ def _prefix_keys(grids, node):
 
 def dict_backward_induction(problem, local_grid, candidates, dual_bound=False):
     """Oracle: backward induction on dict tables keyed by (node, action key),
-    one scalar terminal call and one Python loop per entry.
+    one terminal call on a batch of one and one Python loop per entry.
 
     Returns a namespace with the value, the dict tables psi, j, argmin and
     argmax, chosen (action index per node of the optimal policy), composed
@@ -242,9 +241,7 @@ def dict_backward_induction(problem, local_grid, candidates, dual_bound=False):
     for node in itertools.product(range(n), repeat=T):
         omega = local_grid[list(node)]
         for akey in _prefix_keys(grids, node):
-            val = float(
-                problem.terminal(omega, dp._actions_from_key(grids, node, akey))
-            )
+            val = dp._terminal_at(problem, omega, dp._actions_from_key(grids, node, akey))
             if math.isnan(val):
                 raise ValueError("terminal utility returned NaN")
             psi[T][(node, akey)] = val

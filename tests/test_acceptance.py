@@ -72,7 +72,7 @@ def _policy_worst_case(prob, g, cands, res):
             akey = tuple(chosen[s][node[:s]] for s in range(T))
             omega = g[list(node)]
             acts = [res.action_grids[(s, node[:s])][akey[s]] for s in range(T)]
-            return float(prob.terminal(omega, acts))
+            return dp._terminal_at(prob, omega, acts)
         if (t, node) in memo:
             return memo[(t, node)]
         best = None
@@ -259,9 +259,8 @@ def test_criterion_7_monotonicity():
         coefs = rng.normal(size=3)
 
         def terminal(omega, actions, c=coefs):
-            a = float(np.atleast_1d(actions[0])[0])
-            w = omega[0, 0]
-            return c[0] * a * w + c[1] * abs(a - w) + c[2] * w
+            a, w = actions[0][:, 0], omega[:, 0, 0]
+            return c[0] * a * w + c[1] * np.abs(a - w) + c[2] * w
 
         values = []
         for eps in (0.0, 0.01, 0.05, 0.1):
@@ -314,12 +313,7 @@ def test_criterion_8_bound_audits():
             trues.append(amb.ConstantKernel(DiscreteMeasure(g, w_true)))
 
         def terminal(omega, actions):
-            return float(
-                sum(
-                    -abs(float(np.atleast_1d(a)[0]) - omega[t, 0])
-                    for t, a in enumerate(actions)
-                )
-            )
+            return sum(-np.abs(a[:, 0] - omega[:, t, 0]) for t, a in enumerate(actions))
 
         def solve(kernels, pool=None):
             prob = dp.ControlProblem(2, space, terminal, [acts] * 2, kernels)
@@ -472,13 +466,10 @@ def test_criterion_10_neural_vs_exact():
     space = LocalSpace(1, 1.0)
     from robustdp.controls import ConstantSet
 
-    def terminal_batch(omega, actions):
+    def terminal(omega, actions):
         a0, a1 = actions[0][:, 0], actions[1][:, 0]
         w1, w2 = omega[:, 0, 0], omega[:, 1, 0]
         return -0.5 * (a0 - w1) ** 2 - (a1 - w1 * w2) ** 2 + 0.3 * w2
-
-    def terminal(omega, actions):
-        return float(terminal_batch(omega[None], [np.reshape(a, (1, -1)) for a in actions])[0])
 
     def terminal_tape(omega, actions):
         a0 = ad.reshape(ad.as_var(actions[0]), (-1,))
@@ -492,11 +483,9 @@ def test_criterion_10_neural_vs_exact():
 
     # value range over the compact domain, for the stated tolerance
     ws = np.linspace(-1, 1, 15)
-    samples = [
-        terminal(np.array([[w1], [w2]]), [np.array([a0]), np.array([a1])])
-        for w1 in ws for w2 in ws for a0 in (-1, 0, 1) for a1 in (-1, 0, 1)
-    ]
-    tol = 0.05 * (max(samples) - min(samples))
+    points = np.array(list(itertools.product(ws, ws, (-1, 0, 1), (-1, 0, 1))))
+    samples = terminal(points[:, :2, None], [points[:, 2:3], points[:, 3:4]])
+    tol = 0.05 * (samples.max() - samples.min())
 
     cfg = nn.TrainConfig(iter_a=400, iter_psi=600, n_mc=48, batch_size=32,
                          seed=7, hidden_layers=3, hidden_units=24, lr=2e-3,
@@ -515,8 +504,8 @@ def test_criterion_10_neural_vs_exact():
         for _ in range(2)
     ]
     spec = ConstantSet(low=[-1.0], high=[1.0], resolution=81)
-    prob1 = dp.ControlProblem(2, space, terminal, [spec] * 2, kernels)
-    prob1.terminal_tape = terminal_tape
+    prob1 = dp.ControlProblem(2, space, terminal, [spec] * 2, kernels,
+                              terminal_tape=terminal_tape)
     cands = dp.build_candidates(prob1, atoms, dp.sampler_from_kernel(3))
     exact1 = dp.backward_induction_exact(prob1, atoms, cands).value
     res1 = nn.train_algorithm1(prob1, config=cfg)
@@ -529,8 +518,7 @@ def test_criterion_10_neural_vs_exact():
     ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps), 1)
     spec2 = ConstantSet(low=[-1.0], high=[1.0], resolution=21)
     prob2 = dp.ControlProblem(2, space, terminal, [spec2] * 2, [ball] * 2,
-                              terminal_batch=terminal_batch)
-    prob2.terminal_tape = terminal_tape
+                              terminal_tape=terminal_tape)
 
     # oracle self-check: the grid-ball infimum equals the primal LP
     zg = np.linspace(-1, 1, 41)[:, None]

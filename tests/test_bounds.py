@@ -114,9 +114,7 @@ def test_mu_monotone_under_enlargement():
 
 
 def linear_terminal(omega, actions):
-    return float(
-        sum(-abs(float(np.atleast_1d(a)[0]) - omega[t, 0]) for t, a in enumerate(actions))
-    )
+    return sum(-np.abs(a[:, 0] - omega[:, t, 0]) for t, a in enumerate(actions))
 
 
 ACTS = ConstantSet(points=[[-0.5], [0.0], [0.5]])

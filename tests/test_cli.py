@@ -319,6 +319,35 @@ def test_train_artifacts_are_pinned(tmp_path, kind):
     assert digests == expected
 
 
+# sha256 of the artifacts of the exact solver's commands: solve-exact on
+# BASE_CONFIG, and the synthetic instances of oracle-check and bounds on
+# seed 3, recorded as PINNED_RUNS were.
+PINNED_EXACT_RUNS = {
+    "solve-exact": {
+        "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
+        "value_table.txt": "0782242a4688ebc762213e0fc2d2c87f4ad0f1e36ea62ec313fb715642dc5a55",
+    },
+    "oracle-check": {
+        "oracle_check.json": "7814ec278e10c7f5290e3edf127789810f61f5361b4381d53ddaed7a9d0de91d",
+    },
+    "bounds": {
+        "bounds.json": "a03f5912fb6278300c3653ef716dcbf52db32cae93cb3d2ed78f5ec92d909635",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_EXACT_RUNS))
+def test_exact_artifacts_are_pinned(tmp_path, command):
+    expected = PINNED_EXACT_RUNS[command]
+    flags = (["--config", write_config(tmp_path)] if command == "solve-exact"
+             else ["--seed", "3"])
+    out = tmp_path / "run"
+    assert cli.main([command, *flags, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
+
+
 @pytest.mark.parametrize("train, named", [
     ({"iters": 3}, "solver.train.iters"),
     ({"seed": 3}, "solver.train.seed"),

@@ -42,7 +42,7 @@ def test_sampler_from_kernel_is_sample_measures(kind):
 
 
 def bilinear(omega, actions):
-    return float(np.atleast_1d(actions[0])[0] * omega[0, 0])
+    return actions[0][:, 0] * omega[:, 0, 0]
 
 
 def solve(problem, grid, candidates=None, **kw):
@@ -106,13 +106,12 @@ def ragged_instance(rng):
     coefs = rng.integers(-1, 2, size=(horizon, 4)).astype(float)
 
     def terminal(omega, actions, c=coefs):
-        total = 0.0
+        total = np.zeros(len(omega))
         for t, a in enumerate(actions):
-            a = np.atleast_1d(a)
-            w = float(omega[t, 0])
+            w = omega[:, t, 0]
             total += (
-                c[t, 0] * a[0] * w + c[t, 1] * abs(a[-1] - w) + c[t, 2] * w
-                + c[t, 3] * a[0] * a[-1]
+                c[t, 0] * a[:, 0] * w + c[t, 1] * np.abs(a[:, -1] - w) + c[t, 2] * w
+                + c[t, 3] * a[:, 0] * a[:, -1]
             )
         return total
 
@@ -198,7 +197,7 @@ def test_value_table_invariants():
     for (node, akey), val in table_dict(res, res.psi_tables, T).items():
         omega = g[list(node)]
         acts = [res.action_grids[(s, node[:s])][akey[s]] for s in range(T)]
-        assert val == pytest.approx(float(prob.terminal(omega, acts)), abs=1e-12)
+        assert val == pytest.approx(dp._terminal_at(prob, omega, acts), abs=1e-12)
     # interior layers equal the max over stored J entries
     for t in range(T):
         j_table = table_dict(res, res.j_tables, t)
@@ -310,10 +309,7 @@ def test_zero_radius_ball_equals_singleton():
     pool = [DiscreteMeasure(GRID3, w) for w in ([0.5, 0.25, 0.25], [0.1, 0.1, 0.8])]
 
     def terminal(omega, actions):
-        return float(
-            np.atleast_1d(actions[0])[0] * omega[0, 0]
-            - abs(np.atleast_1d(actions[1])[0] - omega[1, 0])
-        )
+        return actions[0][:, 0] * omega[:, 0, 0] - np.abs(actions[1][:, 0] - omega[:, 1, 0])
 
     def build(kern):
         return dp.ControlProblem(2, SPACE, terminal, [PM_ACTIONS] * 2, [kern] * 2)
@@ -338,7 +334,7 @@ def test_radius_monotonicity_with_pool():
     ]
 
     def terminal(omega, actions):
-        return float(-abs(np.atleast_1d(actions[0])[0] - omega[0, 0]))
+        return -np.abs(actions[0][:, 0] - omega[:, 0, 0])
 
     values = []
     for eps in (0.0, 0.01, 0.05, 0.1):
@@ -383,12 +379,12 @@ def test_tabular_act_is_nearest_node_lookup_then_clamp(seed, kinds):
     coefs = rng.normal(size=(T, 3))
 
     def terminal(omega, actions):
-        w = omega[:, 0]
-        return float(sum(
-            c[0] * a[0] * w[t] + c[1] * abs(a[0] - w[t])
-            + c[2] * a[0] * (np.arange(1, t + 1) @ w[:t])
+        w = omega[:, :, 0]
+        return sum(
+            c[0] * a[:, 0] * w[:, t] + c[1] * np.abs(a[:, 0] - w[:, t])
+            + c[2] * a[:, 0] * (w[:, :t] @ np.arange(1, t + 1))
             for t, (c, a) in enumerate(zip(coefs, actions))
-        ))
+        )
 
     ref = amb.ConstantKernel(DiscreteMeasure(GRID3, rng.dirichlet(np.ones(3))))
     specs = [action_spec(kind) for kind in kinds]
@@ -406,7 +402,7 @@ def test_tabular_act_is_nearest_node_lookup_then_clamp(seed, kinds):
 
 def test_evaluate_policy_dirac_telescopes():
     def terminal(omega, actions):
-        return float(omega[:, 0].sum())
+        return omega[:, :, 0].sum(axis=1)
 
     kern = amb.Singleton(amb.ConstantKernel(DiscreteMeasure.dirac([1.0])))
     prob = dp.ControlProblem(2, SPACE, terminal, [PM_ACTIONS] * 2, [kern] * 2)
@@ -434,7 +430,7 @@ def test_holder_recursion_examples():
     )
 
     def terminal(omega, actions):
-        return 0.0
+        return np.zeros(len(omega))
 
     prob = dp.ControlProblem(
         2, SPACE, terminal, [PM_ACTIONS] * 2, [kern] * 2,
@@ -453,8 +449,7 @@ def test_refinement_convergence():
     kern = amb.Singleton(amb.ConstantKernel(ref))
 
     def terminal(omega, actions):
-        a = float(np.atleast_1d(actions[0])[0])
-        return -abs(a - omega[0, 0]) + 0.5 * omega[0, 0]
+        return -np.abs(actions[0][:, 0] - omega[:, 0, 0]) + 0.5 * omega[:, 0, 0]
 
     prob = dp.ControlProblem(1, SPACE, terminal, [PM_ACTIONS], [kern])
 
@@ -463,12 +458,9 @@ def test_refinement_convergence():
         cands = dp.build_candidates(prob, g, dp.sampler_from_kernel(1))
         return dp.backward_induction_exact(prob, g, cands).value
 
-    exact = float(
-        max(
-            sum(w * terminal(np.array([[x]]), [np.array([a])]) for w, x in zip(ref.weights, ref.support[:, 0]))
-            for a in (-1.0, 1.0)
-        )
-    )
+    paths = ref.support[:, None, :]
+    exact = max(float(ref.weights @ terminal(paths, [np.full((len(paths), 1), a)]))
+                for a in (-1.0, 1.0))
     errs = [abs(value_at(n) - exact) for n in (5, 17, 65)]
     assert errs[2] <= errs[0] + 1e-12
     assert errs[2] < 0.02
@@ -479,7 +471,7 @@ def test_dual_lower_bound_reported():
     pool = [DiscreteMeasure(GRID3, w) for w in ([0.6, 0.2, 0.2], [0.2, 0.2, 0.6])]
 
     def terminal(omega, actions):
-        return float(-abs(np.atleast_1d(actions[0])[0] - omega[0, 0]))
+        return -np.abs(actions[0][:, 0] - omega[:, 0, 0])
 
     ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(0.2))
     prob = dp.ControlProblem(1, SPACE, terminal, [PM_ACTIONS], [ball])
@@ -507,10 +499,7 @@ def test_dual_bound_tight_for_singleton():
     ref = DiscreteMeasure(GRID3, [0.3, 0.4, 0.3])
     kern = amb.Singleton(amb.ConstantKernel(ref))
 
-    def terminal(omega, actions):
-        return float(np.atleast_1d(actions[0])[0] * omega[0, 0])
-
-    prob = dp.ControlProblem(1, SPACE, terminal, [PM_ACTIONS], [kern])
+    prob = dp.ControlProblem(1, SPACE, bilinear, [PM_ACTIONS], [kern])
     cands = dp.build_candidates(prob, GRID3, dp.sampler_from_kernel(1))
     res = dp.backward_induction_exact(prob, GRID3, cands, dual_bound=True)
     assert res.dual_lower_bound == pytest.approx(res.value, abs=1e-12)
@@ -521,7 +510,7 @@ def test_moment_guard():
     kern = amb.Singleton(amb.ConstantKernel(ref))
 
     def terminal(omega, actions):
-        return 0.0
+        return np.zeros(len(omega))
 
     prob = dp.ControlProblem(
         1, SPACE, terminal, [PM_ACTIONS], [kern],
@@ -535,7 +524,7 @@ def test_order_must_exceed_growth():
     ref = DiscreteMeasure.dirac([0.0])
     ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(0.1), 1)
     with pytest.raises(ValueError):
-        dp.ControlProblem(1, SPACE, lambda o, a: 0.0, [PM_ACTIONS], [ball], growth_p=1)
+        dp.ControlProblem(1, SPACE, bilinear, [PM_ACTIONS], [ball], growth_p=1)
 
 
 def test_table_serialization_snapshot():

@@ -136,23 +136,6 @@ def test_objective_batch_with_one_bad_row_raises(row, message):
     assert hg.hedging_objective(prob, paths[1], [a[1] for a in actions]) == 0.0
 
 
-def test_exact_solver_batched_terminal_matches_per_path_fallback():
-    hp = call_problem(T=2, C=0.05, a_bound=1.0, b_bound=0.05)
-    ref = amb.ConstantKernel(
-        DiscreteMeasure([[-0.04], [0.01], [0.03]], [0.3, 0.5, 0.2], space=hp.space)
-    )
-    ball = amb.WassersteinBall(ref, amb.ConstantRadius(0.005), 1, space=hp.space)
-    prob = hg.make_control_problem(hp, [ball] * 2, action_resolution=3)
-    grid = hp.space.grid(3)
-    cands = dp.build_candidates(
-        prob, grid, dp.sampler_from_kernel(3), np.random.default_rng(4)
-    )
-    batched = dp.backward_induction_exact(prob, grid, cands)
-    prob.terminal_batch = None
-    per_path = dp.backward_induction_exact(prob, grid, cands)
-    assert dp.serialize_tables(batched) == dp.serialize_tables(per_path)
-
-
 def test_self_financing_identity():
     rng = np.random.default_rng(1)
     prob = hg.HedgingProblem(d=2, horizon=6, return_bound=0.1,
@@ -343,7 +326,7 @@ def test_delta_atm_short_maturity():
 
 def test_delta_one_year_atm():
     prob = call_problem(T=252)
-    pol = hg.bs_delta_hedge(prob, 0.2, 1.0, day_count=252)
+    pol = hg.bs_delta_hedge(prob, 0.2, 1.0)
     a0 = pol.act(0, np.zeros((1, 0, 1)), [])[0]
     assert a0[1] == pytest.approx(norm.cdf(0.1), abs=1e-9)
 

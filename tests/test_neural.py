@@ -374,14 +374,15 @@ def test_frozen_net_parameters_receive_no_grad():
 
 def test_frozen_net_input_gradient_equals_oracle_tape():
     # the next-stage value of the trainers: a frozen net on data concatenated
-    # with a repeated trainable action
+    # with a repeated trainable action, against the padded-tile oracle of a
+    # frozen node
     rng = np.random.default_rng(4)
     net = nn.Mlp(3, 1, 3, 6, rng, in_scale=[1.0, 0.5, 2.0])
     net.biases = [rng.normal(0.0, 0.3, b.shape) for b in net.biases]
     data = rng.normal(size=(12, 2))
     a0 = rng.normal(size=(4, 1))
     grads = []
-    for forward in (lambda x: net.forward_var(x), lambda x: composed_forward_var(net, x)):
+    for forward in (lambda x: net.forward_var(x), lambda x: _padded_forward_var(net, x)):
         a = ad.Var(a0)
         x = ad.concat([ad.const(data), ad.repeat_rows(a, 3)], axis=1)
         ad.backward(ad.vmean(tanh(forward(x))))
@@ -760,17 +761,16 @@ def quadratic_problem(target=0.3):
     kern = amb.Singleton(amb.ConstantKernel(ref))
 
     def terminal(omega, actions):
-        return float(-(np.atleast_1d(actions[0])[0] - target) ** 2 + 0.1 * omega[0, 0])
+        return -(actions[0][:, 0] - target) ** 2 + 0.1 * omega[:, 0, 0]
 
     def terminal_tape(omega, actions):
         a = ad.as_var(actions[0])
         return ad.reshape(-(a - target) ** 2, (-1,)) + ad.const(0.1 * omega[:, 0, 0])
 
-    prob = dp.ControlProblem(
-        1, SPACE, terminal, [ConstantSet(low=[-1.0], high=[1.0], resolution=41)], [kern]
+    return dp.ControlProblem(
+        1, SPACE, terminal, [ConstantSet(low=[-1.0], high=[1.0], resolution=41)], [kern],
+        terminal_tape=terminal_tape,
     )
-    prob.terminal_tape = terminal_tape
-    return prob
 
 
 FAST = nn.TrainConfig(iter_a=600, iter_psi=1, n_mc=32, batch_size=16, seed=11,
@@ -1116,6 +1116,8 @@ def test_bad_net_inputs_rejected(net_inputs, feature_tape, match):
             np.zeros((nxt.shape[0] * nxt.shape[1], 1)))
     with pytest.raises(ValueError, match=match):
         nn.train_algorithm1(prob, config=FAST)
+    with pytest.raises(ValueError, match=match):
+        nn.NeuralPolicy(prob, [])
 
 
 def test_bad_path_sampling_rejected():
