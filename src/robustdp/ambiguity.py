@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .measures import DiscreteMeasure, cost_matrix, optimal_coupling, w_q_discrete
+from .normal import ndtri
 
 __all__ = [
     "ConstantKernel",
@@ -353,9 +354,8 @@ class NormalDiagFamily:
         return math.hypot(l_mu, l_sigma)
 
     def discretize(self, theta, n_atoms=31, space=None):
-        """Quantile-grid product discretization tagged with its parameter."""
-        from scipy.special import ndtri  # norm.ppf, bit for bit
-
+        """Quantile-grid product discretization tagged with its parameter;
+        `ndtri` gives scipy's norm.ppf bit for bit."""
         mu, sigma = self.split(theta)
         u = (np.arange(n_atoms) + 0.5) / n_atoms
         axes = [mu[j] + sigma[j] * ndtri(u) for j in range(self.d)]

@@ -8,10 +8,8 @@ cash d_0 plus per-stage positions Delta_t within configured bounds).  One
 book (`_book`) carries that strategy's wealth and one `prospect_loss`
 scores its error, as tape Vars: the trainers differentiate them, and the
 exact solver and the backtest read their values on constant actions,
-which build no tape.
-scipy is imported inside `_norm_cdf` only, on the first Black-Scholes
-delta: nothing else here uses it, and its import would add about a second
-to every process.
+which build no tape.  The Black-Scholes delta takes its normal cdf from
+`normal.ndtr`, scipy's values without scipy's import.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from . import autodiff as ad
 from .controls import ConstantSet
 from .dp import ControlProblem, rollout
 from .measures import LocalSpace
+from .normal import ndtr
 
 __all__ = [
     "LossParams",
@@ -355,14 +354,6 @@ def holder_data(problem):
 # ---------------------------------------------------------------------------
 
 
-def _norm_cdf(x):
-    """Standard normal cdf; `ndtr` is what scipy.stats.norm.cdf computes,
-    bit for bit, without its argument checks."""
-    from scipy.special import ndtr
-
-    return ndtr(x)
-
-
 class BSDeltaPolicy:
     """Delta hedge with zero interest rate: holds N(d_1) units, cash set to
     the initial premium.  At expiry the delta degenerates to the moneyness
@@ -386,7 +377,7 @@ class BSDeltaPolicy:
         d1 = (np.log(s / self.strike) + 0.5 * self.sigma**2 * tau) / (
             self.sigma * math.sqrt(tau)
         )
-        return _norm_cdf(d1)
+        return ndtr(d1)
 
     def premium(self):
         s = float(self.problem.s0[0])
@@ -395,7 +386,7 @@ class BSDeltaPolicy:
             self.sigma * math.sqrt(tau)
         )
         d2 = d1 - self.sigma * math.sqrt(tau)
-        return float(s * _norm_cdf(d1) - self.strike * _norm_cdf(d2))
+        return float(s * ndtr(d1) - self.strike * ndtr(d2))
 
     def act(self, t, omega, past):
         """Stage-t actions (N, m_t) along paths omega (N, >= t, 1): the

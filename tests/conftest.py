@@ -466,3 +466,31 @@ def per_path_rollout(policy, omega):
             actions.append(policy.act(t, omega[i : i + 1], actions))
         per_path.append(actions)
     return [np.concatenate([acts[t] for acts in per_path]) for t in range(omega.shape[1])]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _around(points):
+    """Each point and its two float neighbours."""
+    p = np.asarray(points, dtype=float)
+    return np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+
+
+# normal.ndtr switches from erf to erfc at |x| = 1, to the exp branch at
+# sqrt(2), from P/Q to R/S at 8 sqrt(2), and underflows to 0 or 1 beyond about
+# 37.5 / 38.5
+NDTR_EDGES = _around([0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 37.52,
+                      38.4, 38.47, 38.5, 40.0, 1e300])
+NDTR_EDGES = np.concatenate([NDTR_EDGES, -NDTR_EDGES, [math.inf, -math.inf, math.nan,
+                                                       -math.nan, 5e-324, -5e-324]])
+# normal.ndtri: the centre ends at exp(-2) and 1 - exp(-2); the tails switch
+# from P1/Q1 to P2/Q2 at exp(-32); 0 and 1 give -inf and inf, the rest is nan
+NDTRI_EDGES = np.concatenate([
+    _around([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0),
+             0.5, 1e-300]),
+    [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+     -5e-324, -1.0, 2.0, math.inf, -math.inf, math.nan, -math.nan],
+])

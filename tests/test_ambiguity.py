@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
-from scipy.special import ndtri
 from scipy.stats import norm
 
-from conftest import kernel_weighted_weights_loop
+from conftest import NDTRI_EDGES, kernel_weighted_weights_loop, same_bits
 from robustdp import ambiguity as amb
+from robustdp.normal import ndtri
 from robustdp.measures import (
     DiscreteMeasure,
     LocalSpace,
@@ -149,11 +150,22 @@ def test_normal_w2_against_quantile_integral():
         )
 
 
+# norm.ppf returns a positive nan for every nan, where ndtri keeps scipy.special's
+# payload; tests/test_normal.py checks nans against scipy.special.ndtri
+PPF_INPUTS = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False), st.floats(0.0, 1e-14),
+                       st.floats(0.86, 1.0),
+                       st.sampled_from(NDTRI_EDGES[~np.isnan(NDTRI_EDGES)].tolist()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_ndtri_is_norm_ppf_bit_for_bit(u):
-    # discretize relies on ndtri computing exactly what norm.ppf computes
-    assert ndtri(u).tobytes() == norm.ppf(u).tobytes()
+@given(PPF_INPUTS, hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                              elements=PPF_INPUTS))
+def test_ndtri_is_norm_ppf_bit_for_bit(u, us):
+    # discretize relies on normal.ndtri computing exactly what norm.ppf
+    # computes, on every branch, at 0 and 1, outside [0, 1] and on arrays
+    assert same_bits(ndtri(u), norm.ppf(u))
+    assert same_bits(ndtri(us), norm.ppf(us))
 
 
 @pytest.mark.parametrize("theta", [[0.0, 1.0], [0.1, -0.3, 0.8, 1.7]])

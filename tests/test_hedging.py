@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
-from conftest import exact_policy, full_path_features, full_path_wealth_tape, per_path_rollout
+from conftest import (
+    NDTR_EDGES,
+    exact_policy,
+    full_path_features,
+    full_path_wealth_tape,
+    per_path_rollout,
+    same_bits,
+)
 from robustdp import autodiff as ad
 from robustdp import dp, hedging as hg, neural as nn
 from robustdp import ambiguity as amb
@@ -295,18 +303,18 @@ def test_continuation_equals_one_next_state_per_repeated_path(seed, net_inputs, 
 # -- Black-Scholes baseline ----------------------------------------------------------
 
 
-def same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+CDF_INPUTS = st.one_of(st.floats(-12.0, 12.0), st.floats(), st.sampled_from(NDTR_EDGES.tolist()))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.floats(-12.0, 12.0), st.floats(allow_nan=False),
-                 st.sampled_from([0.0, -0.0, math.inf, -math.inf, 8.5, -8.5, 38.5, -38.5])),
-       st.lists(st.floats(allow_nan=False), max_size=40))
+@given(CDF_INPUTS, hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                              elements=CDF_INPUTS))
 def test_norm_cdf_is_scipy_norm_cdf(x, xs):
-    assert same_bits(hg._norm_cdf(x), norm.cdf(x))
-    assert same_bits(hg._norm_cdf(np.array(xs)), norm.cdf(np.array(xs)))
+    # the delta hedge's cdf on every branch, on scalars and on 0-d, empty and
+    # 2-D arrays
+    assert same_bits(hg.ndtr(x), norm.cdf(x))
+    assert same_bits(hg.ndtr(xs), norm.cdf(xs))
 
 
 def test_delta_deep_in_the_money():
