@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .measures import DiscreteMeasure, cost_matrix, optimal_coupling, w_q_discrete
+from .measures import (DiscreteMeasure, _choice_indices, cost_matrix, optimal_coupling,
+                       w_q_discrete)
 from .normal import ndtri
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
     "dual_inner_value",
     "ball_infimum",
     "sample_measures",
+    "fixed_candidates",
+    "PathDependentSet",
     "transport_between_balls",
     "v_lambda",
     "lipschitz_audit",
@@ -68,7 +71,8 @@ def path_key(path):
 
 
 # ---------------------------------------------------------------------------
-# reference kernels  (path -> center measure)
+# reference kernels  (path -> center measure); draw(paths (b, t, d), n, rng)
+# gives n i.i.d. next states (b, n, d) along each path, from a documented stream
 # ---------------------------------------------------------------------------
 
 
@@ -81,6 +85,12 @@ class ConstantKernel:
 
     def __call__(self, path):
         return self.measure
+
+    def draw(self, paths, n, rng):
+        """One rng.random((b, n)) block inverted on the measure's cdf: the
+        draws, and the rng state after them, of rng.choice(n_atoms, (b, n),
+        p=weights)."""
+        return self.measure.atoms_at(rng.random((len(paths), n)))
 
 
 class KernelWeighted:
@@ -121,6 +131,14 @@ class KernelWeighted:
         w = self.weights(path[None])[0]
         return DiscreteMeasure(self.history[path.shape[0]:], w, space=self.space)
 
+    def draw(self, paths, n, rng):
+        """One rng.random((b, n)) block, row i inverted on path i's weights:
+        the stream of one rng.choice(N - t, n, p=weights) call per path."""
+        w = self.weights(paths)
+        u = rng.random((len(paths), n))
+        atoms = self.history[paths.shape[1]:]
+        return atoms[np.stack([_choice_indices(wi, ui) for wi, ui in zip(w, u)])]
+
 
 class AdaptiveEmpirical:
     """Uniform mixture of the history and the observed path atoms."""
@@ -141,9 +159,21 @@ class AdaptiveEmpirical:
             atoms, np.full(n + t, 1.0 / (n + t)), space=self.space
         )
 
+    def draw(self, paths, n, rng):
+        """One rng.integers(0, N + t, size=n) call per path: integers buffers
+        32-bit draws within a call, so one call over all paths would not
+        give the same stream."""
+        b, t, d = paths.shape
+        out = np.empty((b, n, d))
+        for i in range(b):
+            atoms = self.history if t == 0 else np.vstack([self.history, paths[i]])
+            out[i] = atoms[rng.integers(0, len(atoms), size=n)]
+        return out
+
 
 class TabularKernel:
-    """Explicit map from path keys to measures (grid instances)."""
+    """Explicit map from path keys to measures (grid instances).  It has no
+    draw: a table holds grid paths only, so the neural trainers reject it."""
 
     def __init__(self, table, lipschitz=None):
         self.table = dict(table)
@@ -310,10 +340,6 @@ class NormalDiagFamily:
         mu, sigma = self.split(theta)
         return np.concatenate([mu, np.clip(sigma, 0.0, None)])
 
-    def contains(self, theta):
-        _, sigma = self.split(theta)
-        return bool(np.all(sigma >= -1e-12))
-
     def distance(self, theta1, theta2, order):
         if order != 2:
             raise ValueError(
@@ -378,9 +404,6 @@ class ExponentialFamily:
 
     def project(self, theta):
         return np.clip(np.atleast_1d(np.asarray(theta, dtype=float)), 0.0, None)
-
-    def contains(self, theta):
-        return float(np.atleast_1d(theta)[0]) >= -1e-12
 
     def distance(self, theta1, theta2, order):
         """W_r(Exp(1/t1), Exp(1/t2)) = |t1 - t2| * (r!)^(1/r), exactly.
@@ -509,8 +532,12 @@ class FiniteSet:
     references: list
     space: object = None
 
+    @property
+    def reference(self):
+        return self.references[0]
+
     def center(self, path):
-        return self.references[0](path)
+        return self.reference(path)
 
     def evaluate_all(self, path):
         return [k(path) for k in self.references]
@@ -703,6 +730,22 @@ def sample_measures(kernel, path, count, rng):
             )
         return out
     raise TypeError(f"unknown kernel type {type(kernel)!r}")
+
+
+class PathDependentSet(ValueError):
+    """A kernel's set moves with the path, so one fixed set cannot stand for it."""
+
+
+def fixed_candidates(kernel, t, d, count, rng):
+    """A stage-t kernel's candidates (element 0 the center) sampled once, at
+    the zero path, for every path: only a kernel of declared Lipschitz
+    constant 0 has one set at all paths, and any other raises."""
+    lipschitz = kernel.declared_lipschitz()
+    if lipschitz != 0:
+        raise PathDependentSet(
+            f"stage {t}: the {type(kernel).__name__} has declared Lipschitz constant "
+            f"{lipschitz}, not 0, so one fixed candidate set does not fit its paths")
+    return sample_measures(kernel, np.zeros((t, d)), count, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class Var:
     def __getitem__(self, idx):
         return _getitem(self, idx)
 
-    def item(self):
-        return float(self.value)
-
 
 def const(x):
     return Var(x, requires_grad=False)

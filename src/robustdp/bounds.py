@@ -156,14 +156,14 @@ def stability_bound(inp, mu_err_s0=None):
     )
 
 
-def _check_true_in_ball(inp, order):
+def _check_true_in_ball(inp):
     T = inp.horizon
     for t in range(T):
         for p in _tree_paths(inp, t):
             true_m = inp.true_kernels[t](p)
             ref_m = inp.ref_kernels[t](p)
             eps = float(inp.radius[t](p))
-            dist = w_q_discrete(ref_m, true_m, order)
+            dist = w_q_discrete(ref_m, true_m, 1)
             if dist > eps + 1e-9:
                 raise ValueError(
                     f"true kernel leaves the ball at stage {t}, "
@@ -171,14 +171,14 @@ def _check_true_in_ball(inp, order):
                 )
 
 
-def wasserstein_gap_bound(inp, order=1, mu_eps_s0=None):
-    """Bound on V_true - V_robust for Wasserstein-ball ambiguity.
+def wasserstein_gap_bound(inp, mu_eps_s0=None):
+    """Bound on V_true - V_robust for W_1-ball ambiguity.
 
     Requires the true kernel to lie inside the ball at every tree node
-    (checked; violations name the node).  The gap itself is nonnegative
+    (checked in W_1; violations name the node).  The gap itself is nonnegative
     under that hypothesis, which callers assert against measured values.
     """
-    _check_true_in_ball(inp, order)
+    _check_true_in_ball(inp)
     if mu_eps_s0 is None:
         _, mu_eps_s0 = mu_recursion("eps", inp)
     a = inp.alpha

@@ -424,7 +424,12 @@ def cmd_train(cfg, out_dir, seed):
     algo = _get(cfg, "solver.kind", str, default="algorithm1")
     rng = substream(seed, "training")
     if algo == "algorithm1":
-        result = nn.train_algorithm1(problem, config=tcfg, rng=rng)
+        try:
+            result = nn.train_algorithm1(problem, config=tcfg, rng=rng)
+        except amb.PathDependentSet as exc:
+            raise ConfigError(f"ambiguity.reference.kind: algorithm1 needs one set at "
+                              f"every path ({exc}); solver.kind 'algorithm2' draws and "
+                              "evaluates the ball along each path") from None
     elif algo == "algorithm2":
         if not isinstance(kernels[0], amb.WassersteinBall):
             raise ConfigError("ambiguity.kind: algorithm2 needs 'wasserstein'")
@@ -472,11 +477,14 @@ def cmd_evaluate(cfg, out_dir, seed):
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
     n_paths = _get(cfg, "evaluate.paths", int, default=2000, minimum=1)
-    policy = _load_policy(out_dir, hp)
     rng = substream(seed, "evaluation")
     n = _get(cfg, "solver.n_measures", int, default=3, minimum=1)
-    cands = {t: amb.sample_measures(kernels[t], np.zeros((t, hp.d)), n, rng)
-             for t in range(hp.horizon)}
+    try:
+        cands = {t: amb.fixed_candidates(k, t, hp.d, n, rng) for t, k in enumerate(kernels)}
+    except amb.PathDependentSet as exc:
+        raise ConfigError(f"ambiguity.reference.kind: evaluate needs one set at every "
+                          f"path ({exc})") from None
+    policy = _load_policy(out_dir, hp)
     values = nn.mc_policy_values(problem, policy, cands, n_paths, rng)
     _write(out_dir, "evaluate.json", _json_text({
         "schema_version": 1,

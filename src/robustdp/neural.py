@@ -8,9 +8,10 @@ Two inner problems plug into it:
 
 * Algorithm 1 (sampled measure set): the minimum over a fixed per-stage
   candidate set of Monte Carlo means of the next value.  Candidates are
-  drawn once per stage and held fixed across iterations, so the trained
+  drawn once per stage, which a 0-Lipschitz kernel allows (its set is the
+  same at every path), and held fixed across iterations, so the trained
   value matches the exact solver run on the same sets, which is what the
-  oracle comparisons require.
+  oracle comparisons require.  A singleton draws along each path instead.
 * Algorithm 2 (Wasserstein dual): the minimum over the ball replaced by
 
       (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j||^q } - lambda eps^q
@@ -18,6 +19,7 @@ Two inner problems plug into it:
   with lambda > 0 trained through an exponential reparameterization (one
   lambda per stage, updated jointly with the action network).
 
+Per-path draws are the stage reference kernel's draw(paths, n, rng).
 Everything runs on the numpy tape in autodiff.py, so gradients are exact
 including through the min selections, and runs are bit-reproducible from
 the seed.
@@ -33,15 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .ambiguity import (
-    AdaptiveEmpirical,
-    ConstantKernel,
-    KernelWeighted,
-    Singleton,
-    WassersteinBall,
-    dual_inner_min,
-    sample_measures,
-)
+from .ambiguity import Singleton, WassersteinBall, dual_inner_min, fixed_candidates
 from .controls import ConstantSet
 from .dp import rollout
 
@@ -102,10 +96,6 @@ class Mlp:
     @property
     def in_dim(self):
         return self.sizes[0]
-
-    @property
-    def out_dim(self):
-        return self.sizes[-1]
 
     def parameters(self):
         out = []
@@ -212,8 +202,8 @@ class TrainConfig:
     hidden_units: int = 32
     lr: float = 1e-3
     eval_mc: int = 4000
-    path_sampling: str = "uniform"  # or "reference": draw paths from the
-    # reference kernels instead of uniformly over the local space
+    path_sampling: str = "uniform"  # or "reference": draw paths stage by
+    # stage with the reference kernels' draw instead of uniformly
     lr_decay: float = 1.0  # multiplicative lr floor reached at the last
     # iteration (1.0 = constant learning rate)
     warm_start: bool = False  # initialize each stage net from its successor
@@ -265,13 +255,13 @@ def _sample_paths(space, t, batch, rng):
 
 def _sample_paths_reference(kernels, t, batch, rng, d):
     """Paths (batch, t, d) drawn from the product of the stage reference
-    kernels: stage s draws through _reference_states along the first s
-    columns, so each omega[i, s] is an atom of the stage-s reference at
-    omega[i, :s].  Concentrates training where in-model evaluation happens.
+    kernels: column s is one kernels[s].reference.draw per path along the
+    first s columns, an atom of the stage-s reference at omega[i, :s].
+    Concentrates training where in-model evaluation happens.
     """
     omega = np.zeros((batch, t, d))
     for s in range(t):
-        omega[:, s] = _reference_states(kernels[s], omega[:, :s], 1, rng)[:, 0]
+        omega[:, s] = kernels[s].reference.draw(omega[:, :s], 1, rng)[:, 0]
     return omega
 
 
@@ -279,80 +269,6 @@ def _sample_past_actions(specs, batch, rng):
     """Past actions drawn uniformly from their boxes, a list of (batch, m_s)."""
     boxes = [_action_box(spec) for spec in specs]
     return [rng.uniform(low, high, size=(batch, len(low))) for low, high in boxes]
-
-
-def _choice_indices(weights, u):
-    """The atoms Generator.choice(len(weights), p=weights) picks with its
-    uniform draws u: per draw, the first index whose normalized cumulative
-    weight exceeds it (cdf.searchsorted(u, "right")).  A draw in bucket
-    k = floor(u n) starts at the first index whose cdf exceeds the bucket's
-    midpoint (k + 1/2) / n, which is k itself for uniform weights, and steps
-    down, then up, onto its index against the same cdf; that is exact for
-    any nondecreasing cdf.  The search spends its time in data-dependent
-    branches: on 9,216 draws over 250 uniform atoms (a Xeon host) it takes
-    about 0.77 ms and the steps about 0.09 ms, and on 2,304 draws from the
-    200-atom candidates of a robust hedging run about 0.2 and 0.1 ms."""
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    n = len(cdf)
-    below = np.concatenate([[-1.0], cdf[:-1]])  # the cdf of the atom before
-    mid = np.minimum(cdf.searchsorted((np.arange(n + 1) + 0.5) / n, "right"), n - 1)
-    idx = mid.take((u * n).astype(np.intp))
-    while True:
-        down = below.take(idx) > u
-        if not down.any():
-            break
-        idx -= down
-    while True:
-        up = cdf.take(idx) <= u
-        if not up.any():
-            return idx
-        idx += up
-
-
-def _draw_states(measure, batch, n_mc, rng):
-    """(batch, n_mc, d) i.i.d. draws from one discrete measure.  The draws
-    and the RNG state after them are those of rng.choice(n_atoms,
-    (batch, n_mc), p=weights): one rng.random block, then _choice_indices."""
-    return measure.support[_choice_indices(measure.weights, rng.random((batch, n_mc)))]
-
-
-def _reference_states(kernel, omega_b, n_mc, rng):
-    """(b, n_mc, d) draws from the kernel's center along each path of
-    omega_b (b, t, d), vectorized for the built-in references.
-
-    A KernelWeighted reference draws one rng.random((b, n_mc)) block, the
-    stream of b per-path choice calls, and inverts each path's cdf.  An
-    AdaptiveEmpirical reference keeps one integers call per path: integers
-    buffers 32-bit draws within a call, so one call over all paths would
-    not give the same stream."""
-    ref = getattr(kernel, "reference", None)
-    b, t, d = omega_b.shape
-    if isinstance(ref, ConstantKernel):
-        return _draw_states(ref.measure, b, n_mc, rng)
-    if isinstance(ref, KernelWeighted):
-        w = ref.weights(omega_b)
-        u = rng.random((b, n_mc))
-        return ref.history[t:][np.stack([_choice_indices(wi, ui) for wi, ui in zip(w, u)])]
-    if isinstance(ref, AdaptiveEmpirical):
-        hist = ref.history
-        n = hist.shape[0]
-        out = np.empty((b, n_mc, d))
-        for i in range(b):
-            atoms = hist if t == 0 else np.vstack([hist, omega_b[i]])
-            out[i] = atoms[rng.integers(0, n + t, size=n_mc)]
-        return out
-    out = np.empty((b, n_mc, d))
-    for i in range(b):
-        out[i] = _draw_states(kernel.center(omega_b[i]), 1, n_mc, rng)[0]
-    return out
-
-
-def _stage_candidates(kernel, t, d, config, rng):
-    """Fixed candidate measures for one stage (element 0 = reference)."""
-    if isinstance(kernel, Singleton):
-        return None  # per-path reference draws instead
-    return sample_measures(kernel, np.zeros((t, d)), config.n_measures, rng)
 
 
 def _input_scale(problem, t):
@@ -398,7 +314,7 @@ def _maybe_warm_start(net, prev, config):
     """Initialize a stage net from its successor when shapes line up;
     with feature-only inputs the per-stage functions vary slowly in t, so
     each stage becomes a fine-tune rather than a fresh fit."""
-    if not getattr(config, "warm_start", False) or prev is None:
+    if not config.warm_start or prev is None:
         return
     if [p.shape for p in prev.parameters()] != [p.shape for p in net.parameters()]:
         return
@@ -487,21 +403,26 @@ class TrainResult:
     lambdas: list = None
 
 
-def _prepare(problem, kernels, config):
+def _prepare(problem, config):
     if problem.terminal_tape is None:
         raise ValueError(
             "neural training needs problem.terminal_tape "
             "(a batched, tape-differentiable terminal objective)"
         )
     _check_net_inputs(problem)
-    return config or TrainConfig(), kernels if kernels is not None else problem.kernels
+    for t, kernel in enumerate(problem.kernels):
+        ref = getattr(kernel, "reference", None)
+        if not hasattr(ref, "draw"):
+            raise ValueError(f"stage {t}: neural training draws next states with a reference "
+                             f"kernel's draw, which a {type(ref or kernel).__name__} lacks")
+    return config or TrainConfig()
 
 
 class _SampledSetMin:
     """Algorithm 1's inner problem: the minimum over a stage's fixed
-    candidate measures of the Monte Carlo mean of the next value.  A
-    singleton kernel has no candidates; its draws come per path from the
-    reference (the non-robust special case).
+    candidate measures (ambiguity.fixed_candidates) of the Monte Carlo mean
+    of the next value.  A singleton kernel has no candidates; its draws come
+    per path from the reference (the non-robust special case).
 
     The objective runs psi once over all K candidate blocks, block-major:
     the paths and past actions repeated K times and the repeated action
@@ -510,12 +431,13 @@ class _SampledSetMin:
     is that of one psi call per block, bit for bit: the value net is
     frozen, so each of its rows is computed as in any other call."""
 
-    def __init__(self, problem, kernels, config, rng):
+    def __init__(self, problem, config, rng):
         d = problem.local_space.dimension
-        self.kernels = kernels
+        self.kernels = problem.kernels
         self.candidate_sets = {
-            t: _stage_candidates(kernels[t], t, d, config, rng)
-            for t in range(problem.horizon)
+            t: None if isinstance(kernel, Singleton)
+            else fixed_candidates(kernel, t, d, config.n_measures, rng)
+            for t, kernel in enumerate(self.kernels)
         }
 
     def parameters(self, t):
@@ -525,11 +447,11 @@ class _SampledSetMin:
         return ""
 
     def draw(self, t, omega_b, n_mc, rng, final=False):
-        """One (b, n_mc, d) block of next states per candidate."""
+        """One (b, n_mc, d) block of next states per candidate, each its own draw."""
         cands = self.candidate_sets[t]
         if cands is None:
-            return [_reference_states(self.kernels[t], omega_b, n_mc, rng)]
-        return [_draw_states(m, omega_b.shape[0], n_mc, rng) for m in cands]
+            return [self.kernels[t].reference.draw(omega_b, n_mc, rng)]
+        return [m.atoms_at(rng.random((omega_b.shape[0], n_mc))) for m in cands]
 
     def objective(self, t, psi, a, omega_b, past, blocks, own):
         """Var (b,): per path, the least candidate mean of psi."""
@@ -550,14 +472,14 @@ class _WassersteinDual:
     stage trained jointly with the action net.  The inner minimum is
     ambiguity.dual_inner_min, which dual_inner_value also calls."""
 
-    def __init__(self, problem, kernels, config):
-        for k in kernels:
+    def __init__(self, problem, config):
+        self.kernels = problem.kernels
+        for k in self.kernels:
             if not isinstance(k, WassersteinBall):
                 raise ValueError("dual training needs Wasserstein-ball kernels")
-        self.kernels = kernels
         self.space = problem.local_space
         self.n_z = config.dual_grid
-        self.raw = [np.array([0.0]) for _ in kernels]
+        self.raw = [np.array([0.0]) for _ in self.kernels]
 
     def parameters(self, t):
         return [self.raw[t]]
@@ -569,7 +491,7 @@ class _WassersteinDual:
         """Reference draws (b, n_mc, d), then a z grid drawn uniformly from
         the local space; the final estimate uses four times as many points,
         on the regular grid (at most 256) when d = 1."""
-        states = _reference_states(self.kernels[t], omega_b, n_mc, rng)
+        states = self.kernels[t].reference.draw(omega_b, n_mc, rng)
         n_z = self.n_z * (4 if final else 1)
         if final and self.space.dimension == 1:
             return states, self.space.grid(min(256, n_z))
@@ -599,7 +521,7 @@ def _diverged(t, phase):
             f"training diverged at stage {t}, {phase} phase ({exc})") from None
 
 
-def _train_backward(problem, kernels, config, rng, inner):
+def _train_backward(problem, config, rng, inner):
     """The backward recursion of both trainers, stage T-1 down to 0.
 
     Each stage ascends the batch mean of inner.objective in the action
@@ -619,7 +541,7 @@ def _train_backward(problem, kernels, config, rng, inner):
 
     def draw_batch(t):
         if config.path_sampling == "reference":
-            omega_b = _sample_paths_reference(kernels, t, config.batch_size, rng, d)
+            omega_b = _sample_paths_reference(problem.kernels, t, config.batch_size, rng, d)
         else:
             omega_b = _sample_paths(problem.local_space, t, config.batch_size, rng)
         past = _sample_past_actions(problem.action_specs[:t], config.batch_size, rng)
@@ -691,23 +613,24 @@ def _train_backward(problem, kernels, config, rng, inner):
     )
 
 
-def train_algorithm1(problem, kernels=None, config=None, rng=None):
+def train_algorithm1(problem, config=None, rng=None):
     """Backward minimax training over a fixed sampled measure set.
 
     Stage t = T-1..0: ascend min_k of the Monte Carlo mean of the next
     value network in the action network's parameters, then regress the
     stage value network on the achieved minimum.  Singleton kernels fall
-    back to per-path reference sampling (the non-robust special case).
+    back to per-path reference sampling (the non-robust special case); a
+    kernel whose set moves with the path raises ambiguity.PathDependentSet.
     """
-    config, kernels = _prepare(problem, kernels, config)
+    config = _prepare(problem, config)
     rng = rng or np.random.default_rng(config.seed)
-    inner = _SampledSetMin(problem, kernels, config, rng)
-    result = _train_backward(problem, kernels, config, rng, inner)
+    inner = _SampledSetMin(problem, config, rng)
+    result = _train_backward(problem, config, rng, inner)
     result.candidate_sets = inner.candidate_sets
     return result
 
 
-def train_algorithm2(problem, kernels=None, config=None, rng=None):
+def train_algorithm2(problem, config=None, rng=None):
     """Wasserstein-dual minimax training.
 
     Same backward loop as the sampled-measure variant, but the inner
@@ -715,10 +638,10 @@ def train_algorithm2(problem, kernels=None, config=None, rng=None):
     draws and a z grid resampled every iteration from the local space,
     with one positive lambda per stage trained through exp().
     """
-    config, kernels = _prepare(problem, kernels, config)
-    inner = _WassersteinDual(problem, kernels, config)
+    config = _prepare(problem, config)
+    inner = _WassersteinDual(problem, config)
     rng = rng or np.random.default_rng(config.seed)
-    result = _train_backward(problem, kernels, config, rng, inner)
+    result = _train_backward(problem, config, rng, inner)
     result.lambdas = [inner.log_lambda(t) for t in range(problem.horizon)]
     return result
 
@@ -740,8 +663,7 @@ def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):
     for k in range(n_cands):
         omega = np.empty((n_paths, T, d))
         for t in range(T):
-            m = candidate_sets[t][k]
-            omega[:, t] = m.support[_choice_indices(m.weights, u[:, t])]
+            omega[:, t] = candidate_sets[t][k].atoms_at(u[:, t])
         vals = problem.terminal(omega, rollout(policy, omega))
         values.append(float(vals.mean()))
     return values

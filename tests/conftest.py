@@ -403,6 +403,22 @@ def kernel_weighted_weights_loop(ref, path):
     return w / w.sum()
 
 
+def constant_states_choice(measure, b, n_mc, rng):
+    """Oracle: ConstantKernel draws (b, n_mc, d) from one rng.choice call
+    over the measure's weights."""
+    return measure.support[rng.choice(measure.n_atoms, size=(b, n_mc), p=measure.weights)]
+
+
+def adaptive_states_loop(ref, omega_b, n_mc, rng):
+    """Oracle: AdaptiveEmpirical draws (b, n_mc, d) with one rng.integers
+    call per path over the atoms of that path's measure ref(path)."""
+    out = []
+    for path in omega_b:
+        m = ref(path)
+        out.append(m.support[rng.integers(0, m.n_atoms, size=n_mc)])
+    return np.stack(out)
+
+
 def kernel_weighted_states_loop(ref, omega_b, n_mc, rng):
     """Oracle: KernelWeighted reference draws (b, n_mc, d) with one
     rng.choice call per path, over the window weights of that path."""

@@ -7,7 +7,14 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from conftest import NDTRI_EDGES, kernel_weighted_weights_loop, same_bits
+from conftest import (
+    NDTRI_EDGES,
+    adaptive_states_loop,
+    constant_states_choice,
+    kernel_weighted_states_loop,
+    kernel_weighted_weights_loop,
+    same_bits,
+)
 from robustdp import ambiguity as amb
 from robustdp.normal import ndtri
 from robustdp.measures import (
@@ -72,6 +79,61 @@ def test_adaptive_mixes_in_observed_path():
     assert m.n_atoms == 5
     assert np.allclose(m.weights, 0.2)
     assert m.support[-1, 0] == pytest.approx(0.6)
+
+
+# -- reference draws: one rng stream per kernel, each against its oracle --------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 300), st.booleans(), st.integers(1, 40),
+       st.integers(1, 40))
+def test_constant_kernel_draws_are_choice_draws(seed, n, uniform, batch, n_mc):
+    # the draws and the RNG state after them are those of rng.choice(p=...)
+    rng = np.random.default_rng(seed)
+    if uniform:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.3] = 0.0  # exact zeros, atoms never drawn
+        w[int(rng.integers(n))] += 1.0
+        w /= w.sum()
+    m = DiscreteMeasure(rng.normal(size=(n, 2)), w)
+    paths = rng.normal(size=(batch, int(rng.integers(0, 3)), 2))
+    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = amb.ConstantKernel(m).draw(paths, n_mc, r_new)
+    assert np.array_equal(got, constant_states_choice(m, batch, n_mc, r_old))
+    assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 6),
+       st.integers(1, 20), st.sampled_from([0.5, 50.0, 5e4]))
+def test_kernel_weighted_draws_equal_per_path_choice_loop(seed, t, d, b, n_mc, beta):
+    # one random block over all paths is the stream of one choice per path;
+    # a large beta gives weights that underflow to exact zeros
+    rng = np.random.default_rng(seed)
+    ref = amb.KernelWeighted(rng.uniform(-0.1, 0.1, (t + 1 + int(rng.integers(1, 12)), d)),
+                             beta=beta)
+    omega_b = rng.uniform(-0.1, 0.1, (b, t, d))
+    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = ref.draw(omega_b, n_mc, r_new)
+    assert np.array_equal(got, kernel_weighted_states_loop(ref, omega_b, n_mc, r_old))
+    assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 6),
+       st.integers(1, 20))
+def test_adaptive_draws_equal_per_path_integers_loop(seed, t, d, b, n_mc):
+    # one integers call per path over the path's own N + t atoms
+    rng = np.random.default_rng(seed)
+    ref = amb.AdaptiveEmpirical(rng.uniform(-0.1, 0.1, (int(rng.integers(1, 12)), d)))
+    omega_b = rng.uniform(-0.1, 0.1, (b, t, d))
+    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = ref.draw(omega_b, n_mc, r_new)
+    assert got.shape == (b, n_mc, d)
+    assert np.array_equal(got, adaptive_states_loop(ref, omega_b, n_mc, r_old))
+    assert r_new.bit_generator.state == r_old.bit_generator.state
 
 
 # -- radius schedules -----------------------------------------------------------
@@ -313,6 +375,58 @@ def test_parametric_sampling_stays_in_parameter_ball():
     rng = np.random.default_rng(5)
     for m in amb.sample_measures(pb, np.zeros((0, 1)), 12, rng):
         assert 1.5 - 1e-12 <= float(m.theta[0]) <= 2.5 + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2),
+       st.sampled_from(["constant", "adaptive"]))
+def test_fixed_candidates_of_a_path_independent_ball_fit_every_path(seed, t, d, q, radius):
+    # a ball of declared Lipschitz constant 0 is the same set at every path,
+    # so the candidates sampled once at the zero path are members at any path
+    rng = np.random.default_rng(seed)
+    space = LocalSpace(d, 0.1)
+    center = DiscreteMeasure(rng.uniform(-0.1, 0.1, (5, d)), rng.dirichlet(np.ones(5)),
+                             space=space)
+    schedule = (amb.ConstantRadius(float(rng.uniform(0.0, 0.05))) if radius == "constant"
+                else amb.Adaptive1DRadius(50, n_paths=200, n_steps=20))
+    ball = amb.WassersteinBall(amb.ConstantKernel(center), schedule, q, space=space)
+    assert ball.declared_lipschitz() == 0
+    cands = amb.fixed_candidates(ball, t, d, 4, rng)
+    assert len(cands) == 4
+    for path in rng.uniform(-0.1, 0.1, (3, t, d)):
+        for m in cands:
+            ok, slack = amb.membership(ball, path, m)
+            assert ok, slack
+
+
+def path_dependent_kernels():
+    history = np.linspace(-0.05, 0.05, 12)[:, None]
+    space = LocalSpace(1, 0.1)
+    eps = amb.ConstantRadius(0.01)
+    return {
+        "ball around AdaptiveEmpirical":
+            amb.WassersteinBall(amb.AdaptiveEmpirical(history, space=space), eps, space=space),
+        "ball around KernelWeighted":
+            amb.WassersteinBall(amb.KernelWeighted(history, 500.0, space=space), eps,
+                                space=space),
+        "normal ParametricBall":
+            amb.ParametricBall(amb.NormalDiagFamily(1), eps, theta0=[0.0, 0.01], space=space),
+        "exponential ParametricBall":
+            amb.ParametricBall(amb.ExponentialFamily(), eps, theta0=[0.01]),
+        "singleton around AdaptiveEmpirical":
+            amb.Singleton(amb.AdaptiveEmpirical(history, space=space), space=space),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(path_dependent_kernels()))
+def test_fixed_candidates_reject_a_path_dependent_set(name):
+    # at the zero path such a set holds candidates that leave it at real
+    # paths (phantom 0.0 atoms of an adaptive center, the weights of the
+    # zero window) or a center that cannot be estimated from zeros
+    kernel = path_dependent_kernels()[name]
+    with pytest.raises(amb.PathDependentSet,
+                       match=f"^stage 2: the {type(kernel).__name__} has declared "):
+        amb.fixed_candidates(kernel, 2, 1, 3, np.random.default_rng(0))
 
 
 # -- gluing transport ----------------------------------------------------------------

@@ -381,6 +381,44 @@ def test_algorithm2_without_a_ball_names_the_ambiguity_kind(tmp_path, capsys):
     assert "ambiguity.kind" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("kind", ["adaptive", "kernel_weighted"])
+def test_algorithm1_on_a_path_dependent_ball_is_json_error(tmp_path, capsys, kind):
+    # one fixed candidate set per stage cannot stand for a ball that moves
+    # with the path; algorithm2 draws and evaluates it per path instead
+    cfg = mutated(BASE_CONFIG, "ambiguity.reference", {"kind": kind})
+    train = {"kind": "algorithm1", "train": TINY_MUTATED_TRAIN}
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", write_config(tmp_path, dict(cfg, solver=train)),
+                   "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("ambiguity.reference.kind: ") and err["command"] == "train"
+    assert "stage 0: the WassersteinBall" in err["error"] and "'algorithm2'" in err["error"]
+    assert not out.exists()
+    train = dict(train, kind="algorithm2")
+    rc = cli.main(["train", "--config", write_config(tmp_path, dict(cfg, solver=train)),
+                   "--out", str(out)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("ambiguity, named", [
+    ({"kind": "wasserstein", "reference": {"kind": "kernel_weighted"}}, "WassersteinBall"),
+    ({"kind": "singleton", "reference": {"kind": "adaptive"}}, "Singleton"),
+])
+def test_evaluate_on_a_path_dependent_reference_is_json_error(tmp_path, capsys, ambiguity,
+                                                             named):
+    # evaluate scores fixed candidate sets, so it refuses a reference that
+    # moves with the path before it reads any trained network
+    cfg = dict(BASE_CONFIG, ambiguity=ambiguity)
+    rc = cli.main(["evaluate", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("ambiguity.reference.kind: ") and err["command"] == "evaluate"
+    assert f"stage 0: the {named}" in err["error"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_corrupt_network_is_json_error(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()

@@ -9,6 +9,7 @@ from conftest import dense_lp_coupling, kr_dual_check, norm_cost_matrix
 from robustdp.measures import (
     DiscreteMeasure,
     LocalSpace,
+    _choice_indices,
     cost_matrix,
     moment,
     optimal_coupling,
@@ -323,3 +324,24 @@ def test_text_round_trip_and_ordering():
     back = DiscreteMeasure.from_text(text)
     assert w_q_discrete(mu, back, 1) == pytest.approx(0.0, abs=1e-12)
     assert back.to_text() == text
+
+
+def test_choice_indices_at_cdf_boundaries():
+    # a draw starts at its bucket's guess and steps against the cdf; draws
+    # on, just below and just above every cdf value, every k/n and every
+    # bucket midpoint must land where the search of rng.choice puts them,
+    # for uniform weights and for weights with exact zeros (atoms never drawn)
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.3] = 0.0
+        w[int(rng.integers(n))] += 1.0
+        for weights in (np.full(n, 1.0 / n), w / w.sum()):
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            edges = np.concatenate([cdf, np.arange(n + 1) / n, (np.arange(n) + 0.5) / n, [0.0]])
+            u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            got = _choice_indices(weights, u)
+            assert np.array_equal(got, cdf.searchsorted(u, "right")), n
+            assert np.all(weights[got] > 0.0)

@@ -11,7 +11,6 @@ from conftest import (
     composed_dual_inner_min,
     composed_forward_var,
     exact_policy,
-    kernel_weighted_states_loop,
     per_candidate_objective,
     per_path_rollout,
     primal_ball_lp,
@@ -580,8 +579,9 @@ def dual_oracle(a, omega_b, past, states, z, lam, eps, q):
     return np.min(psi_z + lam * dist**q, axis=2).mean(axis=1) - lam * eps**q
 
 
-def toy_problem(t, d):
-    return SimpleNamespace(horizon=t + 1, local_space=LocalSpace(d, 1.0))
+def toy_problem(t, d, kernel):
+    return SimpleNamespace(horizon=t + 1, local_space=LocalSpace(d, 1.0),
+                           kernels=[kernel] * (t + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -591,7 +591,7 @@ def test_sampled_set_objective_matches_oracle(seed, t, d, b, n_mc, n_cands):
     rng = np.random.default_rng(seed)
     ref = DiscreteMeasure(rng.uniform(-1, 1, (3, d)), rng.dirichlet(np.ones(3)))
     kern = amb.FiniteSet([amb.ConstantKernel(ref)] * n_cands)
-    inner = nn._SampledSetMin(toy_problem(t, d), [kern] * (t + 1), nn.TrainConfig(), rng)
+    inner = nn._SampledSetMin(toy_problem(t, d, kern), nn.TrainConfig(), rng)
     omega_b = rng.uniform(-1, 1, (b, t, d))
     past = [rng.uniform(-1, 1, (b, 2)) for _ in range(t)]
     a = rng.uniform(-1, 1, (b, 1))
@@ -629,7 +629,7 @@ def test_one_call_objective_equals_per_candidate_oracle(seed, k, t, width, tied,
     if tied:
         blocks[-1] = blocks[0].copy()  # equal means: vmin takes the first
     a0 = rng.uniform(-1, 1, (b, prob.action_specs[t].dim))
-    inner = nn._SampledSetMin(prob, prob.kernels, nn.TrainConfig(), rng)
+    inner = nn._SampledSetMin(prob, nn.TrainConfig(), rng)
     runs = []
     for objective in (lambda a: inner.objective(t, psi, a, omega_b, past, blocks, []),
                       lambda a: per_candidate_objective(psi, a, omega_b, past, blocks)):
@@ -650,8 +650,7 @@ def test_dual_objective_matches_oracle(seed, t, d, b, n_mc, n_z, raw, q):
     eps = float(rng.uniform(0.0, 0.5))
     ref = DiscreteMeasure(rng.uniform(-1, 1, (3, d)), rng.dirichlet(np.ones(3)))
     ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps), q)
-    inner = nn._WassersteinDual(toy_problem(t, d), [ball] * (t + 1),
-                                nn.TrainConfig(dual_grid=n_z))
+    inner = nn._WassersteinDual(toy_problem(t, d, ball), nn.TrainConfig(dual_grid=n_z))
     omega_b = rng.uniform(-1, 1, (b, t, d))
     past = [rng.uniform(-1, 1, (b, 2)) for _ in range(t)]
     a = rng.uniform(-1, 1, (b, 1))
@@ -673,7 +672,7 @@ def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, 
     eps = float(rng.uniform(0.0, 0.5))
     ref = DiscreteMeasure(rng.uniform(-1, 1, (n_atoms, d)), np.full(n_atoms, 1.0 / n_atoms))
     ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(eps), q)
-    inner = nn._WassersteinDual(toy_problem(0, d), [ball], nn.TrainConfig())
+    inner = nn._WassersteinDual(toy_problem(0, d, ball), nn.TrainConfig())
     z = rng.uniform(-1, 1, (n_z, d))
     f = lambda pts: np.tanh(3.0 * np.atleast_2d(pts).sum(axis=1))
     psi = lambda omega_b, past, a_rep, nxt: ad.const(f(nxt[0])[None])
@@ -1032,64 +1031,6 @@ def test_reference_paths_draw_atoms_of_the_center(seed, kind, wrap, d, t, batch)
             assert np.any(np.all(support == omega[i, s], axis=1)), (i, s)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 300), st.booleans(), st.integers(1, 40),
-       st.integers(1, 40))
-def test_draw_states_are_choice_draws(seed, n, uniform, batch, n_mc):
-    # the draws and the RNG state after them are those of rng.choice(p=...)
-    rng = np.random.default_rng(seed)
-    if uniform:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = rng.dirichlet(np.ones(n))
-        w[rng.random(n) < 0.3] = 0.0  # exact zeros, atoms never drawn
-        w[int(rng.integers(n))] += 1.0
-        w /= w.sum()
-    m = DiscreteMeasure(rng.normal(size=(n, 2)), w)
-    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got = nn._draw_states(m, batch, n_mc, r_new)
-    want = m.support[r_old.choice(m.n_atoms, size=(batch, n_mc), p=m.weights)]
-    assert np.array_equal(got, want)
-    assert r_new.bit_generator.state == r_old.bit_generator.state
-
-
-def test_choice_indices_at_cdf_boundaries():
-    # a draw starts at its bucket's guess and steps against the cdf; draws
-    # on, just below and just above every cdf value, every k/n and every
-    # bucket midpoint must land where the search of rng.choice puts them,
-    # for uniform weights and for weights with exact zeros (atoms never drawn)
-    rng = np.random.default_rng(0)
-    for n in range(1, 301):
-        w = rng.dirichlet(np.ones(n))
-        w[rng.random(n) < 0.3] = 0.0
-        w[int(rng.integers(n))] += 1.0
-        for weights in (np.full(n, 1.0 / n), w / w.sum()):
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            edges = np.concatenate([cdf, np.arange(n + 1) / n, (np.arange(n) + 0.5) / n, [0.0]])
-            u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-            u = u[(u >= 0.0) & (u < 1.0)]
-            got = nn._choice_indices(weights, u)
-            assert np.array_equal(got, cdf.searchsorted(u, "right")), n
-            assert np.all(weights[got] > 0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 6),
-       st.integers(1, 20), st.sampled_from([0.5, 50.0, 5e4]))
-def test_kernel_weighted_draws_equal_per_path_choice_loop(seed, t, d, b, n_mc, beta):
-    # one random block over all paths is the stream of one choice per path;
-    # a large beta gives weights that underflow to exact zeros
-    rng = np.random.default_rng(seed)
-    ref = amb.KernelWeighted(rng.uniform(-0.1, 0.1, (t + 1 + int(rng.integers(1, 12)), d)),
-                             beta=beta)
-    omega_b = rng.uniform(-0.1, 0.1, (b, t, d))
-    r_new, r_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got = nn._reference_states(amb.Singleton(ref), omega_b, n_mc, r_new)
-    assert np.array_equal(got, kernel_weighted_states_loop(ref, omega_b, n_mc, r_old))
-    assert r_new.bit_generator.state == r_old.bit_generator.state
-
-
 def test_reference_path_sampling_trains_on_a_finite_set():
     from robustdp import hedging as hg
 
@@ -1101,6 +1042,49 @@ def test_reference_path_sampling_trains_on_a_finite_set():
                          hidden_units=4, eval_mc=8, path_sampling="reference")
     res = nn.train_algorithm1(prob, config=cfg)
     assert np.isfinite(res.value_estimate)
+
+
+def tiny_hedge(kernels):
+    from robustdp import hedging as hg
+
+    hp = hg.HedgingProblem(d=1, horizon=len(kernels), return_bound=0.1,
+                           payoff=hg.CallPayoff(1.0))
+    cfg = nn.TrainConfig(iter_a=1, iter_psi=1, n_mc=4, batch_size=4, hidden_layers=1,
+                         hidden_units=4, eval_mc=8, n_measures=2, dual_grid=4)
+    return hg.make_control_problem(hp, kernels), cfg
+
+
+def test_algorithm1_rejects_a_ball_that_moves_with_the_path():
+    # around an adaptive reference the zero-path candidates leave the ball
+    # at real paths; algorithm 2 draws and evaluates the ball per path
+    history = np.linspace(-0.05, 0.05, 12)[:, None]
+    ball = amb.WassersteinBall(amb.AdaptiveEmpirical(history), amb.ConstantRadius(0.01))
+    prob, cfg = tiny_hedge([ball] * 3)
+    with pytest.raises(amb.PathDependentSet, match="^stage 0: the WassersteinBall"):
+        nn.train_algorithm1(prob, config=cfg)
+    assert np.isfinite(nn.train_algorithm2(prob, config=cfg).value_estimate)
+
+
+def test_every_reference_kernel_draws_or_is_refused_by_name():
+    # every ambiguity class whose instances are called on a path either has
+    # draw(paths, n, rng), checked against its measures by
+    # test_reference_paths_draw_atoms_of_the_center, or is refused by both
+    # trainers as a stage reference, by its name, before any draw; a kernel
+    # without a reference is refused by its own name
+    called = [getattr(amb, name) for name in amb.__all__
+              if isinstance(getattr(amb, name), type) and "__call__" in vars(getattr(amb, name))]
+    drawing = {cls.__name__ for cls in called if hasattr(cls, "draw")}
+    assert drawing == {"ConstantKernel", "KernelWeighted", "AdaptiveEmpirical"}
+    refused = [amb.Singleton(cls.__new__(cls)) for cls in called if cls.__name__ not in drawing]
+    refused.append(amb.ParametricBall(amb.NormalDiagFamily(1), amb.ConstantRadius(0.01),
+                                      theta0=[0.0, 0.01]))
+    assert len(refused) > 1
+    for kernel in refused:
+        name = type(getattr(kernel, "reference", kernel)).__name__
+        prob, cfg = tiny_hedge([kernel] * 2)
+        for train in (nn.train_algorithm1, nn.train_algorithm2):
+            with pytest.raises(ValueError, match=f"^stage 0: .* which a {name} lacks$"):
+                train(prob, config=cfg)
 
 
 @pytest.mark.parametrize("net_inputs, feature_tape, match", [
