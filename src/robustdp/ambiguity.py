@@ -3,10 +3,15 @@
 An ambiguity kernel maps an observed path to a set of candidate one-step
 transition measures: a Wasserstein ball around a data-driven reference
 kernel, a parameter ball inside a closed-form family (diagonal normal or
-exponential), a singleton, or an explicit finite set.  The module also
-houses the three-point transport construction that moves a measure from
-one ball into another while controlling both distances, and the adaptive
-radius schedules used by the hedging experiments.
+exponential), or an explicit finite set, of which the non-robust singleton
+is the one-member case.  Each set class answers for itself: center(path),
+eps(path) (0 for a finite set), distance(path, m), sample(path, count, rng)
+and witnesses(p1, p2, rng), so membership, sample_measures and
+lipschitz_audit are one formula each.  Each family declares the W order in
+which its lipschitz constant is stated.  The module also houses the
+three-point transport construction that moves a measure from one ball into
+another while controlling both distances, and the adaptive radius schedule
+used by the hedging experiments.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ __all__ = [
     "AdaptiveEmpirical",
     "TabularKernel",
     "ConstantRadius",
-    "Adaptive1DRadius",
-    "AdaptiveMultiDRadius",
+    "AdaptiveRadius",
     "adaptive_radius_1d",
     "adaptive_radius_multidim",
     "NormalDiagFamily",
@@ -205,17 +209,17 @@ class ConstantRadius:
 _BRIDGE_QUANTILE_CACHE = {}
 
 
-def _bridge_integral_quantile(alpha, n_paths, n_steps, seed):
+def _bridge_integral_quantile(alpha, n_paths, n_steps):
     """alpha-quantile of int_0^1 |B(u)| du for a Brownian bridge B.
 
-    Monte Carlo over discretized bridges; cached per parameter set.  The
-    default 1e5 x 1e3 resolution keeps the quantile's standard error well
-    under 1% of its value.
+    Monte Carlo over discretized bridges from one fixed seed; cached per
+    parameter set.  The default 1e5 x 1e3 resolution keeps the quantile's
+    standard error well under 1% of its value.
     """
-    key = (round(alpha, 12), n_paths, n_steps, seed)
+    key = (round(alpha, 12), n_paths, n_steps)
     if key in _BRIDGE_QUANTILE_CACHE:
         return _BRIDGE_QUANTILE_CACHE[key]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62726964]))
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0x62726964]))
     dt = 1.0 / n_steps
     integrals = np.empty(n_paths)
     chunk = max(1, min(n_paths, 2000))
@@ -236,9 +240,7 @@ def _bridge_integral_quantile(alpha, n_paths, n_steps, seed):
     return q
 
 
-def adaptive_radius_1d(
-    alpha_quantile, n_plus_t, seed=0, n_paths=100_000, n_steps=1000
-):
+def adaptive_radius_1d(alpha_quantile, n_plus_t, n_paths=100_000, n_steps=1000):
     """Shrinking radius H^alpha / sqrt(N + t) for scalar returns.
 
     H^alpha is the alpha-quantile of the integrated absolute Brownian
@@ -248,7 +250,7 @@ def adaptive_radius_1d(
         raise ValueError("quantile level must lie in (0, 1)")
     if n_plus_t < 1:
         raise ValueError("N + t must be at least 1")
-    h = _bridge_integral_quantile(alpha_quantile, n_paths, n_steps, seed)
+    h = _bridge_integral_quantile(alpha_quantile, n_paths, n_steps)
     return h / math.sqrt(n_plus_t)
 
 
@@ -285,35 +287,25 @@ def adaptive_radius_multidim(d, C, n_plus_t, alpha=0.9):
     return (64.0 / (3.0 * alpha)) * (g + inner / math.sqrt(n_plus_t))
 
 
-class Adaptive1DRadius:
-    """eps_t = H^alpha / sqrt(N + t); depends on t only, so L_eps = 0."""
+class AdaptiveRadius:
+    """eps_t = adaptive_radius_1d(alpha, N + t) for d = 1, and
+    adaptive_radius_multidim(d, C, N + t, alpha) on [-C, C]^d for d >= 2;
+    it depends on t only, so L_eps = 0."""
 
-    def __init__(self, n_history, alpha=0.9, seed=0, n_paths=100_000, n_steps=1000):
+    def __init__(self, d, C, n_history, alpha=0.9, n_paths=100_000, n_steps=1000):
+        self.d = d
+        self.C = C
         self.n_history = int(n_history)
         self.alpha = float(alpha)
-        self.seed = seed
         self.n_paths = n_paths
         self.n_steps = n_steps
         self.lipschitz = 0.0
 
     def __call__(self, path):
-        t = as_path(path).shape[0]
-        return adaptive_radius_1d(
-            self.alpha, self.n_history + t, self.seed, self.n_paths, self.n_steps
-        )
-
-
-class AdaptiveMultiDRadius:
-    def __init__(self, d, C, n_history, alpha=0.9):
-        self.d = d
-        self.C = C
-        self.n_history = int(n_history)
-        self.alpha = alpha
-        self.lipschitz = 0.0
-
-    def __call__(self, path):
-        t = as_path(path).shape[0]
-        return adaptive_radius_multidim(self.d, self.C, self.n_history + t, self.alpha)
+        n_plus_t = self.n_history + as_path(path).shape[0]
+        if self.d == 1:
+            return adaptive_radius_1d(self.alpha, n_plus_t, self.n_paths, self.n_steps)
+        return adaptive_radius_multidim(self.d, self.C, n_plus_t, self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +315,8 @@ class AdaptiveMultiDRadius:
 
 class NormalDiagFamily:
     """N(mu, diag(sigma^2)) on R^d, theta = (mu, sigma) in R^d x [0, inf)^d."""
+
+    order = 2  # the W order of lipschitz and of the closed-form distance
 
     def __init__(self, d):
         self.d = int(d)
@@ -397,6 +391,8 @@ class NormalDiagFamily:
 class ExponentialFamily:
     """Exp(1/theta) on [0, inf) for theta > 0; Dirac at 0 for theta = 0."""
 
+    order = 1  # the W order of lipschitz
+
     def __init__(self):
         self.d = 1
         self.theta_dim = 1
@@ -456,7 +452,8 @@ class ExponentialFamily:
 
 
 # ---------------------------------------------------------------------------
-# ambiguity kernels
+# ambiguity sets: center, eps, distance (for membership), sample (element 0
+# the center) and witnesses ((probe at p1, witness at p2, distance) triples)
 # ---------------------------------------------------------------------------
 
 
@@ -482,6 +479,44 @@ class WassersteinBall:
         if lref is None:
             return None
         return lref + self.radius.lipschitz
+
+    def distance(self, path, candidate):
+        return w_q_discrete(self.center(path), candidate, self.order)
+
+    def sample(self, path, count, rng):
+        """Support points perturbed and weights Dirichlet-resampled, then
+        blended back toward the center when the perturbation overshoots the
+        radius; a zero radius gives copies of the center."""
+        center = self.center(path)
+        eps = self.eps(path)
+        if eps == 0.0:
+            return [center] * count
+        out = [center]
+        space = center.space or self.space
+        for _ in range(count - 1):
+            shift = rng.normal(size=center.support.shape)
+            norms = np.linalg.norm(shift, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            mags = eps * rng.uniform(size=(center.n_atoms, 1))
+            pts = center.support + shift / norms * mags
+            if space is not None:
+                pts = space.clip(pts)
+            w = rng.dirichlet(50.0 * center.weights + 0.5)
+            cand = DiscreteMeasure(pts, w, space=space)
+            out.append(_displacement_blend(center, cand, eps, self.order))
+        return out
+
+    def witnesses(self, p1, p2, rng):
+        """The center at p1 and, given an rng and a positive radius, two
+        members sampled around it, each glued into the ball at p2."""
+        ref1, ref2 = self.center(p1), self.center(p2)
+        eps1, eps2 = self.eps(p1), self.eps(p2)
+        probes = [ref1]
+        if rng is not None and eps1 > 0:
+            probes += sample_measures(self, p1, 3, rng)[1:]
+        glued = [transport_between_balls(p, ref1, eps1, ref2, eps2, self.order)
+                 for p in probes]
+        return [(p, w, w_q_discrete(p, w, 1)) for p, w in zip(probes, glued)]
 
 
 @dataclass
@@ -511,26 +546,55 @@ class ParametricBall:
     def declared_lipschitz(self):
         return None  # depends on t; see lipschitz_audit
 
+    def distance(self, path, candidate):
+        """Euclidean parameter distance; the candidate must carry the `theta`
+        tag of sample / discretize, as a raw discrete measure has none."""
+        theta = getattr(candidate, "theta", None)
+        if theta is None:
+            raise ValueError(
+                "cannot test a raw discrete measure against a parametric ball"
+            )
+        return float(np.linalg.norm(np.atleast_1d(theta) - self.center_theta(path)))
 
-@dataclass
-class Singleton:
-    reference: object
-    space: object = None
+    def sample(self, path, count, rng):
+        """Parameters uniform in the parameter ball, projected onto the family."""
+        theta_hat = self.center_theta(path)
+        eps = self.eps(path)
+        dim = theta_hat.shape[0]
+        out = [self.family.discretize(theta_hat, self.n_atoms, self.space)]
+        for _ in range(count - 1):
+            if eps == 0.0:
+                theta = theta_hat
+            else:
+                direction = rng.normal(size=dim)
+                nrm = np.linalg.norm(direction)
+                direction = direction / nrm if nrm > 0 else direction
+                radius = eps * rng.uniform() ** (1.0 / dim)
+                theta = self.family.project(theta_hat + radius * direction)
+            out.append(self.family.discretize(theta, self.n_atoms, self.space))
+        return out
 
-    def center(self, path):
-        return self.reference(path)
-
-    def eps(self, path):
-        return 0.0
-
-    def declared_lipschitz(self):
-        return getattr(self.reference, "lipschitz", None)
+    def witnesses(self, p1, p2, rng):
+        """The center parameter at p1 and, given an rng and a positive radius,
+        two sampled around it, each clamped into the ball at p2; distances in
+        the family's order."""
+        th1, th2 = self.center_theta(p1), self.center_theta(p2)
+        eps1, eps2 = self.eps(p1), self.eps(p2)
+        lam = 0.0 if eps1 == 0.0 else max(eps1 - eps2, 0.0) / eps1
+        thetas = [th1]
+        if rng is not None and eps1 > 0:
+            thetas += [m.theta for m in sample_measures(self, p1, 3, rng)[1:]]
+        fam = self.family
+        clamped = [fam.project(v_lambda(th1, th2, np.atleast_1d(th), lam)) for th in thetas]
+        return [(th, w, fam.distance(th, w, fam.order)) for th, w in zip(thetas, clamped)]
 
 
 @dataclass
 class FiniteSet:
+    """An explicit set of reference kernels, element 0 the reference; its
+    radius is 0 and its distance the W_1 to the nearest member."""
+
     references: list
-    space: object = None
 
     @property
     def reference(self):
@@ -539,14 +603,33 @@ class FiniteSet:
     def center(self, path):
         return self.reference(path)
 
-    def evaluate_all(self, path):
-        return [k(path) for k in self.references]
+    def eps(self, path):
+        return 0.0
 
     def declared_lipschitz(self):
         ls = [getattr(k, "lipschitz", None) for k in self.references]
         if any(l is None for l in ls):
             return None
         return max(ls)
+
+    def distance(self, path, candidate):
+        return min(w_q_discrete(k(path), candidate, 1) for k in self.references)
+
+    def sample(self, path, count, rng):
+        """The members at the path, whatever the count; no rng draw."""
+        return [k(path) for k in self.references]
+
+    def witnesses(self, p1, p2, rng):
+        """Each member at p1 against the same member at p2."""
+        pairs = [(k(p1), k(p2)) for k in self.references]
+        return [(m1, m2, w_q_discrete(m1, m2, 1)) for m1, m2 in pairs]
+
+
+class Singleton(FiniteSet):
+    """The non-robust set {reference(path)}."""
+
+    def __init__(self, reference):
+        super().__init__([reference])
 
 
 def dual_inner_min(psi_z, lam, x, z, q):
@@ -626,38 +709,14 @@ def ball_infimum(psi_vals, reference, z_grid, eps, q):
 
 
 def membership(kernel, path, candidate):
-    """Test whether a candidate measure belongs to the ambiguity set.
-
-    Returns (member, slack) with slack = radius - distance.  Candidates
-    against a parametric ball must carry the `theta` tag produced by
-    sample_measures / discretize; comparing a raw discrete measure with a
-    continuous parametric law is unsupported and raises.
+    """Test whether a candidate measure belongs to the ambiguity set: returns
+    (member, slack) with slack = eps - distance, the set's own radius and
+    distance.  A finite set's radius is 0, so its slack is minus the W_1 to
+    the nearest member; a parametric ball needs the candidate's theta tag.
     """
-    if isinstance(kernel, WassersteinBall):
-        dist = w_q_discrete(kernel.center(path), candidate, kernel.order)
-        eps = kernel.eps(path)
-        return dist <= eps + MEMBERSHIP_TOL, eps - dist
-    if isinstance(kernel, ParametricBall):
-        theta = getattr(candidate, "theta", None)
-        if theta is None:
-            raise ValueError(
-                "cannot test a raw discrete measure against a parametric ball"
-            )
-        dist = float(
-            np.linalg.norm(np.atleast_1d(theta) - kernel.center_theta(path))
-        )
-        eps = kernel.eps(path)
-        return dist <= eps + MEMBERSHIP_TOL, eps - dist
-    if isinstance(kernel, Singleton):
-        dist = w_q_discrete(kernel.center(path), candidate, 1)
-        return dist <= MEMBERSHIP_TOL, -dist
-    if isinstance(kernel, FiniteSet):
-        dists = [
-            w_q_discrete(m, candidate, 1) for m in kernel.evaluate_all(path)
-        ]
-        best = min(dists)
-        return best <= MEMBERSHIP_TOL, -best
-    raise TypeError(f"unknown kernel type {type(kernel)!r}")
+    dist = kernel.distance(path, candidate)
+    eps = kernel.eps(path)
+    return dist <= eps + MEMBERSHIP_TOL, eps - dist
 
 
 def _displacement_blend(center, candidate, eps, q):
@@ -679,57 +738,14 @@ def _displacement_blend(center, candidate, eps, q):
 
 def sample_measures(kernel, path, count, rng):
     """Candidate measures from the ambiguity set, element 0 the center: a
-    singleton gives its center, a finite set its members, and a ball `count`
-    measures.  Wasserstein balls are sampled by perturbing support points and
-    Dirichlet-resampling weights, then blending back toward the center when
-    the perturbation overshoots the radius; parametric balls are sampled
-    uniformly in the parameter ball.  Every output passes membership; a zero
-    radius returns copies of the reference.
+    finite set (a singleton too) gives its members, and a ball `count`
+    measures by its own sample.  Every output passes membership; a zero
+    radius returns copies of the center.  The one entry point for sampling
+    a set, so every caller's samples are counted alike.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(kernel, Singleton):
-        return [kernel.center(path)]
-    if isinstance(kernel, FiniteSet):
-        return kernel.evaluate_all(path)
-    if isinstance(kernel, WassersteinBall):
-        center = kernel.center(path)
-        eps = kernel.eps(path)
-        out = [center]
-        if eps == 0.0:
-            return [center] * count
-        space = center.space or kernel.space
-        for _ in range(count - 1):
-            shift = rng.normal(size=center.support.shape)
-            norms = np.linalg.norm(shift, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            mags = eps * rng.uniform(size=(center.n_atoms, 1))
-            pts = center.support + shift / norms * mags
-            if space is not None:
-                pts = space.clip(pts)
-            w = rng.dirichlet(50.0 * center.weights + 0.5)
-            cand = DiscreteMeasure(pts, w, space=space)
-            out.append(_displacement_blend(center, cand, eps, kernel.order))
-        return out
-    if isinstance(kernel, ParametricBall):
-        theta_hat = kernel.center_theta(path)
-        eps = kernel.eps(path)
-        dim = theta_hat.shape[0]
-        out = [kernel.family.discretize(theta_hat, kernel.n_atoms, kernel.space)]
-        for _ in range(count - 1):
-            if eps == 0.0:
-                theta = theta_hat
-            else:
-                direction = rng.normal(size=dim)
-                nrm = np.linalg.norm(direction)
-                direction = direction / nrm if nrm > 0 else direction
-                radius = eps * rng.uniform() ** (1.0 / dim)
-                theta = kernel.family.project(theta_hat + radius * direction)
-            out.append(
-                kernel.family.discretize(theta, kernel.n_atoms, kernel.space)
-            )
-        return out
-    raise TypeError(f"unknown kernel type {type(kernel)!r}")
+    return kernel.sample(path, count, rng)
 
 
 class PathDependentSet(ValueError):
@@ -827,12 +843,11 @@ class LipschitzReport:
 def lipschitz_audit(kernel, path1, path2, rng=None):
     """Exhibit witnesses for the kernel's measure-stability condition.
 
-    The probes are the center at path1 and, given an rng and a positive
-    radius, two members sampled around it.  For each probe measure P in
-    the set at path1, constructs a witness in
-    the set at path2 (gluing transport for Wasserstein balls, parameter
-    clamp for parametric balls) and reports the achieved ratio
-    d_W1(P, witness) / sum_i ||w_i - w~_i|| against the declared constant.
+    The set's witnesses(p1, p2, rng) pairs each probe measure of the set at
+    path1 with a witness in the set at path2: gluing transport for a
+    Wasserstein ball, a parameter clamp for a parametric ball, the same
+    member for a finite set.  Reports the achieved ratios
+    d(P, witness) / sum_i ||w_i - w~_i|| against the declared constant.
     Numerical evidence only, never a proof.
     """
     p1, p2 = as_path(path1), as_path(path2)
@@ -840,38 +855,7 @@ def lipschitz_audit(kernel, path1, path2, rng=None):
         raise ValueError("paths must have equal length and dimension")
     denom = float(np.linalg.norm(p1 - p2, axis=1).sum()) if p1.size else 0.0
 
-    probes_and_witnesses = []
-    if isinstance(kernel, (WassersteinBall, Singleton)):
-        q = kernel.order if isinstance(kernel, WassersteinBall) else 1
-        ref1, ref2 = kernel.center(p1), kernel.center(p2)
-        eps1, eps2 = kernel.eps(p1), kernel.eps(p2)
-        probes = [ref1]
-        if rng is not None and eps1 > 0:
-            probes += sample_measures(kernel, p1, 3, rng)[1:]
-        for probe in probes:
-            witness = transport_between_balls(probe, ref1, eps1, ref2, eps2, q)
-            probes_and_witnesses.append(
-                (probe, witness, w_q_discrete(probe, witness, 1))
-            )
-    elif isinstance(kernel, ParametricBall):
-        th1, th2 = kernel.center_theta(p1), kernel.center_theta(p2)
-        eps1, eps2 = kernel.eps(p1), kernel.eps(p2)
-        lam = 0.0 if eps1 == 0.0 else max(eps1 - eps2, 0.0) / eps1
-        thetas = [th1]
-        if rng is not None and eps1 > 0:
-            thetas += [
-                getattr(m, "theta")
-                for m in sample_measures(kernel, p1, 3, rng)[1:]
-            ]
-        order = 2 if isinstance(kernel.family, NormalDiagFamily) else 1
-        for theta in thetas:
-            witness_theta = v_lambda(th1, th2, np.atleast_1d(theta), lam)
-            witness_theta = kernel.family.project(witness_theta)
-            dist = kernel.family.distance(theta, witness_theta, order)
-            probes_and_witnesses.append((theta, witness_theta, dist))
-    else:
-        raise TypeError(f"no audit for kernel type {type(kernel)!r}")
-
+    probes_and_witnesses = kernel.witnesses(p1, p2, rng)
     ratios = []
     for _, _, dist in probes_and_witnesses:
         if denom == 0.0:

@@ -228,14 +228,12 @@ def _build_radius(cfg, hp, n_history):
         return amb.ConstantRadius(
             _get(cfg, "ambiguity.radius.value", float, default=0.0, minimum=0))
     if kind == "adaptive":
-        alpha = _fraction(cfg, "ambiguity.radius.alpha", 0.9)
-        if hp.d == 1:
-            return amb.Adaptive1DRadius(
-                n_history, alpha=alpha,
-                n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000, minimum=1),
-                n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000, minimum=1),
-            )
-        return amb.AdaptiveMultiDRadius(hp.d, hp.return_bound, n_history, alpha=alpha)
+        return amb.AdaptiveRadius(
+            hp.d, hp.return_bound, n_history,
+            alpha=_fraction(cfg, "ambiguity.radius.alpha", 0.9),
+            n_paths=_get(cfg, "ambiguity.radius.n_paths", int, default=100_000, minimum=1),
+            n_steps=_get(cfg, "ambiguity.radius.n_steps", int, default=1000, minimum=1),
+        )
     raise ConfigError("ambiguity.radius.kind: expected 'constant' or 'adaptive'")
 
 
@@ -259,7 +257,7 @@ def _build_kernels(cfg, hp, history):
     radius = _build_radius(cfg, hp, len(history))
     reference = _build_reference(cfg, hp, history)
     if kind == "singleton":
-        kernels = [amb.Singleton(reference, space=hp.space)] * hp.horizon
+        kernels = [amb.Singleton(reference)] * hp.horizon
     elif kind == "wasserstein":
         order = _get(cfg, "ambiguity.order", int, default=1, minimum=1)
         kernels = [

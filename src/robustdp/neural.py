@@ -11,7 +11,8 @@ Two inner problems plug into it:
   drawn once per stage, which a 0-Lipschitz kernel allows (its set is the
   same at every path), and held fixed across iterations, so the trained
   value matches the exact solver run on the same sets, which is what the
-  oracle comparisons require.  A singleton draws along each path instead.
+  oracle comparisons require.  A singleton whose reference moves with the
+  path draws along each path instead.
 * Algorithm 2 (Wasserstein dual): the minimum over the ball replaced by
 
       (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j||^q } - lambda eps^q
@@ -421,8 +422,9 @@ def _prepare(problem, config):
 class _SampledSetMin:
     """Algorithm 1's inner problem: the minimum over a stage's fixed
     candidate measures (ambiguity.fixed_candidates) of the Monte Carlo mean
-    of the next value.  A singleton kernel has no candidates; its draws come
-    per path from the reference (the non-robust special case).
+    of the next value.  A singleton whose reference moves with the path has
+    no candidates; its draws come per path from the reference (the
+    non-robust special case).
 
     The objective runs psi once over all K candidate blocks, block-major:
     the paths and past actions repeated K times and the repeated action
@@ -435,7 +437,7 @@ class _SampledSetMin:
         d = problem.local_space.dimension
         self.kernels = problem.kernels
         self.candidate_sets = {
-            t: None if isinstance(kernel, Singleton)
+            t: None if isinstance(kernel, Singleton) and kernel.declared_lipschitz() != 0
             else fixed_candidates(kernel, t, d, config.n_measures, rng)
             for t, kernel in enumerate(self.kernels)
         }
@@ -618,9 +620,10 @@ def train_algorithm1(problem, config=None, rng=None):
 
     Stage t = T-1..0: ascend min_k of the Monte Carlo mean of the next
     value network in the action network's parameters, then regress the
-    stage value network on the achieved minimum.  Singleton kernels fall
-    back to per-path reference sampling (the non-robust special case); a
-    kernel whose set moves with the path raises ambiguity.PathDependentSet.
+    stage value network on the achieved minimum.  A singleton whose
+    reference moves with the path falls back to per-path reference sampling
+    (the non-robust special case); any other kernel whose set moves with the
+    path raises ambiguity.PathDependentSet.
     """
     config = _prepare(problem, config)
     rng = rng or np.random.default_rng(config.seed)
@@ -654,9 +657,14 @@ def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):
     reference).  Returns the per-candidate values; their minimum is the
     in-model robust value on the shared sets, and entry 0 the reference
     value.  Using one uniform draw per (path, stage) for every candidate
-    makes the set-inclusion inequality exact at sample level.
+    makes the set-inclusion inequality exact at sample level.  A stage
+    without a fixed set (a singleton drawn per path) raises ValueError.
     """
     T, d = problem.horizon, problem.local_space.dimension
+    for t in range(T):
+        if candidate_sets[t] is None:
+            raise ValueError(f"stage {t}: no fixed candidate set, as its singleton "
+                             "is drawn per path")
     n_cands = min(len(candidate_sets[t]) for t in range(T))
     u = rng.uniform(size=(n_paths, T))
     values = []

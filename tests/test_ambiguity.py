@@ -388,7 +388,7 @@ def test_fixed_candidates_of_a_path_independent_ball_fit_every_path(seed, t, d, 
     center = DiscreteMeasure(rng.uniform(-0.1, 0.1, (5, d)), rng.dirichlet(np.ones(5)),
                              space=space)
     schedule = (amb.ConstantRadius(float(rng.uniform(0.0, 0.05))) if radius == "constant"
-                else amb.Adaptive1DRadius(50, n_paths=200, n_steps=20))
+                else amb.AdaptiveRadius(1, 0.1, 50, n_paths=200, n_steps=20))
     ball = amb.WassersteinBall(amb.ConstantKernel(center), schedule, q, space=space)
     assert ball.declared_lipschitz() == 0
     cands = amb.fixed_candidates(ball, t, d, 4, rng)
@@ -414,7 +414,7 @@ def path_dependent_kernels():
         "exponential ParametricBall":
             amb.ParametricBall(amb.ExponentialFamily(), eps, theta0=[0.01]),
         "singleton around AdaptiveEmpirical":
-            amb.Singleton(amb.AdaptiveEmpirical(history, space=space), space=space),
+            amb.Singleton(amb.AdaptiveEmpirical(history, space=space)),
     }
 
 
@@ -427,6 +427,117 @@ def test_fixed_candidates_reject_a_path_dependent_set(name):
     with pytest.raises(amb.PathDependentSet,
                        match=f"^stage 2: the {type(kernel).__name__} has declared "):
         amb.fixed_candidates(kernel, 2, 1, 3, np.random.default_rng(0))
+
+
+def test_every_set_class_answers_for_itself():
+    # membership, sample_measures and lipschitz_audit call these on any set,
+    # and the audit states a parametric ball's distance in its family's order
+    classes = [getattr(amb, name) for name in amb.__all__
+               if isinstance(getattr(amb, name), type)]
+    sets = [cls for cls in classes if hasattr(cls, "center") and hasattr(cls, "eps")]
+    assert {cls.__name__ for cls in sets} == {
+        "WassersteinBall", "ParametricBall", "FiniteSet", "Singleton"}
+    for cls in sets:
+        for method in ("distance", "sample", "witnesses", "declared_lipschitz"):
+            assert callable(getattr(cls, method, None)), (cls.__name__, method)
+    families = [cls for cls in classes if hasattr(cls, "discretize")]
+    assert {cls.__name__ for cls in families} == {"NormalDiagFamily", "ExponentialFamily"}
+    for cls in families:
+        assert isinstance(getattr(cls, "order", None), int) and cls.order >= 1, cls.__name__
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_finite_set_membership_slack_is_minus_w1_to_the_nearest_member(t):
+    history = np.linspace(-0.05, 0.05, 6)[:, None]
+    path = np.full((t, 1), 0.04)
+    near = DiscreteMeasure([[0.0], [0.4]], [0.5, 0.5])
+    members = [amb.ConstantKernel(near), amb.AdaptiveEmpirical(history)]
+    fs = amb.FiniteSet(members)
+    cand = DiscreteMeasure.dirac([0.3])
+    dists = [w_q_discrete(k(path), cand, 1) for k in members]
+    assert dists[0] == pytest.approx(0.2) and dists[0] < dists[1]
+    assert amb.membership(fs, path, cand) == (False, -dists[0])
+    assert amb.membership(amb.Singleton(members[1]), path, cand) == (False, -dists[1])
+    for k in members:
+        ok, slack = amb.membership(fs, path, k(path))
+        assert ok and slack == 0.0
+
+
+def test_lipschitz_audit_of_a_finite_set_is_within_its_declared_constant():
+    # each member at one path against the same member at the other: moving
+    # one path atom moves 1/(N + t) of an adaptive center's mass
+    rng = np.random.default_rng(4)
+    history = rng.uniform(-0.05, 0.05, (12, 1))
+    fs = amb.FiniteSet([amb.AdaptiveEmpirical(history),
+                        amb.ConstantKernel(DiscreteMeasure.dirac([0.0]))])
+    single = amb.Singleton(amb.AdaptiveEmpirical(history))
+    for kernel in (fs, single):
+        assert kernel.declared_lipschitz() == 1.0 / 12
+        for p1, p2 in rng.uniform(-0.1, 0.1, (10, 2, 3, 1)):
+            rep = amb.lipschitz_audit(kernel, p1, p2)
+            assert len(rep.ratios) == len(kernel.references)
+            assert 0.0 < rep.max_ratio <= rep.declared
+            assert rep.ratios[1:] == [0.0] * (len(rep.ratios) - 1)
+        assert amb.lipschitz_audit(kernel, p1, p1).max_ratio == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_adaptive_radius_in_several_dimensions_is_the_multidim_bound(d):
+    radius = amb.AdaptiveRadius(d, 0.1, 50, alpha=0.8)
+    assert radius.lipschitz == 0.0
+    for t in range(4):
+        assert radius(np.zeros((t, d))) == amb.adaptive_radius_multidim(d, 0.1, 50 + t, 0.8)
+
+
+def test_adaptive_radius_in_one_dimension_is_the_bridge_quantile():
+    radius = amb.AdaptiveRadius(1, 0.1, 50, alpha=0.8, n_paths=200, n_steps=20)
+    for t in range(4):
+        assert radius(np.zeros((t, 1))) == amb.adaptive_radius_1d(
+            0.8, 50 + t, n_paths=200, n_steps=20)
+
+
+def set_of_kind(kind, d, rng):
+    history = rng.uniform(-0.1, 0.1, (8, d))
+    space = LocalSpace(d, 0.1)
+    center = DiscreteMeasure(history[:4], rng.dirichlet(np.ones(4)), space=space)
+    eps = amb.ConstantRadius(float(rng.choice([0.0, rng.uniform(0.0, 0.05)])))
+    sets = {
+        "constant ball": lambda: amb.WassersteinBall(amb.ConstantKernel(center), eps, 1,
+                                                     space=space),
+        "kernel-weighted ball": lambda: amb.WassersteinBall(
+            amb.KernelWeighted(history, 50.0, space=space), eps, 2, space=space),
+        "adaptive ball": lambda: amb.WassersteinBall(
+            amb.AdaptiveEmpirical(history, space=space), eps, 1, space=space),
+        "normal ball": lambda: amb.ParametricBall(
+            amb.NormalDiagFamily(d), eps, theta0=np.r_[np.zeros(d), np.full(d, 0.05)],
+            n_atoms=5),
+        "exponential ball": lambda: amb.ParametricBall(
+            amb.ExponentialFamily(), eps, theta0=[0.05], n_atoms=5),
+        "finite set": lambda: amb.FiniteSet(
+            [amb.ConstantKernel(center), amb.AdaptiveEmpirical(history, space=space)]),
+        "singleton": lambda: amb.Singleton(amb.KernelWeighted(history, 50.0, space=space)),
+    }
+    return sets[kind]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["constant ball", "kernel-weighted ball", "adaptive ball",
+                        "normal ball", "exponential ball", "finite set", "singleton"]),
+       st.integers(1, 2), st.sampled_from([0, 2, 3]))
+def test_every_sampled_measure_is_a_member(seed, kind, d, t):
+    # membership by each set's own distance (exact OT for the W balls and
+    # finite sets) at random paths; a normal center needs two observations
+    d = 1 if kind == "exponential ball" else d
+    rng = np.random.default_rng(seed)
+    kernel = set_of_kind(kind, d, rng)
+    path = rng.uniform(0.0 if kind == "exponential ball" else -0.1, 0.1, (t, d))
+    out = amb.sample_measures(kernel, path, 4, rng)
+    assert len(out) == (len(kernel.references) if hasattr(kernel, "references") else 4)
+    assert w_q_discrete(out[0], kernel.center(path), 1) == 0.0
+    for m in out:
+        ok, slack = amb.membership(kernel, path, m)
+        assert ok, (kind, slack)
 
 
 # -- gluing transport ----------------------------------------------------------------

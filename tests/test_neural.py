@@ -15,6 +15,7 @@ from conftest import (
     per_path_rollout,
     primal_ball_lp,
     relu,
+    same_bits,
     tanh,
 )
 from robustdp import ambiguity as amb
@@ -827,16 +828,47 @@ def test_nan_objective_raises(train):
 
 def test_single_measure_training_is_nonrobust():
     # a FiniteSet holding only the reference trains identically to the
-    # singleton route given the same seed stream structure
+    # singleton, by bytes: the same rng stream, actions, estimate and log
     prob = quadratic_problem()
     res_single = nn.train_algorithm1(prob, config=FAST)
     ref = DiscreteMeasure([[-0.5], [0.5]], [0.5, 0.5])
     prob2 = quadratic_problem()
     prob2.kernels = [amb.FiniteSet([amb.ConstantKernel(ref)])]
     res_set = nn.train_algorithm1(prob2, config=FAST)
-    a1 = res_single.policy.act(0, np.zeros((1, 0, 1)), [])[0]
-    a2 = res_set.policy.act(0, np.zeros((1, 0, 1)), [])[0]
-    assert abs(a1[0] - a2[0]) < 0.05
+    omega = np.linspace(-0.5, 0.5, 7)[:, None, None]
+    assert same_bits(res_single.policy.act(0, omega, []), res_set.policy.act(0, omega, []))
+    assert same_bits(res_single.value_estimate, res_set.value_estimate)
+    assert nn.log_to_csv(res_single.log) == nn.log_to_csv(res_set.log)
+
+
+def test_nonrobust_result_sets_evaluate_and_keep_the_per_path_stream():
+    # a singleton around a 0-Lipschitz reference gets its one fixed center,
+    # whose draws are the reference's own draw stream: the run equals, by
+    # bytes, the per-path route of a reference whose constant is unknown,
+    # and mc_policy_values takes the result's own sets
+    from robustdp import hedging as hg
+
+    hp = hg.HedgingProblem(d=1, horizon=2, return_bound=0.1, payoff=hg.CallPayoff(1.0))
+    ref = DiscreteMeasure([[-0.05], [0.01], [0.05]], [0.3, 0.3, 0.4])
+    per_path = amb.ConstantKernel(ref)
+    per_path.lipschitz = None
+    cfg = nn.TrainConfig(iter_a=4, iter_psi=4, n_mc=8, batch_size=8, hidden_layers=1,
+                         hidden_units=4, eval_mc=16, seed=3)
+    runs = {}
+    for name, reference in (("fixed", amb.ConstantKernel(ref)), ("per_path", per_path)):
+        prob = hg.make_control_problem(hp, [amb.Singleton(reference)] * 2)
+        runs[name] = prob, nn.train_algorithm1(prob, config=cfg)
+    (prob, fixed), (prob_pp, pp) = runs["fixed"], runs["per_path"]
+    assert pp.candidate_sets == {0: None, 1: None}
+    assert [len(fixed.candidate_sets[t]) for t in (0, 1)] == [1, 1]
+    assert same_bits(fixed.value_estimate, pp.value_estimate)
+    assert nn.log_to_csv(fixed.log) == nn.log_to_csv(pp.log)
+    values = nn.mc_policy_values(prob, fixed.policy, fixed.candidate_sets, 64,
+                                 np.random.default_rng(0))
+    assert len(values) == 1 and np.isfinite(values[0])
+    with pytest.raises(ValueError, match="^stage 0: no fixed candidate set"):
+        nn.mc_policy_values(prob_pp, pp.policy, pp.candidate_sets, 64,
+                            np.random.default_rng(0))
 
 
 def test_policy_outputs_admissible():
