@@ -637,8 +637,9 @@ def dual_inner_min(psi_z, lam, x, z, q):
     (..., m) over points x (..., m, d) and z (..., n, d).  psi_z and lam may be
     tape Vars, whose gradients go to the first-index minimum, or arrays and
     floats; the caller reduces over x and subtracts lam eps^q.  One fused tape
-    node, ad.dual_min."""
-    return ad.dual_min(psi_z, lam, cost_matrix(x, z, q))
+    node, ad.dual_min, which takes the ground costs from cost_matrix one tile
+    of x's rows at a time and builds no (..., m, n) array."""
+    return ad.dual_min(psi_z, lam, x, z, lambda a, b, out=None: cost_matrix(a, b, q, out))
 
 
 def dual_inner_value(psi_next, reference, eps, q, lambda_, z_grid):

@@ -8,7 +8,8 @@ on), and two fused nodes: a whole network forward (`mlp`) and the W_q
 dual's inner minimum min_j {psi_j + lam c_ij} (`dual_min`).  A network
 with a trainable parameter runs in one call; a frozen one runs on
 zero-padded tiles of exactly TILE rows, so each of its rows gives the same
-bits whatever the number of rows it is called with.
+bits whatever the number of rows it is called with.  The dual's minimum
+streams over tiles of at most DUAL_TILE costs and keeps one value per row.
 
 Only trainable Vars are taped.  `Var(x)` is a trainable leaf; `const` and
 `as_var` make constant leaves.  An op keeps an edge to a parent only when
@@ -330,30 +331,50 @@ def _layers_backward(gt, weights, biases, masks, into, acts=None, into_input=Tru
     return gt
 
 
-def dual_min(psi, lam, cost):
-    """min along the last axis of psi + lam * cost as one tape node, the W_q
-    dual's inner minimum min_j {psi_j + lam c_ij}, with vmin's first-index
-    argmin.
+def dual_min(psi, lam, x, z, cost):
+    """min along the last axis of psi + lam * cost(x, z) as one tape node, the
+    W_q dual's inner minimum min_j {psi_j + lam c_ij} over points x (..., m, d)
+    and z (..., n, d), with vmin's first-index argmin.
 
-    The forward writes lam * cost, then + psi, into a reused buffer: the
-    values of the composed ops vmin(psi + lam * const(cost)).  The backward
-    keeps only the argmin and the costs at it, and scatters the gradients
-    without the dense (..., m, n) arrays of the composed vjps, bit-identical
-    to them (see _unbroadcast_picked).  With no trainable input it returns a
-    constant and keeps nothing.  psi and lam are Vars, arrays or floats;
-    cost is an array.
+    cost(x, z, out=None) gives the ground costs (..., m, n) of its points,
+    written into out when given.  The forward streams over tiles of x's rows
+    (axis -2), each of at least one row and, where rows allow, at most
+    DUAL_TILE elements of cost (times d): it writes the tile's costs into a
+    reused buffer, then multiplies by lam and adds psi in place, and keeps
+    only each row's argmin and minimum, and when lam needs a gradient the
+    cost there, which cost gives again on the picked pairs (x_i, z_idx).  No
+    (..., m, n) array is built.  Every entry goes through the operations of
+    the composed ops vmin(psi + lam * const(cost(x, z))), so the values are
+    theirs bit for bit.  The backward scatters the gradients without the
+    dense (..., m, n) arrays of the composed vjps, bit-identical to them (see
+    _unbroadcast_picked).  With no trainable input it returns a constant and
+    keeps nothing.  psi and lam are Vars, arrays or floats, and may vary
+    along the rows; they broadcast to the costs' shape.
     """
     psi, lam = as_var(psi), as_var(lam)
-    full = np.broadcast_shapes(psi.shape, lam.shape, cost.shape)
-    total = np.multiply(lam.value, cost, out=_buffer(("dual", 0), full))
-    total += psi.value
-    idx = np.argmin(total, axis=-1)[..., None]
-    out = np.take_along_axis(total, idx, axis=-1)[..., 0]  # a copy, not a view
+    m, n = x.shape[-2], z.shape[-2]
+    full = np.broadcast_shapes(psi.shape, lam.shape, x.shape[:-2] + (m, n),
+                               z.shape[:-2] + (m, n))
+    x = np.broadcast_to(x, full[:-2] + x.shape[-2:])
+    rows = max(1, DUAL_TILE // max(1, math.prod(full[:-2]) * n * x.shape[-1]))
+    idx = np.empty(full[:-1], dtype=np.intp)
+    out = np.empty(full[:-1])
+    for s in range(0, m, rows):
+        sl = (..., slice(s, s + rows), slice(None))
+        xt = x[sl]
+        total = cost(xt, z, out=_buffer(("dual", 0), xt.shape[:-1] + (n,)))
+        np.multiply(_rows(lam.value, sl), total, out=total)
+        total += _rows(psi.value, sl)
+        at = np.argmin(total, axis=-1)[..., None]
+        idx[sl[:-1]] = at[..., 0]
+        out[sl[:-1]] = np.take_along_axis(total, at, axis=-1)[..., 0]
     parents = tuple(p for p in (psi, lam) if p.requires_grad)
     if not parents:
         return const(out)
     if lam.requires_grad:
-        picked = np.take_along_axis(np.broadcast_to(cost, full), idx, axis=-1)[..., 0]
+        picked_z = np.take_along_axis(np.broadcast_to(z, full[:-2] + z.shape[-2:]),
+                                      idx[..., None], axis=-2)
+        picked = cost(x[..., None, :], picked_z[..., None, :])[..., 0, 0]
 
     def bw(g):
         if psi.requires_grad:
@@ -364,10 +385,17 @@ def dual_min(psi, lam, cost):
     return Var(out, parents, bw)
 
 
+def _rows(a, sl):
+    """A tile's rows sl of an operand of dual_min, which is sliced only when
+    it varies along the rows."""
+    return a[sl] if a.ndim >= 2 and a.shape[-2] != 1 else a
+
+
 def _unbroadcast_picked(values, idx, full, shape):
     """The first sum _unbroadcast(G, shape) makes of the array G of shape
-    full that holds values (..., m) at the last-axis positions idx and zeros
-    elsewhere, without building G; _accum makes the sums that remain.
+    full that holds values (..., m) at the last-axis positions idx (..., m)
+    and zeros elsewhere, without building G; _accum makes the sums that
+    remain.
 
     numpy sums an axis that is not the last one in ascending order (the last
     axis, of length n > 1, stays its inner loop), and np.add.at adds the
@@ -378,7 +406,7 @@ def _unbroadcast_picked(values, idx, full, shape):
     pairwise, so G is handed on whole."""
     if full[-1] == 1:
         return np.ascontiguousarray(values, dtype=float).reshape(full)
-    pos = list(np.indices(values.shape, sparse=True)) + [idx[..., 0]]
+    pos = list(np.indices(values.shape, sparse=True)) + [idx]
     out_shape = list(full)
     if len(full) > len(shape):
         del out_shape[0], pos[0]
@@ -396,12 +424,13 @@ def _unbroadcast_picked(values, idx, full, shape):
 # layer) of a frozen mlp forward and ("grad", layer) of a frozen mlp
 # backward (the gradient in that layer's input; layer = depth holds the
 # output's), each one TILE-row tile, and ("dual", 0) of the dual_min
-# forward, which holds a whole call.  A slot's array is replaced by a
-# larger one when a call needs more room, so memory stays at one array per
-# slot, as large as the largest use.  Every use writes a view in full
-# before reading it and no view outlives the call, so nothing is shared
-# between successive calls.  Calls from several threads at once would
-# share the arrays; nothing in the package runs networks concurrently.
+# forward, one row tile of at most DUAL_TILE costs (unless a single row is
+# longer).  A slot's array is replaced by a larger one when a call needs
+# more room, so memory stays at one array per slot, as large as the
+# largest use.  Every use writes a view in full before reading it and no
+# view outlives the call, so nothing is shared between successive calls.
+# Calls from several threads at once would share the arrays; nothing in
+# the package runs networks concurrently.
 _buffers = {}
 
 
@@ -413,6 +442,13 @@ def _buffer(slot, shape):
         buf = _buffers[slot] = np.empty(size)
     return buf[:size].reshape(shape)
 
+
+# Elements per tile of the dual_min forward: its one buffer, ("dual", 0),
+# is at most this large (512 KiB), and so is a tile's difference array at
+# d >= 2.  Each MB of tile is about 2 % of robust-t5's peak RSS (46.1 MB
+# here, 46.6 MB at 2**17), and each tile costs a few numpy calls: the
+# benchmark's training calls, (48, 48, 64), take 3 tiles of 21 rows.
+DUAL_TILE = 2**16
 
 # Rows per tile of a frozen network node.  Every tile is exactly this high
 # (the last one zero-padded), so each product has one shape per layer and

@@ -175,16 +175,23 @@ def _choice_indices(weights, u):
         idx += up
 
 
-def cost_matrix(x, z, q):
-    """Ground costs ||x_i - z_j||^q (..., m, n) of points x (..., m, d), z (..., n, d).
+def cost_matrix(x, z, q, out=None):
+    """Ground costs ||x_i - z_j||^q (..., m, n) of points x (..., m, d), z (..., n, d),
+    written into out when it is given.
 
     For d = 1 the norm is |x - z|, built in one array: sqrt(fl(u * u)) == |u|
     in round-to-nearest unless u * u underflows or overflows (|u| below about
-    1e-154 or above 1e154), so the costs are the norm's bit for bit."""
+    1e-154 or above 1e154), so the costs are the norm's bit for bit.  For
+    d >= 2 it is np.linalg.norm's expression, sqrt(add.reduce(u * u, axis=-1)),
+    with the squares and the roots taken in place."""
     if x.shape[-1] != 1:
-        return np.linalg.norm(x[..., :, None, :] - z[..., None, :, :], axis=-1) ** q
-    cost = np.subtract(x[..., :, None, 0], z[..., None, :, 0], dtype=float)
-    np.abs(cost, out=cost)
+        diff = np.subtract(x[..., :, None, :], z[..., None, :, :], dtype=float)
+        np.multiply(diff, diff, out=diff)
+        cost = np.add.reduce(diff, axis=-1, out=out)
+        np.sqrt(cost, out=cost)
+    else:
+        cost = np.subtract(x[..., :, None, 0], z[..., None, :, 0], out=out, dtype=float)
+        np.abs(cost, out=cost)
     if q != 1:
         cost **= q  # the same fast paths (square for q = 2) as ** q
     return cost

@@ -472,7 +472,9 @@ class _WassersteinDual:
 
     on reference draws x_i and a z grid, with one lambda = exp(raw) per
     stage trained jointly with the action net.  The inner minimum is
-    ambiguity.dual_inner_min, which dual_inner_value also calls."""
+    ambiguity.dual_inner_min, which dual_inner_value also calls; it runs
+    over tiles of the draws' rows, so a call keeps (b, n_mc) arrays and one
+    tile of costs, never the (b, n_mc, n_z) costs."""
 
     def __init__(self, problem, config):
         self.kernels = problem.kernels

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -684,21 +685,10 @@ def test_dual_objective_on_reference_atoms_is_exact_dual(seed, d, n_atoms, n_z, 
     assert abs(got.value[0] - expect) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 3), st.booleans(),
-       st.booleans())
-def test_dual_inner_min_equals_composed_ops(seed, q, d, tied, large):
-    # bit for bit: the value and the psi and lambda gradients on Algorithm
-    # 2's shapes (b, n_mc, d) x (n_z, d), and the value on the numpy
-    # caller's arrays and float lambda.  Lattice points, a repeated z and
-    # integer psi make ties, where the first-index rule of vmin decides.
-    # The large sizes reach Algorithm 2's (48, 48, 64), where numpy's sums
-    # over z are pairwise and a reordered lambda gradient would show.
-    rng = np.random.default_rng(seed)
-    if large:
-        b, n_mc, n_z = int(rng.integers(1, 51)), int(rng.integers(1, 51)), int(rng.integers(1, 71))
-    else:
-        b, n_mc, n_z = (int(k) for k in rng.integers(1, 5, size=3))
+def dual_draw(rng, b, n_mc, n_z, d, tied):
+    """Points x (b, n_mc, d), a z grid, psi (b, 1, n_z') and the weights of the
+    rows for a dual inner minimum.  Lattice points, a repeated z and integer
+    psi make ties, where the first-index rule of vmin decides."""
     if tied:
         x = rng.integers(-2, 3, (b, n_mc, d)) / 2.0
         z = rng.integers(-2, 3, (n_z, d)) / 2.0
@@ -707,7 +697,13 @@ def test_dual_inner_min_equals_composed_ops(seed, q, d, tied, large):
     else:
         x, z = rng.uniform(-1, 1, (b, n_mc, d)), rng.uniform(-1, 1, (n_z, d))
         psi = rng.normal(size=(b, 1, n_z))
-    raw, weights = rng.normal(size=1), rng.normal(size=(b, n_mc))
+    return x, z, psi, rng.normal(size=1), rng.normal(size=(b, n_mc))
+
+
+def assert_dual_equals_composed(x, z, psi, raw, weights, q):
+    # bit for bit: the value and the psi and lambda gradients on Algorithm
+    # 2's shapes (b, n_mc, d) x (n_z, d), and the value on the numpy
+    # caller's arrays and float lambda
     bits = []
     for f in (amb.dual_inner_min, composed_dual_inner_min):
         psi_v, raw_v = ad.Var(psi), ad.Var(raw)
@@ -718,16 +714,62 @@ def test_dual_inner_min_equals_composed_ops(seed, q, d, tied, large):
     assert bits[0] == bits[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 3), st.booleans(),
+       st.booleans())
+def test_dual_inner_min_equals_composed_ops(seed, q, d, tied, large):
+    # The large sizes reach Algorithm 2's (48, 48, 64), where numpy's sums
+    # over z are pairwise and a reordered lambda gradient would show.
+    rng = np.random.default_rng(seed)
+    if large:
+        b, n_mc, n_z = int(rng.integers(1, 51)), int(rng.integers(1, 51)), int(rng.integers(1, 71))
+    else:
+        b, n_mc, n_z = (int(k) for k in rng.integers(1, 5, size=3))
+    assert_dual_equals_composed(*dual_draw(rng, b, n_mc, n_z, d, tied), q)
+
+
+def tile_rows(b, n_z, d):
+    """Rows of x in one of dual_min's tiles on (b, n_mc, d) x (n_z, d)."""
+    return max(1, ad.DUAL_TILE // (b * n_z * d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("case", ["below", "at", "above", "remainder", "stage0"])
+def test_tiled_dual_inner_min_equals_composed_ops(case, d):
+    # the row tiles of dual_min against the one-array oracle: x rows just
+    # below, at and just above one tile, a batch whose last tile holds one
+    # row (also with a psi that varies along the rows, which each tile
+    # slices), and Algorithm 2's stage-0 estimate (1, 2000, 256)
+    b, n_z = (48, 64) if case == "remainder" else (1, 256)
+    rows = tile_rows(b, n_z, d)
+    n_mc = {"below": rows - 1, "at": rows, "above": rows + 1, "remainder": 2 * rows + 1,
+            "stage0": 2000}[case]
+    rng = np.random.default_rng([d, *case.encode()])
+    for q in (1, 2, 3):
+        for tied in (False, True):
+            # a tied grid gets one repeated point, so it spans n_z in all
+            x, z, psi, raw, weights = dual_draw(rng, b, n_mc, n_z - tied, d, tied)
+            assert_dual_equals_composed(x, z, psi, raw, weights, q)
+        if case == "remainder":
+            psi = rng.normal(size=(b, n_mc, n_z))
+            assert_dual_equals_composed(x, z, psi, raw, weights, q)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2))
-def test_dual_min_tapes_do_not_share_the_buffer(seed, q, d):
-    # dual_min writes every forward into one reused buffer: two tapes built
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.integers(1, 2), st.booleans())
+def test_dual_min_tapes_do_not_share_the_buffer(seed, q, d, tiled):
+    # dual_min writes every tile into one reused buffer: two tapes built
     # before either backward, then run backward in reverse order, must each
     # give the composed oracle's gradients, and a forward on arrays alone is
-    # a constant with the oracle's value.
+    # a constant with the oracle's value.  Tiled draws span several tiles.
     rng = np.random.default_rng(seed)
-    shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 12)))
-              for _ in range(2)]
+    if tiled:
+        shapes = [(int(rng.integers(1, 4)), int(rng.integers(300, 700)),
+                   int(rng.integers(250, 400))) for _ in range(2)]
+        assert all(m > tile_rows(b, n_z, d) for b, m, n_z in shapes)
+    else:
+        shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 12)))
+                  for _ in range(2)]
     draws = [(rng.normal(size=(b, 1, n_z)), rng.normal(size=1), rng.uniform(-1, 1, (b, n_mc, d)),
               rng.uniform(-1, 1, (n_z, d)), rng.normal(size=(b, n_mc)))
              for b, n_mc, n_z in shapes]
@@ -751,6 +793,58 @@ def test_dual_min_tapes_do_not_share_the_buffer(seed, q, d):
     assert not plain.requires_grad and plain.parents == ()
     expect = composed_dual_inner_min(psi, float(np.exp(raw[0])), x, z, q).value
     assert plain.value.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 4000, 256), (128, 128, 64)])
+def test_dual_inner_min_memory_stays_within_a_tile(monkeypatch, shape, d, grad):
+    # the stage-0 estimate and a CLI-default training call allocate their
+    # (b, n_mc) outputs and a few tiles, not a (b, n_mc, n_z) array (8 MB
+    # and more here), and the buffer slot holds one tile
+    monkeypatch.setattr(ad, "_buffers", {})
+    b, n_mc, n_z = shape
+    rng = np.random.default_rng(3)
+    x, z = rng.uniform(-1, 1, (b, n_mc, d)), rng.uniform(-1, 1, (n_z, d))
+    psi = rng.normal(size=(b, 1, n_z))
+    lam = ad.exp(ad.Var(np.zeros(1))) if grad else 1.0
+    tracemalloc.start()
+    try:
+        out = amb.dual_inner_min(psi, lam, x, z, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad == grad
+    assert peak <= 3 * out.value.nbytes + 2**21
+    assert max(buf.size for buf in ad._buffers.values()) <= ad.DUAL_TILE
+
+
+def test_algorithm2_buffers_stay_within_a_tile(monkeypatch):
+    from robustdp import hedging as hg
+
+    monkeypatch.setattr(ad, "_buffers", {})
+    hp = hg.HedgingProblem(d=1, horizon=2, return_bound=0.1, payoff=hg.CallPayoff(1.0))
+    ref = DiscreteMeasure([[-0.05], [0.0], [0.05]], [0.3, 0.4, 0.3])
+    ball = amb.WassersteinBall(amb.ConstantKernel(ref), amb.ConstantRadius(0.01))
+    cfg = nn.TrainConfig(iter_a=2, iter_psi=2, n_mc=8, batch_size=8, hidden_layers=2,
+                         hidden_units=8, eval_mc=4000, dual_grid=64, seed=5)
+    nn.train_algorithm2(hg.make_control_problem(hp, [ball] * 2), config=cfg)
+    assert ("dual", 0) in ad._buffers
+    assert max(buf.size for buf in ad._buffers.values()) <= ad.DUAL_TILE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 300), st.sampled_from([1, 48, 96, 97, 200]))
+def test_vmean_row_means_do_not_depend_on_the_row_count(seed, rows, n):
+    # the batched value-phase targets of Algorithm 1 and 2 rest on this: a
+    # row's mean over axis 1 has the same bits in a call of any height
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    whole = ad.vmean(values, axis=1).value.tobytes()
+    for k in {1, (rows + 1) // 2, rows - 1} - {0}:
+        assert ad.vmean(values[:k], axis=1).value.tobytes() == whole[: 8 * k]
+    alone = [ad.vmean(values[i : i + 1], axis=1).value for i in range(rows)]
+    assert np.concatenate(alone).tobytes() == whole
 
 
 # -- training --------------------------------------------------------------------
