@@ -428,13 +428,6 @@ class ExponentialFamily:
             raise ValueError("estimator needs t >= 1")
         return 1.0 / t
 
-    def loglik(self, theta, path):
-        theta = float(np.atleast_1d(theta)[0])
-        path = as_path(path).ravel()
-        if theta <= 0:
-            raise ValueError("log-likelihood defined for theta > 0")
-        return -len(path) * math.log(theta) - float(path.sum()) / theta
-
     def discretize(self, theta, n_atoms=31, space=None):
         theta = float(np.atleast_1d(theta)[0])
         if theta == 0.0:

@@ -7,12 +7,16 @@ for Wasserstein balls, one for parameter balls) in terms of the stagewise
 radii.  All constants enter symbolically from declared Lipschitz/Holder
 data; nothing is fitted, so a dominance check against measured solver
 gaps audits the theorem rather than the calibration.
+
+Each public call builds the true kernels' support tree once (`_tree`), so
+every true kernel runs once per node; `bounds_report` always computes both
+Wasserstein-side bounds, stability and W_1 ball, from one tree.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,22 +77,17 @@ class BoundsInput:
                 raise ValueError(f"{name} entries must be nonnegative")
 
 
-def _tree_paths(inp, depth):
-    """All paths of the given length reachable under the true kernels."""
-    paths = [np.zeros((0, _dim(inp)))]
-    for t in range(depth):
-        nxt = []
-        for p in paths:
-            m = inp.true_kernels[t](p)
-            for x in m.support:
-                nxt.append(np.vstack([p, x[None, :]]))
-        paths = nxt
-    return paths
-
-
-def _dim(inp):
-    m = inp.true_kernels[0](np.zeros((0, 1)))
-    return m.dimension
+def _tree(inp):
+    """Stages 0..T-1 of the true kernels' support tree: tree[t] lists the
+    stage-t nodes as (path, true measure) pairs, and each node's children
+    come next in tree[t + 1] in its support order (a repeated atom repeats
+    a child).  The root's measure is the dimension probe's."""
+    root = inp.true_kernels[0](np.zeros((0, 1)))
+    tree = [[(np.zeros((0, root.dimension)), root)]]
+    for t in range(1, inp.horizon):
+        paths = [np.vstack([p, x[None, :]]) for p, m in tree[-1] for x in m.support]
+        tree.append([(p, inp.true_kernels[t](p)) for p in paths])
+    return tree
 
 
 def mu_recursion(kind, inp):
@@ -101,34 +100,38 @@ def mu_recursion(kind, inp):
     """
     if kind not in ("err", "eps"):
         raise ValueError("kind must be 'err' or 'eps'")
-    T = inp.horizon
+    return _mu(kind, inp, _tree(inp))
+
+
+def _mu(kind, inp, tree):
+    """mu_recursion on a built tree, each level averaged from its children."""
     alpha = inp.alpha
-    tables = []
-    s0 = np.zeros(T)
-    for s in range(T):
-        level = {}
 
-        def leaf(path):
-            if kind == "err":
-                true_m = inp.true_kernels[s](path)
-                ref_m = inp.ref_kernels[s](path)
-                dist = w_q_discrete(true_m, ref_m, 1)
-                if not np.isfinite(dist):
-                    raise ValueError("infinite stage distance")
-                return dist**alpha
+    def leaf(s, path, true_m):
+        if kind == "eps":
             return float(inp.radius[s](path)) ** alpha
+        dist = w_q_discrete(true_m, inp.ref_kernels[s](path), 1)
+        if not np.isfinite(dist):
+            raise ValueError("infinite stage distance")
+        return dist**alpha
 
-        level[s] = {path_key(p): leaf(p) for p in _tree_paths(inp, s)}
+    keys = [[path_key(p) for p, _ in nodes] for nodes in tree]
+    tables = []
+    s0 = np.zeros(inp.horizon)
+    for s in range(inp.horizon):
+        vals = [leaf(s, p, m) for p, m in tree[s]]
+        level = {s: dict(zip(keys[s], vals))}
         for t in range(s - 1, -1, -1):
-            level[t] = {}
-            for p in _tree_paths(inp, t):
-                m = inp.true_kernels[t](p)
+            children = iter(vals)
+            vals = []
+            for _, m in tree[t]:
                 val = 0.0
-                for w, x in zip(m.weights, m.support):
-                    val += w * level[t + 1][path_key(np.vstack([p, x[None, :]]))]
-                level[t][path_key(p)] = val
+                for w in m.weights:
+                    val += w * next(children)
+                vals.append(val)
+            level[t] = dict(zip(keys[t], vals))
         tables.append(level)
-        s0[s] = level[0][path_key(np.zeros((0, _dim(inp))))]
+        s0[s] = vals[0]
     return tables, s0
 
 
@@ -156,11 +159,10 @@ def stability_bound(inp, mu_err_s0=None):
     )
 
 
-def _check_true_in_ball(inp):
-    T = inp.horizon
-    for t in range(T):
-        for p in _tree_paths(inp, t):
-            true_m = inp.true_kernels[t](p)
+def _wasserstein(inp, tree, mu_eps_s0):
+    """The W_1-ball bound, once the true kernel is in the ball at every node."""
+    for t, nodes in enumerate(tree):
+        for p, true_m in nodes:
             ref_m = inp.ref_kernels[t](p)
             eps = float(inp.radius[t](p))
             dist = w_q_discrete(ref_m, true_m, 1)
@@ -169,18 +171,6 @@ def _check_true_in_ball(inp):
                     f"true kernel leaves the ball at stage {t}, "
                     f"path {path_key(p)}: distance {dist} > radius {eps}"
                 )
-
-
-def wasserstein_gap_bound(inp, mu_eps_s0=None):
-    """Bound on V_true - V_robust for W_1-ball ambiguity.
-
-    Requires the true kernel to lie inside the ball at every tree node
-    (checked in W_1; violations name the node).  The gap itself is nonnegative
-    under that hypothesis, which callers assert against measured values.
-    """
-    _check_true_in_ball(inp)
-    if mu_eps_s0 is None:
-        _, mu_eps_s0 = mu_recursion("eps", inp)
     a = inp.alpha
     return _weighted_sum(
         inp,
@@ -190,24 +180,32 @@ def wasserstein_gap_bound(inp, mu_eps_s0=None):
     )
 
 
+def wasserstein_gap_bound(inp):
+    """Bound on V_true - V_robust for W_1-ball ambiguity.
+
+    Requires the true kernel to lie inside the ball at every tree node
+    (checked in W_1; violations name the node).  The gap itself is nonnegative
+    under that hypothesis, which callers assert against measured values.
+    """
+    tree = _tree(inp)
+    return _wasserstein(inp, tree, _mu("eps", inp, tree)[1])
+
+
 def parametric_gap_bound(inp, mu_eps_s0=None):
-    """Bound on V_true - V_robust for parameter-ball ambiguity."""
+    """Bound on V_true - V_robust for parameter-ball ambiguity.
+
+    theta_true is checked at every node of the true kernels' tree; without
+    true kernels only the root exists, so a horizon above 1 is refused."""
     if inp.L_Ptheta is None or inp.L_thetahat is None:
         raise ValueError("parametric bound needs L_Ptheta and L_thetahat")
+    if inp.true_kernels is None and inp.theta_true is not None and inp.horizon > 1:
+        raise ValueError("checking theta_true at stages >= 1 needs the true kernels' tree")
+    tree = [[(np.zeros((0, 1)), None)]] if inp.true_kernels is None else _tree(inp)
     if inp.theta_true is not None:
-        for t in range(inp.horizon):
-            paths = (
-                _tree_paths(inp, t)
-                if inp.true_kernels is not None
-                else [np.zeros((0, 1))] if t == 0 else []
-            )
-            for p in paths:
-                gap = float(
-                    np.linalg.norm(
-                        np.atleast_1d(inp.theta_true[t](p))
-                        - np.atleast_1d(inp.theta_hat[t](p))
-                    )
-                )
+        for t, nodes in enumerate(tree):
+            for p, _ in nodes:
+                gap = float(np.linalg.norm(np.atleast_1d(inp.theta_true[t](p))
+                                           - np.atleast_1d(inp.theta_hat[t](p))))
                 eps = float(inp.radius[t](p))
                 if gap > eps + 1e-9:
                     raise ValueError(
@@ -215,10 +213,9 @@ def parametric_gap_bound(inp, mu_eps_s0=None):
                         f"path {path_key(p)}: gap {gap} > radius {eps}"
                     )
     if mu_eps_s0 is None:
-        if inp.true_kernels is not None:
-            _, mu_eps_s0 = mu_recursion("eps", inp)
-        else:
+        if inp.true_kernels is None:
             raise ValueError("need true kernels or precomputed mu_eps")
+        _, mu_eps_s0 = _mu("eps", inp, tree)
     a = inp.alpha
     return _weighted_sum(
         inp,
@@ -233,95 +230,54 @@ def parametric_gap_bound(inp, mu_eps_s0=None):
 class BoundsReport:
     horizon: int
     alpha: float
-    mu_err: list = None
-    mu_eps: list = None
-    mu_err_s0: list = None
-    mu_eps_s0: list = None
-    stability: float = None
-    wasserstein: float = None
-    parametric: float = None
-    measured: dict = field(default_factory=dict)
-    allowance: float = 0.0
-    dominance: dict = field(default_factory=dict)
+    mu_err: list
+    mu_eps: list
+    mu_err_s0: list
+    mu_eps_s0: list
+    stability: float
+    wasserstein: float
+    measured: dict
+    dominance: dict
 
     def to_json(self):
         def tablify(levels):
-            if levels is None:
-                return None
-            return [
-                {
-                    str(t): {repr(k): v for k, v in tab.items()}
-                    for t, tab in level.items()
-                }
-                for level in levels
-            ]
+            return [{str(t): {repr(k): v for k, v in tab.items()}
+                     for t, tab in level.items()} for level in levels]
 
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "horizon": self.horizon,
-                "alpha": self.alpha,
-                "mu_err_tables": tablify(self.mu_err),
-                "mu_eps_tables": tablify(self.mu_eps),
-                "mu_err_s0": self.mu_err_s0,
-                "mu_eps_s0": self.mu_eps_s0,
-                "bounds": {
-                    "stability": self.stability,
-                    "wasserstein": self.wasserstein,
-                    "parametric": self.parametric,
-                },
-                "measured": self.measured,
-                "allowance": self.allowance,
-                "dominance": self.dominance,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        # "parametric" and "allowance" are constants of schema 1: the
+        # report has no parametric bound and no discretization allowance,
+        # and the keys stay so that bounds.json keeps its bytes
+        return json.dumps({
+            "schema_version": 1,
+            "horizon": self.horizon,
+            "alpha": self.alpha,
+            "mu_err_tables": tablify(self.mu_err),
+            "mu_eps_tables": tablify(self.mu_eps),
+            "mu_err_s0": self.mu_err_s0,
+            "mu_eps_s0": self.mu_eps_s0,
+            "bounds": {"stability": self.stability, "wasserstein": self.wasserstein,
+                       "parametric": None},
+            "measured": self.measured,
+            "allowance": 0.0,
+            "dominance": self.dominance,
+        }, indent=2, sort_keys=True)
 
 
-def bounds_report(inp, which=("stability",), measured=None, allowance=0.0):
-    """Assemble bounds plus dominance checks against measured gaps.
-
-    measured may contain "stability_gap" = |V_true - V_ref|,
-    "robust_gap" = V_true - V_robust.  The allowance (for discretized
-    solves) is added to each bound before comparing.
-    """
-    report = BoundsReport(horizon=inp.horizon, alpha=inp.alpha,
-                          allowance=allowance)
-    if "stability" in which or "wasserstein" in which:
-        if inp.true_kernels is not None:
-            if "stability" in which:
-                report.mu_err, err_s0 = mu_recursion("err", inp)
-                report.mu_err_s0 = err_s0.tolist()
-                report.stability = stability_bound(inp, err_s0)
-            if "wasserstein" in which:
-                report.mu_eps, eps_s0 = mu_recursion("eps", inp)
-                report.mu_eps_s0 = eps_s0.tolist()
-                report.wasserstein = wasserstein_gap_bound(inp, mu_eps_s0=eps_s0)
-    if "parametric" in which:
-        if report.mu_eps_s0 is None:
-            report.mu_eps, eps_s0 = mu_recursion("eps", inp)
-            report.mu_eps_s0 = eps_s0.tolist()
-        report.parametric = parametric_gap_bound(
-            inp, mu_eps_s0=np.asarray(report.mu_eps_s0)
-        )
-    measured = measured or {}
-    report.measured = dict(measured)
-    if "stability_gap" in measured and report.stability is not None:
-        report.dominance["stability"] = bool(
-            abs(measured["stability_gap"]) <= report.stability + allowance + 1e-9
-        )
-    if "robust_gap" in measured:
-        bound = (
-            report.wasserstein
-            if report.wasserstein is not None
-            else report.parametric
-        )
-        report.dominance["robust_nonnegative"] = bool(
-            measured["robust_gap"] >= -1e-9
-        )
-        if bound is not None:
-            report.dominance["robust"] = bool(
-                measured["robust_gap"] <= bound + allowance + 1e-9
-            )
-    return report
+def bounds_report(inp, measured):
+    """The stability and Wasserstein bounds and their mu tables from one tree,
+    with three dominance flags against measured = {"stability_gap":
+    |V_true - V_ref|, "robust_gap": V_true - V_robust}: the stability gap
+    within its bound, the robust gap nonnegative and within its bound."""
+    tree = _tree(inp)
+    mu_err, err_s0 = _mu("err", inp, tree)
+    mu_eps, eps_s0 = _mu("eps", inp, tree)
+    stability = stability_bound(inp, err_s0)
+    wasserstein = _wasserstein(inp, tree, eps_s0)
+    dominance = {
+        "stability": bool(abs(measured["stability_gap"]) <= stability + 1e-9),
+        "robust_nonnegative": bool(measured["robust_gap"] >= -1e-9),
+        "robust": bool(measured["robust_gap"] <= wasserstein + 1e-9),
+    }
+    return BoundsReport(inp.horizon, inp.alpha, mu_err, mu_eps, err_s0.tolist(),
+                        eps_s0.tolist(), stability, wasserstein, dict(measured),
+                        dominance)

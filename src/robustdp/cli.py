@@ -29,8 +29,7 @@ from . import neural as nn
 from .controls import ConstantSet
 from .measures import DiscreteMeasure, LocalSpace
 
-__all__ = ["main", "ingest_returns", "parse_config", "serialize_config",
-           "substream", "ConfigError"]
+__all__ = ["main", "ingest_returns", "parse_config", "substream", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -46,10 +45,6 @@ def parse_config(text):
         raise ConfigError("config root must be an object")
     _get(cfg, "seed", int, minimum=0)
     return cfg
-
-
-def serialize_config(cfg):
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
 def _get(cfg, dotted, typ=None, default=..., minimum=None, above=None):
@@ -305,17 +300,17 @@ def _json_text(obj):
 # ---------------------------------------------------------------------------
 
 
-def _tiny_instance(rng, horizon=2, n_grid=3, n_actions=2, n_measures=2):
+def _tiny_instance(rng, horizon, n_grid, n_actions, n_measures):
     space = LocalSpace(1, 1.0)
     g = np.sort(rng.uniform(-1.0, 1.0, size=n_grid))[:, None]
     acts = np.sort(rng.uniform(-1.0, 1.0, size=n_actions))[:, None]
     coefs = rng.normal(size=(horizon, 3))
 
-    def terminal(omega, actions, c=coefs):
+    def terminal(omega, actions):
         total = np.zeros(len(omega))
         for t, a in enumerate(actions):
             a, w = a[:, 0], omega[:, t, 0]
-            total += c[t, 0] * a * w + c[t, 1] * np.abs(a - w) + c[t, 2] * w
+            total += coefs[t, 0] * a * w + coefs[t, 1] * np.abs(a - w) + coefs[t, 2] * w
         return total
 
     kernels = []
@@ -561,10 +556,7 @@ def cmd_bounds(cfg, out_dir, seed):
         L_Phat=[0.0] * horizon,
     )
     report = bd.bounds_report(
-        inp,
-        which=("stability", "wasserstein"),
-        measured={"stability_gap": abs(v_true - v_ref), "robust_gap": v_true - v_rob},
-    )
+        inp, {"stability_gap": abs(v_true - v_ref), "robust_gap": v_true - v_rob})
     _write(out_dir, "bounds.json", report.to_json() + "\n")
     ok = all(report.dominance.values())
     print(f"stability gap {abs(v_true - v_ref):.6f} <= bound {report.stability:.6f}")

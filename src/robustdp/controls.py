@@ -142,16 +142,16 @@ def _in_box(actions, low, high):
                   axis=1)
 
 
-def grid(spec, path, resolution=None):
+def grid(spec, path):
     """Finite subset of the action set at `path`, corners included.
 
-    Uniform per coordinate with `resolution` points (defaults to the
-    spec's own resolution); deterministic ordering (C-order over the
-    product), so argmax tie-breaking is reproducible.
+    Uniform per coordinate with the spec's `resolution` points;
+    deterministic ordering (C-order over the product), so argmax
+    tie-breaking is reproducible.
     """
     if getattr(spec, "points", None) is not None:
         return spec.points.copy()
-    res = resolution or getattr(spec, "resolution", None)
+    res = getattr(spec, "resolution", None)
     if res is None:
         raise ValueError("no grid resolution configured")
     if np.isscalar(res):

@@ -124,24 +124,6 @@ class DiscreteMeasure:
         rng.choice(n_atoms, p=weights) when u is the block choice would take."""
         return self.support[_choice_indices(self.weights, u)]
 
-    def to_text(self):
-        """Line format `weight x_1 ... x_d`, atoms sorted lexicographically."""
-        order = np.lexsort(self.support.T[::-1])
-        lines = []
-        for i in order:
-            coords = " ".join(f"{c:.17g}" for c in self.support[i])
-            lines.append(f"{self.weights[i]:.17g} {coords}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text, space=None):
-        support, weights = [], []
-        for line in text.strip().splitlines():
-            parts = line.split()
-            weights.append(float(parts[0]))
-            support.append([float(p) for p in parts[1:]])
-        return cls(np.array(support), np.array(weights), space=space)
-
     def __repr__(self):
         return f"DiscreteMeasure({self.n_atoms} atoms, d={self.dimension})"
 

@@ -9,7 +9,7 @@ from robustdp import ambiguity as amb
 from robustdp import autodiff as ad
 from robustdp import dp
 from robustdp.controls import ConstantSet
-from robustdp.measures import DiscreteMeasure, LocalSpace
+from robustdp.measures import DiscreteMeasure, LocalSpace, w_q_discrete
 
 
 def dense_lp_coupling(mu, nu, q):
@@ -482,6 +482,62 @@ def per_path_rollout(policy, omega):
             actions.append(policy.act(t, omega[i : i + 1], actions))
         per_path.append(actions)
     return [np.concatenate([acts[t] for acts in per_path]) for t in range(omega.shape[1])]
+
+
+def bounds_tree_paths(inp, depth):
+    """Oracle: the stage-`depth` paths of the true kernels' tree, rebuilt
+    from the root after a dimension probe, once per level read."""
+    paths = [np.zeros((0, inp.true_kernels[0](np.zeros((0, 1))).dimension))]
+    for t in range(depth):
+        nxt = []
+        for p in paths:
+            m = inp.true_kernels[t](p)
+            for x in m.support:
+                nxt.append(np.vstack([p, x[None, :]]))
+        paths = nxt
+    return paths
+
+
+def bounds_mu_recursion(kind, inp):
+    """Oracle for bounds.mu_recursion: every (s, t) level walks the tree
+    from the root and reads each child's value by its path key."""
+    T, alpha = inp.horizon, inp.alpha
+    tables, s0 = [], np.zeros(T)
+    for s in range(T):
+        level = {}
+
+        def leaf(path):
+            if kind == "err":
+                true_m = inp.true_kernels[s](path)
+                ref_m = inp.ref_kernels[s](path)
+                return w_q_discrete(true_m, ref_m, 1) ** alpha
+            return float(inp.radius[s](path)) ** alpha
+
+        level[s] = {amb.path_key(p): leaf(p) for p in bounds_tree_paths(inp, s)}
+        for t in range(s - 1, -1, -1):
+            level[t] = {}
+            for p in bounds_tree_paths(inp, t):
+                m = inp.true_kernels[t](p)
+                val = 0.0
+                for w, x in zip(m.weights, m.support):
+                    val += w * level[t + 1][amb.path_key(np.vstack([p, x[None, :]]))]
+                level[t][amb.path_key(p)] = val
+        tables.append(level)
+        s0[s] = level[0][amb.path_key(bounds_tree_paths(inp, 0)[0])]
+    return tables, s0
+
+
+def bounds_in_ball_error(inp):
+    """Oracle: the message for the first tree node, stage by stage, where
+    the true kernel leaves the reference's W_1 ball, or None."""
+    for t in range(inp.horizon):
+        for p in bounds_tree_paths(inp, t):
+            dist = w_q_discrete(inp.ref_kernels[t](p), inp.true_kernels[t](p), 1)
+            eps = float(inp.radius[t](p))
+            if dist > eps + 1e-9:
+                return (f"true kernel leaves the ball at stage {t}, "
+                        f"path {amb.path_key(p)}: distance {dist} > radius {eps}")
+    return None
 
 
 def same_bits(got, want):

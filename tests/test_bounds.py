@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import bounds_in_ball_error, bounds_mu_recursion, bounds_tree_paths
 from robustdp import ambiguity as amb
 from robustdp import bounds as bd
 from robustdp import dp
@@ -108,6 +110,98 @@ def test_mu_monotone_under_enlargement():
     _, s_small = bd.mu_recursion("err", small)
     _, s_large = bd.mu_recursion("err", large)
     assert np.all(s_large >= s_small - 1e-12)
+
+
+# -- one tree walk ------------------------------------------------------------------
+
+
+def tree_input(seed, d, kinds, eps0, alpha=1.0):
+    """BoundsInput with path-dependent true kernels (tabular or kernel-
+    weighted per stage, as `kinds` says), tabular reference kernels and a
+    path-dependent radius, all on a 2-3 point grid.  The stage-0 true
+    measure repeats an atom, so the tree has repeated children."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-4, 5, size=(int(rng.integers(2, 4)), d)) / 4.0
+    history = grid[rng.integers(0, len(grid), size=len(kinds) + 2)]
+    trues, refs, paths = [], [], [np.zeros((0, d))]
+    for t, kind in enumerate(kinds):
+        keys = list(dict.fromkeys(amb.path_key(p) for p in paths))
+        if kind == "weighted":
+            trues.append(amb.KernelWeighted(history, float(rng.uniform(0.5, 4.0))))
+        else:
+            table = {}
+            for key in keys:
+                k = int(rng.integers(1, 4))
+                idx = [0, 0, 1] if t == 0 else rng.integers(0, len(grid), k)
+                table[key] = DiscreteMeasure(grid[idx], rng.dirichlet(np.ones(len(idx))))
+            trues.append(amb.TabularKernel(table))
+        refs.append(amb.TabularKernel(
+            {key: DiscreteMeasure(grid, rng.dirichlet(np.ones(len(grid)))) for key in keys}))
+        paths = [np.vstack([p, x[None, :]]) for p in paths for x in trues[t](p).support]
+    T = len(kinds)
+    return bd.BoundsInput(
+        horizon=T, true_kernels=trues, ref_kernels=refs,
+        radius=[lambda p: eps0 + 0.25 * float(np.abs(p).sum())] * T,
+        alpha=alpha, L_eps=[0.0] * T)
+
+
+def listed(tables):
+    return [[(t, list(tab.items())) for t, tab in level.items()] for level in tables]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+       st.lists(st.sampled_from(["tabular", "weighted"]), max_size=2),
+       st.floats(0.0, 1.5), st.sampled_from([1.0, 0.5]))
+def test_one_tree_walk_equals_per_level_oracle(seed, d, kinds, eps0, alpha):
+    inp = tree_input(seed, d, ["tabular", *kinds], eps0, alpha)
+    for kind in ("err", "eps"):
+        tables, s0 = bd.mu_recursion(kind, inp)
+        want_tables, want_s0 = bounds_mu_recursion(kind, inp)
+        assert listed(tables) == listed(want_tables)
+        assert s0.tobytes() == want_s0.tobytes()
+    want = bounds_in_ball_error(inp)
+    if want is None:
+        # L_A = L_Phat = L_eps = 0, so every stage factor is 1
+        total, T = 0.0, inp.horizon
+        for s, mu in enumerate(bounds_mu_recursion("eps", inp)[1]):
+            total += 2.0 ** (T - (s + 1)) * 1.0 * mu
+        assert bd.wasserstein_gap_bound(inp) == 2.0**alpha * 1.0 * total
+    else:
+        with pytest.raises(ValueError) as err:
+            bd.wasserstein_gap_bound(inp)
+        assert str(err.value) == want
+
+
+class CountingKernel:
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, 0
+
+    def __call__(self, path):
+        self.calls += 1
+        return self.kernel(path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_public_call_runs_every_true_kernel_once_per_node(seed):
+    inp = tree_input(seed, 2, ["tabular", "weighted", "tabular"], 10.0)
+    nodes = [len(bounds_tree_paths(inp, t)) for t in range(3)]
+    assert nodes[1] == 3  # the repeated stage-0 atom gives a repeated child
+    inp.true_kernels = [CountingKernel(k) for k in inp.true_kernels]
+    inp.L_Ptheta, inp.L_thetahat = [1.0] * 3, [1.0] * 3
+    inp.theta_true = inp.theta_hat = [lambda p: np.zeros(1)] * 3
+    calls = {
+        "mu err": lambda: bd.mu_recursion("err", inp),
+        "mu eps": lambda: bd.mu_recursion("eps", inp),
+        "wasserstein": lambda: bd.wasserstein_gap_bound(inp),
+        "parametric": lambda: bd.parametric_gap_bound(inp),
+        "report": lambda: bd.bounds_report(inp, {"stability_gap": 0.0, "robust_gap": 0.0}),
+    }
+    for name, call in calls.items():
+        for k in inp.true_kernels:
+            k.calls = 0
+        call()
+        assert [k.calls for k in inp.true_kernels] == nodes, name
 
 
 # -- dominance on solved instances ------------------------------------------------
@@ -233,16 +327,30 @@ def test_parametric_membership_violation():
         bd.parametric_gap_bound(inp, mu_eps_s0=np.array([0.1]))
 
 
+def test_parametric_theta_check_past_stage_0_needs_true_kernels():
+    # a stage-1 true parameter far outside the ball: without the true kernels
+    # there is no stage-1 node to check it at, so the bound is refused
+    inp = bd.BoundsInput(
+        horizon=2,
+        radius=[amb.ConstantRadius(0.1)] * 2,
+        L_Ptheta=[1.0] * 2,
+        L_thetahat=[1.0] * 2,
+        theta_true=[lambda p: np.array([1.0]), lambda p: np.array([5.0])],
+        theta_hat=[lambda p: np.array([1.0])] * 2,
+    )
+    with pytest.raises(ValueError, match="stages >= 1 needs the true kernels' tree"):
+        bd.parametric_gap_bound(inp, mu_eps_s0=np.array([0.1, 0.1]))
+    inp.true_kernels = [amb.ConstantKernel(DiscreteMeasure(G2, [0.5, 0.5]))] * 2
+    with pytest.raises(ValueError, match="leaves the ball at stage 1"):
+        bd.parametric_gap_bound(inp)
+
+
 # -- report ------------------------------------------------------------------------
 
 
 def test_report_json_contains_tables_and_dominance():
     inp = constant_input([[0.45, 0.55]] * 2, [[0.5, 0.5]] * 2, 0.2, 2)
-    rep = bd.bounds_report(
-        inp,
-        which=("stability", "wasserstein"),
-        measured={"stability_gap": 0.01, "robust_gap": 0.1},
-    )
+    rep = bd.bounds_report(inp, {"stability_gap": 0.01, "robust_gap": 0.1})
     data = json.loads(rep.to_json())
     assert data["mu_err_tables"] is not None
     assert data["mu_eps_tables"] is not None

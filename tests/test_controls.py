@@ -7,8 +7,8 @@ from robustdp.controls import BallSet, BoxSet, ConstantSet, clamp_to, grid
 
 
 def test_box_grid_endpoints():
-    spec = ConstantSet(low=[0.0], high=[1.0])
-    pts = grid(spec, np.zeros((0, 1)), resolution=3)
+    spec = ConstantSet(low=[0.0], high=[1.0], resolution=3)
+    pts = grid(spec, np.zeros((0, 1)))
     assert np.allclose(pts.ravel(), [0.0, 0.5, 1.0])
 
 
@@ -20,13 +20,14 @@ def test_finite_set_grid_is_itself():
 
 def test_ball_grid_five_points():
     spec = BallSet(lambda p: np.zeros(1), 0.0, ConstantRadius(1.0), dim=1)
-    pts = grid(spec, np.zeros((0, 1)), resolution=5)
+    spec.resolution = 5
+    pts = grid(spec, np.zeros((0, 1)))
     assert np.allclose(pts.ravel(), np.linspace(-1, 1, 5))
 
 
 def test_grid_resolution_one_midpoint():
-    spec = ConstantSet(low=[0.0, -2.0], high=[1.0, 2.0])
-    pts = grid(spec, np.zeros((0, 2)), resolution=1)
+    spec = ConstantSet(low=[0.0, -2.0], high=[1.0, 2.0], resolution=1)
+    pts = grid(spec, np.zeros((0, 2)))
     assert np.allclose(pts, [[0.5, 0.0]])
 
 
@@ -34,15 +35,15 @@ def test_grid_membership_invariant():
     rng = np.random.default_rng(2)
     low = rng.uniform(-1, 0, size=3)
     high = low + rng.uniform(0.1, 1, size=3)
-    spec = ConstantSet(low=low, high=high)
-    for p in grid(spec, np.zeros((0, 1)), resolution=4):
+    spec = ConstantSet(low=low, high=high, resolution=4)
+    for p in grid(spec, np.zeros((0, 1))):
         assert spec.contains(np.zeros((0, 1)), p)
 
 
 def test_grid_errors_on_bad_resolution():
-    spec = ConstantSet(low=[0.0], high=[1.0])
-    with pytest.raises(ValueError):
-        grid(spec, np.zeros((0, 1)), resolution=0)
+    spec = ConstantSet(low=[0.0], high=[1.0], resolution=0)
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        grid(spec, np.zeros((0, 1)))
 
 
 def make_box(lip=0.5):
@@ -123,7 +124,8 @@ def test_grid_points_clamp_to_neighbor_set():
     p1 = np.array([[0.2], [0.1]])
     p2 = np.array([[-0.3], [0.4]])
     dist = np.linalg.norm(p1 - p2, axis=1).sum()
-    for a in grid(spec, p1, resolution=5):
+    spec.resolution = 5
+    for a in grid(spec, p1):
         moved = clamp_to(spec, p2, a)
         assert spec.contains(p2, moved)
         assert np.linalg.norm(a - moved) <= spec.lipschitz * dist + 1e-9
@@ -131,8 +133,9 @@ def test_grid_points_clamp_to_neighbor_set():
 
 def test_crossed_bounds_error():
     spec = BoxSet([lambda p: 1.0], [lambda p: 0.0], lipschitz=1.0)
+    spec.resolution = 2
     with pytest.raises(ValueError):
-        grid(spec, np.zeros((0, 1)), resolution=2)
+        grid(spec, np.zeros((0, 1)))
 
 
 def member(spec, path, p):
@@ -178,12 +181,13 @@ def test_grid_equals_per_point_contains_filter(seed, kind, dim, res, ambient):
         bounds = (-0.3 * np.ones(dim), 0.4 * np.ones(dim)) if ambient else (None, None)
         spec = BallSet(lambda p: shift * float(p.sum()), 0.5,
                        ConstantRadius(float(rng.uniform(0.05, 0.8))), dim, *bounds)
+    spec.resolution = res
     mesh = uniform_mesh(spec, path, res)
     inside = [bool(member(spec, path, p)) for p in mesh]
     assert [spec.contains(path, p) for p in mesh] == inside
     want = mesh[inside]
     if not len(want):
         with pytest.raises(ValueError, match="empty action set"):
-            grid(spec, path, resolution=res)
+            grid(spec, path)
         return
-    assert np.array_equal(grid(spec, path, resolution=res), want)
+    assert np.array_equal(grid(spec, path), want)

@@ -313,19 +313,6 @@ def test_cost_matrix_equals_norm_bit_for_bit(seed, q, d, n_lead, lattice):
         assert got.tobytes() == norm_cost_matrix(x, zz, q).tobytes()
 
 
-# -- serialization ------------------------------------------------------------
-
-
-def test_text_round_trip_and_ordering():
-    mu = DiscreteMeasure([[1.0, 2.0], [-1.0, 0.5]], [0.25, 0.75])
-    text = mu.to_text()
-    lines = text.strip().splitlines()
-    assert lines[0].split()[1] == "-1"  # lexicographic by support point
-    back = DiscreteMeasure.from_text(text)
-    assert w_q_discrete(mu, back, 1) == pytest.approx(0.0, abs=1e-12)
-    assert back.to_text() == text
-
-
 def test_choice_indices_at_cdf_boundaries():
     # a draw starts at its bucket's guess and steps against the cdf; draws
     # on, just below and just above every cdf value, every k/n and every
