@@ -17,6 +17,8 @@ that parent requires a gradient, and an op whose parents are all constant
 is itself a constant with no parents and no backward closure.  So frozen
 parameters, data and whatever is computed from them alone build no tape,
 and no backward step computes a parameter gradient nobody reads.
+`backward` consumes the graph it differentiates: leaves keep their
+gradients, and a consumed graph cannot be differentiated again.
 """
 
 from __future__ import annotations
@@ -531,23 +533,38 @@ def mlp_forward(x, weights, biases, in_scale=None, box=None, keep=None):
 
 
 def backward(root):
-    """Accumulate gradients of a scalar root into every reachable Var."""
+    """Accumulate gradients of a scalar root into every reachable leaf.
+
+    The graph is consumed: leaves keep their gradients, and each op node
+    keeps its value but drops its gradient, closure and parents once its
+    closure has run, so a consumed graph cannot be differentiated again (a
+    later backward that reaches it raises ValueError).  The nodes run in the
+    reverse of the depth-first post-order from the root, built on an
+    explicit stack, so a tape of any depth runs."""
     if root.value.size != 1:
         raise ValueError("backward expects a scalar output")
-    order = []
-    seen = set()
-
-    def visit(v):
-        if id(v) in seen:
-            return
-        seen.add(id(v))
-        for p in v.parents:
-            visit(p)
-        order.append(v)
-
-    visit(root)
-    del visit  # visit's closure holds visit itself, and through order the tape
+    order, seen, stack = [], {id(root)}, [(root, iter(_parents(root)))]
+    while stack:
+        v, rest = stack[-1]
+        for p in rest:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(_parents(p))))
+                break
+        else:
+            stack.pop()
+            order.append(v)
     root.grad = np.ones_like(root.value)
-    for v in reversed(order):
-        if v.bw is not None and v.grad is not None:
+    while order:
+        v = order.pop()
+        if v.parents:
             v.bw(v.grad)
+            v.grad = v.bw = v.parents = None
+
+
+def _parents(v):
+    """An op node's parents; a consumed one's (parents None) raises."""
+    if v.parents is None:
+        raise ValueError("backward reached a node of a graph a previous backward consumed; "
+                         "build the graph again to differentiate it again")
+    return v.parents

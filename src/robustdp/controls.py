@@ -61,12 +61,13 @@ class BallSet:
     """
 
     def __init__(self, center_fn, center_lipschitz, radius, dim,
-                 ambient_low=None, ambient_high=None):
+                 ambient_low=None, ambient_high=None, resolution=None):
         self.center_fn = center_fn
         self.radius = radius  # a RadiusSchedule-like callable with .lipschitz
         self._dim = dim
         self.ambient_low = ambient_low
         self.ambient_high = ambient_high
+        self.resolution = resolution
         self.lipschitz = center_lipschitz + radius.lipschitz
 
     @property
@@ -103,13 +104,14 @@ class BallSet:
 class BoxSet:
     """Product of intervals [low_j(path), high_j(path)] with Lipschitz bounds."""
 
-    def __init__(self, low_fns, high_fns, lipschitz):
+    def __init__(self, low_fns, high_fns, lipschitz, resolution=None):
         self.low_fns = list(low_fns)
         self.high_fns = list(high_fns)
         if len(self.low_fns) != len(self.high_fns):
             raise ValueError("need matching lower/upper bound maps")
         # proof constant: 2 * m_t * L for per-coordinate L-Lipschitz bounds
         self.lipschitz = 2.0 * len(self.low_fns) * float(lipschitz)
+        self.resolution = resolution
 
     @property
     def dim(self):
@@ -151,7 +153,7 @@ def grid(spec, path):
     """
     if getattr(spec, "points", None) is not None:
         return spec.points.copy()
-    res = getattr(spec, "resolution", None)
+    res = spec.resolution
     if res is None:
         raise ValueError("no grid resolution configured")
     if np.isscalar(res):

@@ -19,8 +19,7 @@ def test_finite_set_grid_is_itself():
 
 
 def test_ball_grid_five_points():
-    spec = BallSet(lambda p: np.zeros(1), 0.0, ConstantRadius(1.0), dim=1)
-    spec.resolution = 5
+    spec = BallSet(lambda p: np.zeros(1), 0.0, ConstantRadius(1.0), dim=1, resolution=5)
     pts = grid(spec, np.zeros((0, 1)))
     assert np.allclose(pts.ravel(), np.linspace(-1, 1, 5))
 
@@ -46,10 +45,10 @@ def test_grid_errors_on_bad_resolution():
         grid(spec, np.zeros((0, 1)))
 
 
-def make_box(lip=0.5):
+def make_box(lip=0.5, resolution=None):
     low_fns = [lambda p: lip * float(p.sum()) if p.size else 0.0]
     high_fns = [lambda p: 1.0 + lip * float(p.sum()) if p.size else 1.0]
-    return BoxSet(low_fns, high_fns, lipschitz=lip)
+    return BoxSet(low_fns, high_fns, lipschitz=lip, resolution=resolution)
 
 
 def test_clamp_same_path_identity():
@@ -120,11 +119,10 @@ def test_ball_clamp_with_source_path_matches_three_point_bound():
 def test_grid_points_clamp_to_neighbor_set():
     # Hausdorff-style property: every grid point of A(w) lands inside
     # A(w~) within the declared constant times the path distance
-    spec = make_box(0.5)
+    spec = make_box(0.5, resolution=5)
     p1 = np.array([[0.2], [0.1]])
     p2 = np.array([[-0.3], [0.4]])
     dist = np.linalg.norm(p1 - p2, axis=1).sum()
-    spec.resolution = 5
     for a in grid(spec, p1):
         moved = clamp_to(spec, p2, a)
         assert spec.contains(p2, moved)
@@ -132,8 +130,7 @@ def test_grid_points_clamp_to_neighbor_set():
 
 
 def test_crossed_bounds_error():
-    spec = BoxSet([lambda p: 1.0], [lambda p: 0.0], lipschitz=1.0)
-    spec.resolution = 2
+    spec = BoxSet([lambda p: 1.0], [lambda p: 0.0], lipschitz=1.0, resolution=2)
     with pytest.raises(ValueError):
         grid(spec, np.zeros((0, 1)))
 
@@ -172,16 +169,17 @@ def test_grid_equals_per_point_contains_filter(seed, kind, dim, res, ambient):
     shift = rng.uniform(-1, 1, size=dim)
     if kind == "constant":
         low = rng.uniform(-1, 0, size=dim)
-        spec = ConstantSet(low=low, high=low + rng.uniform(0, 1, size=dim))
+        spec = ConstantSet(low=low, high=low + rng.uniform(0, 1, size=dim), resolution=res)
     elif kind == "box":
         spec = BoxSet([lambda p, s=s: s * float(p.sum()) - 0.5 for s in shift],
-                      [lambda p, s=s: s * float(p.sum()) + 0.5 for s in shift], 0.5)
+                      [lambda p, s=s: s * float(p.sum()) + 0.5 for s in shift], 0.5,
+                      resolution=res)
     else:
         # a ball partly or wholly outside its ambient box crosses the bounds
         bounds = (-0.3 * np.ones(dim), 0.4 * np.ones(dim)) if ambient else (None, None)
         spec = BallSet(lambda p: shift * float(p.sum()), 0.5,
-                       ConstantRadius(float(rng.uniform(0.05, 0.8))), dim, *bounds)
-    spec.resolution = res
+                       ConstantRadius(float(rng.uniform(0.05, 0.8))), dim, *bounds,
+                       resolution=res)
     mesh = uniform_mesh(spec, path, res)
     inside = [bool(member(spec, path, p)) for p in mesh]
     assert [spec.contains(path, p) for p in mesh] == inside

@@ -121,13 +121,12 @@ def ragged_instance(rng):
             k = int(rng.integers(1, 4))
             specs.append(ConstantSet(points=np.sort(rng.uniform(-1, 1, (k, 1)), axis=0)))
         else:
-            spec = BallSet(
+            specs.append(BallSet(
                 lambda path: np.array([0.6 * path[:, 0].sum(), 0.8]), 1.0,
                 amb.ConstantRadius(0.5), dim=2,
                 ambient_low=np.array([-1.0, -1.0]), ambient_high=np.array([1.0, 1.0]),
-            )
-            spec.resolution = 3
-            specs.append(spec)
+                resolution=3,
+            ))
 
     def draw_measure():
         k = int(rng.integers(1, 5 if rng.random() < 0.8 else 13))
@@ -357,13 +356,11 @@ def action_spec(kind):
     if kind == "points":
         return ConstantSet(points=[[-1.0], [0.3], [1.0]])
     if kind == "ball":
-        spec = BallSet(lambda path: np.array([shift(path)]), 0.9, amb.ConstantRadius(0.5),
-                       dim=1, ambient_low=np.array([-1.0]), ambient_high=np.array([1.0]))
-    else:
-        spec = BoxSet([lambda path: shift(path) - 0.4], [lambda path: shift(path) + 0.4],
-                      lipschitz=0.9)
-    spec.resolution = 3
-    return spec
+        return BallSet(lambda path: np.array([shift(path)]), 0.9, amb.ConstantRadius(0.5),
+                       dim=1, ambient_low=np.array([-1.0]), ambient_high=np.array([1.0]),
+                       resolution=3)
+    return BoxSet([lambda path: shift(path) - 0.4], [lambda path: shift(path) + 0.4],
+                  lipschitz=0.9, resolution=3)
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,6 +12,7 @@ from conftest import (
     composed_dual_inner_min,
     composed_forward_var,
     exact_policy,
+    nonconsuming_backward,
     per_candidate_objective,
     per_path_rollout,
     primal_ball_lp,
@@ -361,6 +362,151 @@ def test_backward_leaves_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _tape_of(root):
+    """Every node reachable from root, each once."""
+    nodes, stack, seen = [], [root], {id(root)}
+    while stack:
+        v = stack.pop()
+        nodes.append(v)
+        for p in v.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+OP_KINDS = 8
+
+
+def _random_tape(seed, extra):
+    """A random tape over (2h, c) nodes that runs every op kind once, and
+    extra more, in a random order; each op reads nodes drawn from those made
+    so far, so a node read twice makes a diamond.  Returns the scalar root,
+    which reads every node, the trainable leaves and the op nodes in the
+    order they were made.  The same seed builds the same tape."""
+    rng = np.random.default_rng(seed)
+    h, c = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    r = 2 * h
+    x = ad.Var(rng.normal(size=(r, c)))
+    row, col, lam_raw = (ad.Var(rng.normal(size=s)) for s in ((1, c), (r, 1), (1,)))
+    leaves = [x, row, col, lam_raw]
+    broad = [row, col, lam_raw, ad.const(rng.normal(size=(1, c))), 0.5]
+    pool, ops = [x], []
+    kinds = list(rng.permutation(OP_KINDS)) + list(rng.integers(0, OP_KINDS, extra))
+    for kind in kinds:
+        a, b = (pool[int(i)] for i in rng.integers(0, len(pool), 2))
+        other = broad[int(rng.integers(len(broad)))]
+        if kind == 0:  # broadcasting arithmetic
+            out = a * other + b - other
+        elif kind == 1:
+            out = ad.pow_pos(a, 1.5) / (1.0 + ad.exp(b * 0.1))
+        elif kind == 2:  # a row minimum broadcast back over the columns
+            out = ad.reshape(ad.vmin(a, axis=1), (r, 1)) * b
+        elif kind == 3:  # the least of each pair of rows, repeated
+            out = ad.repeat_rows(ad.vmin(ad.reshape(a, (h, 2, c)), axis=1), 2)
+        elif kind == 4:
+            out = ad.concat([a[:h], b[h:]], axis=0)
+        elif kind in (5, 6):  # a trainable net, then a frozen one; both carry into a and b
+            net = nn.Mlp(2 * c, c, 2, 5, rng, in_scale=rng.uniform(0.5, 2.0, 2 * c))
+            net.biases = [rng.normal(0.0, 0.3, bias.shape) for bias in net.biases]
+            pvars = [ad.Var(p) for p in net.parameters()] if kind == 5 else None
+            leaves += pvars or []
+            out = net.forward_var(ad.concat([a, b], axis=1), pvars)
+        else:  # the W_q dual's inner minimum (one ad.dual_min node) over c points per row
+            d, q = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            pts, z = rng.uniform(-1, 1, (r, c, d)), rng.uniform(-1, 1, (c, d))
+            out = amb.dual_inner_min(ad.reshape(a, (r, 1, c)), ad.exp(lam_raw), pts, z, q) + b
+        pool.append(out)
+        ops.append(out)
+    flat = ad.concat([ad.reshape(v, (-1,)) for v in pool], axis=0)
+    root = ad.vsum(flat * ad.const(rng.normal(size=flat.shape)))
+    return root, leaves, ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 4))
+def test_consuming_backward_equals_nonconsuming_oracle(seed, extra):
+    # the consuming backward runs every closure the oracle runs, in the same
+    # order on the same arrays, so every leaf gradient has the same bits; it
+    # leaves no gradient or closure on an op node, and a later backward that
+    # reaches the consumed graph (the root again, a second loss that shares a
+    # node, a new op on a node) raises before it touches any gradient
+    root, leaves, ops = _random_tape(seed, extra)
+    interior = [v for v in _tape_of(root) if v.parents]
+    shared = ops[int(np.random.default_rng(seed).integers(len(ops)))]
+    second = ad.vsum(shared * 3.0)
+    ad.backward(root)
+    want_root, want_leaves, _ = _random_tape(seed, extra)
+    nonconsuming_backward(want_root)
+    assert root.value.tobytes() == want_root.value.tobytes()
+    for got, want in zip(leaves, want_leaves):
+        assert (got.grad is None) == (want.grad is None)
+        assert got.grad is None or got.grad.tobytes() == want.grad.tobytes()
+    assert all(v.grad is None and v.bw is None and v.value is not None for v in interior)
+    grads = [None if v.grad is None else v.grad.tobytes() for v in leaves]
+    for again in (root, second, ad.vsum(ops[-1] * 2.0)):
+        with pytest.raises(ValueError, match="consumed"):
+            ad.backward(again)
+    assert grads == [None if v.grad is None else v.grad.tobytes() for v in leaves]
+
+
+def test_backward_runs_a_deep_chain():
+    # the post-order is built on an explicit stack, so no recursion limit
+    # bounds the depth of a tape
+    n = 5000
+    x = ad.Var(np.array([1.0, -2.0]))
+    y = x
+    for _ in range(n):
+        y = y * 1.0001
+    ad.backward(ad.vsum(y))
+    np.testing.assert_allclose(x.grad, np.full(2, 1.0001**n), rtol=1e-10, atol=0)
+
+
+def test_backprop_keeps_no_spent_tape():
+    # one action-phase step at hedge-t5's size: a frozen 3 x 32 value net
+    # under the trainable action net on 96 paths x 96 next states (9,216
+    # rows).  While the loss and the parameter Vars are still held, all that
+    # stays is their gradients and the loss value, not the tape's relu masks,
+    # features and closures.
+    from robustdp import hedging as hg
+
+    rng = np.random.default_rng(1)
+    hp = hg.HedgingProblem(d=1, horizon=3, return_bound=0.07, payoff=hg.CallPayoff(1.0),
+                           a_bound=1.1, b_bound=0.15)
+    ref = amb.ConstantKernel(DiscreteMeasure.empirical(rng.uniform(-0.07, 0.07, (250, 1)),
+                                                       space=hp.space))
+    prob = hg.make_control_problem(hp, [amb.Singleton(ref)] * hp.horizon)
+    prob.net_inputs = "features"
+    t, b, n_mc = 1, 96, 96
+    inner = nn._SampledSetMin(prob, nn.TrainConfig(), rng)
+    scale = nn._input_scale(prob, t + 1)
+    psi = nn._next_value(prob, t + 1, nn.Mlp(len(scale), 1, 3, 32, rng, in_scale=scale))
+    box = nn._action_box(prob.action_specs[t])
+    net_a = nn.Mlp(len(nn._input_scale(prob, t)), len(box[0]), 3, 32, rng, out_box=box,
+                   in_scale=nn._input_scale(prob, t))
+    omega_b = nn._sample_paths_reference(prob.kernels, t, b, rng, 1)
+    past = nn._sample_past_actions(prob.action_specs[:t], b, rng)
+    x_t = nn._stage_input_tape(prob, t, omega_b, past).value
+    draws = inner.draw(t, omega_b, n_mc, rng)
+
+    def step():
+        pvars = [ad.Var(p) for p in net_a.parameters()]
+        a = net_a.forward_var(x_t, pvars)
+        loss = -ad.vmean(inner.objective(t, psi, a, omega_b, past, draws, []))
+        nn._backprop(loss, pvars)
+        return loss, pvars
+
+    step()  # the frozen net's scratch buffers are allocated once
+    tracemalloc.start()
+    try:
+        loss, pvars = step()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in pvars) and np.isfinite(loss.value)
+    assert held < 2**18
 
 
 def test_frozen_net_parameters_receive_no_grad():
