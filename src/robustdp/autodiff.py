@@ -72,9 +72,6 @@ class Var:
     def __sub__(self, other):
         return _add(self, _neg(as_var(other)))
 
-    def __rsub__(self, other):
-        return _add(as_var(other), _neg(self))
-
     def __neg__(self):
         return _neg(self)
 
@@ -91,9 +88,6 @@ class Var:
 
     def __matmul__(self, other):
         return _matmul(self, as_var(other))
-
-    def __rmatmul__(self, other):
-        return _matmul(as_var(other), self)
 
     def __pow__(self, p):
         return _powi(self, p)

@@ -106,12 +106,12 @@ def substream(master_seed, name):
     )
 
 
-def ingest_returns(csv_path, expected_d, bound=None):
+def ingest_returns(csv_path, expected_d):
     """Parse a `date,r_1,...,r_d` CSV into a chronological ReturnSeries.
 
     Malformed rows and non-finite returns are reported with their line
-    number; when a bound is declared, out-of-range returns are rejected
-    naming the row.
+    number.  The return bound is not checked here: the series'
+    validate_bound does that, naming the first row out of range.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -145,10 +145,7 @@ def ingest_returns(csv_path, expected_d, bound=None):
             dates.append(row[0])
     if not rows:
         raise ConfigError(f"{csv_path}: no data rows")
-    series = hg.ReturnSeries(dates, np.array(rows))
-    if bound is not None:
-        series.validate_bound(bound)
-    return series
+    return hg.ReturnSeries(dates, np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +386,10 @@ def cmd_solve_exact(cfg, out_dir, seed):
     return 0
 
 
-def _train_config(cfg, seed):
+def _train_config(cfg, seed, problem):
     """TrainConfig from solver.train, each field checked alone (none depends on
-    another) and named by its config path; the seed is the top-level one."""
+    another) and named by its config path; the seed is the top-level one.
+    warm_start is also checked against the problem, as training would."""
     given = _get(cfg, "solver.train", dict, default={})
     defaults = {f.name: f.default for f in dataclasses.fields(nn.TrainConfig)
                 if f.name != "seed"}
@@ -405,7 +403,12 @@ def _train_config(cfg, seed):
             nn.TrainConfig(**{key: kwargs[key]})
         except ValueError as exc:
             raise ConfigError(f"solver.train.{key}: {exc}") from None
-    return nn.TrainConfig(seed=seed, **kwargs)
+    config = nn.TrainConfig(seed=seed, **kwargs)
+    try:
+        nn._check_warm_start(problem, config)
+    except ValueError as exc:
+        raise ConfigError(f"solver.train.warm_start: {exc}") from None
+    return config
 
 
 def cmd_train(cfg, out_dir, seed):
@@ -413,7 +416,7 @@ def cmd_train(cfg, out_dir, seed):
     train_series, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
-    tcfg = _train_config(cfg, seed)
+    tcfg = _train_config(cfg, seed, problem)
     algo = _get(cfg, "solver.kind", str, default="algorithm1")
     rng = substream(seed, "training")
     if algo == "algorithm1":
@@ -449,18 +452,24 @@ def _load_policy(out_dir, hp):
     """The policy `train` wrote to out_dir, fed the inputs it was trained on.
 
     Net inputs depend on the hedging instance, not on the ambiguity set,
-    so a point-mass kernel stands in for the configured one."""
+    so a point-mass kernel stands in for the configured one.  A net whose
+    input or output width is not the stage's is refused by name."""
+    problem = hg.make_control_problem(hp, [amb.Singleton(
+        amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(hp.d))))] * hp.horizon)
     nets = []
     for t in range(hp.horizon):
         path = Path(out_dir) / f"action_net_{t}.txt"
         if not path.exists():
             raise ConfigError(f"missing trained network {path}")
         try:
-            nets.append(nn.net_from_text(path.read_text()))
+            net = nn.net_from_text(path.read_text())
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    problem = hg.make_control_problem(hp, [amb.Singleton(
-        amb.ConstantKernel(DiscreteMeasure.dirac(np.zeros(hp.d))))] * hp.horizon)
+        widths = (len(nn._input_scale(problem, t)), problem.action_specs[t].dim)
+        if (net.in_dim, net.sizes[-1]) != widths:
+            raise ConfigError(f"{path}: stage {t} needs input and output widths "
+                              f"{widths}, got {(net.in_dim, net.sizes[-1])}")
+        nets.append(net)
     return nn.NeuralPolicy(problem, nets)
 
 

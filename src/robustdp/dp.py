@@ -207,25 +207,19 @@ def rollout(policy, omega):
 
 
 class WorstCaseKernel:
-    """Adversary selector: (stage, node, actions-so-far key) -> measure."""
+    """The adversary's side of the solution.
 
-    def __init__(self, local_grid, candidates, argmin_tables, composed):
+    argmin_tables[t] (n^t, P_t, K_t), laid out as the J tables (see
+    SolveResult), holds the index of the minimizing candidate at every
+    node, action key and stage-t action.  measure(t, path) is the composed
+    worst case along the optimal policy: it snaps each row of path (t, d)
+    to its nearest grid point (lowest index on ties) and returns that
+    node's minimizing measure."""
+
+    def __init__(self, local_grid, argmin_tables, composed):
         self.local_grid = local_grid
-        self.candidates = candidates
-        # [t] -> (n^t, P_t, K_t) candidate index, laid out as the J tables
         self.argmin_tables = argmin_tables
         self.composed = composed  # [t][node] -> measure (optimal-policy path)
-
-    def index_for(self, t, node, akey):
-        u = p = 0
-        for i in node:
-            u = u * len(self.local_grid) + i
-        for a, table in zip(akey[:-1], self.argmin_tables):
-            p = p * table.shape[2] + a
-        return int(self.argmin_tables[t][u, p, akey[-1]])
-
-    def measure_for(self, t, node, akey):
-        return self.candidates[(t, node)][self.index_for(t, node, akey)]
 
     def measure(self, t, path):
         path = np.asarray(path, dtype=float).reshape(t, self.local_grid.shape[1])
@@ -445,7 +439,7 @@ def backward_induction_exact(problem, local_grid, candidates, dual_bound=False):
         prefix = np.repeat(prefix * jt[t].shape[2] + ai, n)
 
     policy = TabularPolicy(local_grid, stage_actions, problem.action_specs)
-    worst = WorstCaseKernel(local_grid, candidates, argmin, composed)
+    worst = WorstCaseKernel(local_grid, argmin, composed)
     return SolveResult(
         value=float(psi[0][0, 0]),
         psi_tables=psi,

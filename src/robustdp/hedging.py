@@ -33,7 +33,6 @@ __all__ = [
     "prospect_loss",
     "CallPayoff",
     "BasketPayoff",
-    "CustomPayoff",
     "HedgingProblem",
     "ReturnSeries",
     "prices_from_returns",
@@ -116,17 +115,6 @@ class BasketPayoff:
         return np.clip(basket, 0.0, None)
 
 
-class CustomPayoff:
-    def __init__(self, fn, holder_beta):
-        if not 0.0 < holder_beta <= 1.0:
-            raise ValueError("Holder exponent must lie in (0, 1]")
-        self.fn = fn
-        self.holder_beta = holder_beta
-
-    def __call__(self, prices):
-        return self.fn(np.asarray(prices, dtype=float))
-
-
 @dataclass
 class HedgingProblem:
     """d assets with S_0 normalized to 1, horizon T, returns in [-C, C]^d,
@@ -172,10 +160,6 @@ class ReturnSeries:
 
     def __len__(self):
         return self.values.shape[0]
-
-    @property
-    def d(self):
-        return self.values.shape[1]
 
     def validate_bound(self, C):
         bad = np.nonzero(np.any(np.abs(self.values) > C, axis=1))[0]

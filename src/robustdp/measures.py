@@ -61,9 +61,6 @@ class LocalSpace:
         mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def __repr__(self):
-        return f"LocalSpace(d={self.dimension}, bound={self.bound})"
-
 
 class DiscreteMeasure:
     """Probability measure sum_i w_i * delta_{x_i} with x_i in R^d.
@@ -116,16 +113,10 @@ class DiscreteMeasure:
         n = points.shape[0]
         return cls(points, np.full(n, 1.0 / n), space=space)
 
-    def mean(self):
-        return self.weights @ self.support
-
     def atoms_at(self, u):
         """Atoms u.shape + (d,) that uniforms u pick by inverse cdf: those of
         rng.choice(n_atoms, p=weights) when u is the block choice would take."""
         return self.support[_choice_indices(self.weights, u)]
-
-    def __repr__(self):
-        return f"DiscreteMeasure({self.n_atoms} atoms, d={self.dimension})"
 
 
 def _choice_indices(weights, u):

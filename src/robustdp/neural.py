@@ -207,7 +207,8 @@ class TrainConfig:
     # stage with the reference kernels' draw instead of uniformly
     lr_decay: float = 1.0  # multiplicative lr floor reached at the last
     # iteration (1.0 = constant learning rate)
-    warm_start: bool = False  # initialize each stage net from its successor
+    warm_start: bool = False  # initialize each stage net from its successor;
+    # needs problem.net_inputs == "features"
 
     def __post_init__(self):
         for name in ("iter_psi", "iter_a", "n_measures", "n_mc",
@@ -298,6 +299,15 @@ def _check_net_inputs(problem):
         raise ValueError(f"net_inputs must be 'both' or 'features', got {mode!r}")
     if mode == "features" and problem.feature_tape is None:
         raise ValueError("net_inputs='features' needs problem.feature_tape")
+
+
+def _check_warm_start(problem, config):
+    """warm_start needs net_inputs "features": the path and past actions
+    widen the net input at every stage, so with them no stage net has its
+    successor's shape to start from."""
+    if config.warm_start and problem.net_inputs != "features":
+        raise ValueError(f"warm_start needs net_inputs 'features', got "
+                         f"{problem.net_inputs!r}, whose input widens with each stage")
 
 
 def _stage_input_tape(problem, t, omega, actions):
@@ -416,7 +426,9 @@ def _prepare(problem, config):
         if not hasattr(ref, "draw"):
             raise ValueError(f"stage {t}: neural training draws next states with a reference "
                              f"kernel's draw, which a {type(ref or kernel).__name__} lacks")
-    return config or TrainConfig()
+    config = config or TrainConfig()
+    _check_warm_start(problem, config)
+    return config
 
 
 class _SampledSetMin:

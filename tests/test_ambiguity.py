@@ -302,6 +302,21 @@ def test_normal_estimator_needs_two_points():
         amb.NormalDiagFamily(1).estimate(np.array([[1.0]]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 3))
+def test_normal_estimator_lipschitz_bounds_its_moves(seed, t, d):
+    # ||theta_hat(p1) - theta_hat(p2)|| <= L_t sum_s ||p1_s - p2_s||, with
+    # p2 near p1 or far from it
+    f = amb.NormalDiagFamily(d)
+    rng = np.random.default_rng(seed)
+    p1 = rng.normal(size=(t, d))
+    p2 = p1 + rng.normal(size=(t, d)) * rng.choice([1e-3, 1.0])
+    moved = np.linalg.norm(f.estimate(p1) - f.estimate(p2))
+    assert moved <= f.estimator_lipschitz(t) * np.linalg.norm(p1 - p2, axis=1).sum() + 1e-12
+    with pytest.raises(ValueError):
+        f.estimator_lipschitz(1)
+
+
 def test_normal_estimator_unbiased_monte_carlo():
     # E[sigma_hat] = sigma for gaussian samples
     f = amb.NormalDiagFamily(1)

@@ -95,8 +95,9 @@ def test_ingest_rejects_non_finite_return_naming_line(tmp_path, value):
 def test_ingest_bound_violation(tmp_path):
     path = tmp_path / "oob.csv"
     path.write_text("date,r_1\n2020-01-01,0.01\n2020-01-02,0.9\n")
+    series = cli.ingest_returns(str(path), 1)
     with pytest.raises(ValueError, match="row 1"):
-        cli.ingest_returns(str(path), 1, bound=0.1)
+        series.validate_bound(0.1)
 
 
 # -- config handling ----------------------------------------------------------
@@ -274,8 +275,7 @@ PINNED_RUNS = {
     "algorithm1": (
         dict(BASE_CONFIG, problem=dict(BASE_CONFIG["problem"], horizon=3),
              solver={"kind": "algorithm1", "train": dict(
-                 TINY_TRAIN, path_sampling="reference", warm_start=True,
-                 lr_decay=0.5)}),
+                 TINY_TRAIN, path_sampling="reference", lr_decay=0.5)}),
         {
             "action_net_0.txt": "eb0e535a705541784730a247b49604ba78951fdb468840bd884d0b7a122df941",
             "action_net_1.txt": "66cf55ea1b882a09593d31f51d389521e162a87d6fe4323e6f8535ac26d62139",
@@ -316,13 +316,63 @@ def test_train_artifacts_are_pinned(tmp_path, kind):
     assert digests == expected
 
 
+def on_csv(cfg, csv_path):
+    """cfg reading its returns from a CSV, the return bound taken from the
+    CSV's largest absolute return."""
+    cfg = mutated(cfg, "data", {"csv": csv_path})
+    del cfg["problem"]["return_bound"]
+    return cfg
+
+
+ADAPTIVE_RADIUS = {"kind": "adaptive", "n_paths": 2000, "n_steps": 100}
+# solve-exact configs that each take one other path through the data and
+# ambiguity builders than BASE_CONFIG does; each writes what it reads into
+# the directory it is given
+SOLVE_EXACT_VARIANTS = {
+    "csv": lambda tmp: on_csv(BASE_CONFIG, write_csv(tmp, n=40)),
+    "adaptive-radius": lambda tmp: mutated(BASE_CONFIG, "ambiguity.radius", ADAPTIVE_RADIUS),
+    "kernel-weighted": lambda tmp: mutated(BASE_CONFIG, "ambiguity.reference",
+                                           {"kind": "kernel_weighted"}),
+    "adaptive-reference": lambda tmp: mutated(BASE_CONFIG, "ambiguity.reference",
+                                              {"kind": "adaptive"}),
+}
+
+
+def basket_config(tmp):
+    """One stage of a two-asset basket call on a 14-row CSV under the
+    adaptive radius, on 2 grid points per asset: the d = 2 transport LP."""
+    cfg = on_csv(mutated(BASE_CONFIG, "ambiguity.radius", ADAPTIVE_RADIUS),
+                 write_csv(tmp, n=14, d=2, name="basket.csv"))
+    for dotted, value in [("problem.dimension", 2), ("problem.horizon", 1),
+                          ("problem.payoff", {"kind": "basket"}), ("solver.grid_points", 2)]:
+        cfg = mutated(cfg, dotted, value)
+    return cfg
+
+
 # sha256 of the artifacts of the exact solver's commands: solve-exact on
-# BASE_CONFIG, and the synthetic instances of oracle-check and bounds on
-# seed 3, recorded as PINNED_RUNS were.
+# BASE_CONFIG and on each SOLVE_EXACT_VARIANTS config ("solve-exact/<name>"),
+# and the synthetic instances of oracle-check and bounds on seed 3, recorded
+# as PINNED_RUNS were.
 PINNED_EXACT_RUNS = {
     "solve-exact": {
         "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
         "value_table.txt": "0782242a4688ebc762213e0fc2d2c87f4ad0f1e36ea62ec313fb715642dc5a55",
+    },
+    "solve-exact/csv": {
+        "value.json": "c56bd99788f63b833f3e700dbd7515f4f5d9cea5e3d26d925e94796b98c0f4a0",
+        "value_table.txt": "f8744ab4299cf839bfe849a37db799e61c01c8b8cf5e808b4b35c9090c8f4136",
+    },
+    "solve-exact/adaptive-radius": {
+        "value.json": "89407fd151695810bb64797c0d6e59b5461b451127add208d7ee23efad263bac",
+        "value_table.txt": "92b0a3a87d075eaa7e70cf014bf3667b2b669ca0284bd6b28e8331769c637ca8",
+    },
+    "solve-exact/kernel-weighted": {
+        "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
+        "value_table.txt": "76fcc73eae5270d256e77db4ed92995c0b1041150ce5224d2a2c43325d1b7431",
+    },
+    "solve-exact/adaptive-reference": {
+        "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
+        "value_table.txt": "ac087b186a2aa749d6e3c9c38a3cf4f345be9d91d518e8ef28410ce8d3e4a222",
     },
     "oracle-check": {
         "oracle_check.json": "7814ec278e10c7f5290e3edf127789810f61f5361b4381d53ddaed7a9d0de91d",
@@ -333,16 +383,31 @@ PINNED_EXACT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_EXACT_RUNS))
-def test_exact_artifacts_are_pinned(tmp_path, command):
-    expected = PINNED_EXACT_RUNS[command]
-    flags = (["--config", write_config(tmp_path)] if command == "solve-exact"
-             else ["--seed", "3"])
+@pytest.mark.parametrize("run", sorted(PINNED_EXACT_RUNS))
+def test_exact_artifacts_are_pinned(tmp_path, run):
+    expected = PINNED_EXACT_RUNS[run]
+    command, _, variant = run.partition("/")
+    if command != "solve-exact":
+        flags = ["--seed", "3"]
+    else:
+        cfg = SOLVE_EXACT_VARIANTS[variant](tmp_path) if variant else BASE_CONFIG
+        flags = ["--config", write_config(tmp_path, cfg)]
     out = tmp_path / "run"
     assert cli.main([command, *flags, "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in expected}
     assert digests == expected
+
+
+def test_basket_solve_exact_is_reproducible(tmp_path):
+    # d = 2 solves transport LPs with HiGHS, whose output may vary by build,
+    # so this run is checked run against run rather than pinned
+    path = write_config(tmp_path, basket_config(tmp_path))
+    for run in ("a", "b"):
+        assert cli.main(["solve-exact", "--config", path, "--out", str(tmp_path / run)]) == 0
+    assert np.isfinite(json.loads((tmp_path / "a" / "value.json").read_text())["value"])
+    table = tmp_path / "a" / "value_table.txt"
+    assert table.read_bytes() == (tmp_path / "b" / "value_table.txt").read_bytes()
 
 
 @pytest.mark.parametrize("train, named", [
@@ -358,6 +423,9 @@ def test_exact_artifacts_are_pinned(tmp_path, command):
     ({"lr": 0.0}, "lr"),
     ({"lr_decay": 0}, "lr_decay"),
     ({"lr_decay": 2.0}, "lr_decay"),
+    # the CLI's nets read the path and past actions, so no stage net has its
+    # successor's shape to start from
+    ({"warm_start": True}, "net_inputs 'features'"),
 ])
 def test_bad_train_config_is_json_error(tmp_path, capsys, train, named):
     cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": train})
@@ -425,6 +493,20 @@ def test_corrupt_network_is_json_error(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "action_net_0.txt" in err["error"] and "truncated" in err["error"]
+
+
+def test_net_of_another_stage_is_json_error(tmp_path, capsys):
+    # a stage-0 net (no input) in stage 1's file, which takes the path, the
+    # stage-0 action and the features
+    cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": TINY_MUTATED_TRAIN})
+    path, out = write_config(tmp_path, cfg), tmp_path / "run"
+    assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+    (out / "action_net_1.txt").write_text((out / "action_net_0.txt").read_text())
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "action_net_1.txt: stage 1 needs input and output widths (5, 1), got (0, 2)" in err
+    assert not (out / "evaluate.json").exists()
 
 
 def test_diverging_training_is_json_error(tmp_path, capsys):
@@ -703,7 +785,7 @@ def test_every_private_definition_is_used():
 # dataclass fields with a default (a lambda's default is not an option).
 # Change it only with a CHANGES.md line that names the options added or
 # removed.
-OPTION_COUNT = 135
+OPTION_COUNT = 134
 
 
 def test_settable_option_count_is_pinned():

@@ -479,10 +479,8 @@ def test_delta_actions_batch_matches_per_path_loop(seed, T, vol, strike):
 
 
 def test_backtest_zero_payoff_zero_policy():
-    prob = hg.HedgingProblem(
-        d=1, horizon=5, return_bound=0.2,
-        payoff=hg.CustomPayoff(lambda prices: np.zeros(prices.shape[:-2]), 1.0),
-    )
+    # S_T <= 1.2^5 < 3, so the call struck at 3 pays nothing
+    prob = hg.HedgingProblem(d=1, horizon=5, return_bound=0.2, payoff=hg.CallPayoff(3.0))
     series, _ = hg.simulate_gbm_returns(30, 1, 0.2, bound=0.2,
                                         rng=np.random.default_rng(3))
     rep = hg.backtest(prob, {"zero": ZeroPolicy(prob)}, series)

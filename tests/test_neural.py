@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -1335,6 +1336,22 @@ def test_algorithm1_rejects_a_ball_that_moves_with_the_path():
     with pytest.raises(amb.PathDependentSet, match="^stage 0: the WassersteinBall"):
         nn.train_algorithm1(prob, config=cfg)
     assert np.isfinite(nn.train_algorithm2(prob, config=cfg).value_estimate)
+
+
+def test_warm_start_needs_feature_inputs():
+    # the path and past actions widen the net input at every stage, so a
+    # stage net never has its successor's shape and warm_start would do
+    # nothing; on features alone stages 1 and 2 share a shape
+    ref = amb.ConstantKernel(DiscreteMeasure([[-0.05], [0.05]], [0.5, 0.5]))
+    prob, cfg = tiny_hedge([amb.WassersteinBall(ref, amb.ConstantRadius(0.01))] * 3)
+    warm = dataclasses.replace(cfg, warm_start=True)
+    for train in (nn.train_algorithm1, nn.train_algorithm2):
+        with pytest.raises(ValueError, match="^warm_start needs net_inputs 'features', got 'both'"):
+            train(prob, config=warm)
+    prob.net_inputs = "features"
+    started = nn.train_algorithm1(prob, config=warm).action_nets[1].parameters()
+    fresh = nn.train_algorithm1(prob, config=cfg).action_nets[1].parameters()
+    assert not all(np.array_equal(p, q) for p, q in zip(started, fresh))
 
 
 def test_every_reference_kernel_draws_or_is_refused_by_name():
