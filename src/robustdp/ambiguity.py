@@ -7,11 +7,13 @@ exponential), or an explicit finite set, of which the non-robust singleton
 is the one-member case.  Each set class answers for itself: center(path),
 eps(path) (0 for a finite set), distance(path, m), sample(path, count, rng)
 and witnesses(p1, p2, rng), so membership, sample_measures and
-lipschitz_audit are one formula each.  Each family declares the W order in
-which its lipschitz constant is stated.  The module also houses the
-three-point transport construction that moves a measure from one ball into
-another while controlling both distances, and the adaptive radius schedule
-used by the hedging experiments.
+lipschitz_audit are one formula each.  A Wasserstein ball's and a finite
+set's candidates(t, d, count, rng) are reference kernels, each a member at
+every stage-t path: the one candidate rule of the exact solver, Algorithm 1
+and the Monte Carlo evaluation.  Each family declares the W order of its
+lipschitz constant.  The module also houses the three-point transport that
+moves a measure from one ball into another while controlling both
+distances, and the adaptive radius schedule of the hedging experiments.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "dual_inner_value",
     "ball_infimum",
     "sample_measures",
-    "fixed_candidates",
-    "PathDependentSet",
     "transport_between_balls",
     "v_lambda",
     "lipschitz_audit",
@@ -75,12 +75,19 @@ def path_key(path):
 
 
 # ---------------------------------------------------------------------------
-# reference kernels  (path -> center measure); draw(paths (b, t, d), n, rng)
-# gives n i.i.d. next states (b, n, d) along each path, from a documented stream
+# reference kernels  (path -> center measure); atoms_at(paths (b, t, d), u)
+# inverts u (b, n) on each path's cdf into next states (b, n, d), and
+# draw(paths, n, rng) draws them from a documented stream
 # ---------------------------------------------------------------------------
 
 
-class ConstantKernel:
+class _InverseCdfDraw:
+    def draw(self, paths, n, rng):
+        """One rng.random((b, n)) block inverted by atoms_at."""
+        return self.atoms_at(paths, rng.random((len(paths), n)))
+
+
+class ConstantKernel(_InverseCdfDraw):
     """Same measure at every path; Lipschitz constant 0."""
 
     def __init__(self, measure):
@@ -90,14 +97,13 @@ class ConstantKernel:
     def __call__(self, path):
         return self.measure
 
-    def draw(self, paths, n, rng):
-        """One rng.random((b, n)) block inverted on the measure's cdf: the
-        draws, and the rng state after them, of rng.choice(n_atoms, (b, n),
-        p=weights)."""
-        return self.measure.atoms_at(rng.random((len(paths), n)))
+    def atoms_at(self, paths, u):
+        """The measure's atoms at u: drawn by draw, those of rng.choice(n_atoms,
+        (b, n), p=weights), and the rng state after them too."""
+        return self.measure.atoms_at(u)
 
 
-class KernelWeighted:
+class KernelWeighted(_InverseCdfDraw):
     """Softmax-weighted empirical kernel.
 
     Given a history R_1..R_N, the measure at path w^t puts mass on each
@@ -135,11 +141,10 @@ class KernelWeighted:
         w = self.weights(path[None])[0]
         return DiscreteMeasure(self.history[path.shape[0]:], w, space=self.space)
 
-    def draw(self, paths, n, rng):
-        """One rng.random((b, n)) block, row i inverted on path i's weights:
-        the stream of one rng.choice(N - t, n, p=weights) call per path."""
+    def atoms_at(self, paths, u):
+        """Row i of u inverted on path i's weights: drawn by draw, the stream of
+        one rng.choice(N - t, n, p=weights) call per path."""
         w = self.weights(paths)
-        u = rng.random((len(paths), n))
         atoms = self.history[paths.shape[1]:]
         return atoms[np.stack([_choice_indices(wi, ui) for wi, ui in zip(w, u)])]
 
@@ -162,6 +167,13 @@ class AdaptiveEmpirical:
         return DiscreteMeasure(
             atoms, np.full(n + t, 1.0 / (n + t)), space=self.space
         )
+
+    def atoms_at(self, paths, u):
+        """Row i of u inverted on the N + t uniform weights of path i."""
+        b, t, _ = paths.shape
+        atoms = np.concatenate([np.broadcast_to(self.history, (b,) + self.history.shape),
+                                paths], axis=1)
+        return atoms[np.arange(b)[:, None], _choice_indices(np.ones(atoms.shape[1]), u)]
 
     def draw(self, paths, n, rng):
         """One rng.integers(0, N + t, size=n) call per path: integers buffers
@@ -317,6 +329,7 @@ class NormalDiagFamily:
     """N(mu, diag(sigma^2)) on R^d, theta = (mu, sigma) in R^d x [0, inf)^d."""
 
     order = 2  # the W order of lipschitz and of the closed-form distance
+    min_observations = 2  # of estimate
 
     def __init__(self, d):
         self.d = int(d)
@@ -353,7 +366,7 @@ class NormalDiagFamily:
         """
         path = as_path(path)
         t = path.shape[0]
-        if t < 2:
+        if t < self.min_observations:
             raise ValueError("normal estimation needs at least 2 observations")
         mu = path.mean(axis=0)
         sigma = (
@@ -392,6 +405,7 @@ class ExponentialFamily:
     """Exp(1/theta) on [0, inf) for theta > 0; Dirac at 0 for theta = 0."""
 
     order = 1  # the W order of lipschitz
+    min_observations = 1  # of estimate
 
     def __init__(self):
         self.d = 1
@@ -450,8 +464,15 @@ class ExponentialFamily:
 # ---------------------------------------------------------------------------
 
 
+class _CandidateSet:
+    def sample(self, path, count, rng):
+        """The candidates of the path's stage at the path, element 0 the center."""
+        path = as_path(path)
+        return [c(path) for c in self.candidates(*path.shape, count, rng)]
+
+
 @dataclass
-class WassersteinBall:
+class WassersteinBall(_CandidateSet):
     reference: object
     radius: object
     order: int = 1
@@ -476,28 +497,20 @@ class WassersteinBall:
     def distance(self, path, candidate):
         return w_q_discrete(self.center(path), candidate, self.order)
 
-    def sample(self, path, count, rng):
-        """Support points perturbed and weights Dirichlet-resampled, then
-        blended back toward the center when the perturbation overshoots the
-        radius; a zero radius gives copies of the center."""
-        center = self.center(path)
-        eps = self.eps(path)
-        if eps == 0.0:
-            return [center] * count
-        out = [center]
-        space = center.space or self.space
-        for _ in range(count - 1):
-            shift = rng.normal(size=center.support.shape)
-            norms = np.linalg.norm(shift, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            mags = eps * rng.uniform(size=(center.n_atoms, 1))
-            pts = center.support + shift / norms * mags
-            if space is not None:
-                pts = space.clip(pts)
-            w = rng.dirichlet(50.0 * center.weights + 0.5)
-            cand = DiscreteMeasure(pts, w, space=space)
-            out.append(_displacement_blend(center, cand, eps, self.order))
-        return out
+    def candidates(self, t, d, count, rng):
+        """Reference kernels, each a member at every stage-t path: the
+        reference, then count - 1 two-copy members, each drawing its template
+        for stage t (none for count 1).  Around a set of declared Lipschitz
+        constant 0 a member is the ConstantKernel of its measure at the zero
+        path, and a zero radius at stage t gives count copies of the reference."""
+        zero = np.zeros((t, d))
+        if self.eps(zero) == 0.0:
+            return [self.reference] * count
+        n_atoms = self.center(zero).n_atoms
+        members = [_TwoCopyMember(self, n_atoms, d, rng) for _ in range(count - 1)]
+        if self.declared_lipschitz() == 0:
+            members = [ConstantKernel(m(zero)) for m in members]
+        return [self.reference] + members
 
     def witnesses(self, p1, p2, rng):
         """The center at p1 and, given an rng and a positive radius, two
@@ -512,6 +525,38 @@ class WassersteinBall:
         return [(p, w, w_q_discrete(p, w, 1)) for p, w in zip(probes, glued)]
 
 
+class _TwoCopyMember(_InverseCdfDraw):
+    """A member of a Wasserstein ball at every path w: the reference atom
+    x_i(w) of weight w_i(w) splits into copies clip(x_i(w) + eps(w) s_ij) of
+    mass w_i(w) p_ij, in (i, j) order, with s_ij uniform in the unit ball,
+    p_i0 ~ U(0, 1) and p_i1 = 1 - p_i0; a worst case splits each atom in two
+    at most (Gao & Kleywegt, arXiv:1604.02199; Esfahani & Kuhn, Math. Prog.
+    2018).  Moving each atom onto its copies costs at most eps(w)^q, and
+    clipping onto the convex box moves no copy farther from x_i(w)."""
+
+    def __init__(self, ball, n_atoms, d, rng):
+        self.ball = ball
+        shift = rng.normal(size=(n_atoms, 2, d))
+        norms = np.linalg.norm(shift, axis=-1, keepdims=True)
+        norms[norms == 0] = 1.0
+        self.offsets = shift / norms * rng.random((n_atoms, 2, 1)) ** (1.0 / d)
+        share = rng.random(n_atoms)
+        self.shares = np.stack([share, 1.0 - share], axis=1)
+
+    def __call__(self, path):
+        center = self.ball.center(path)
+        space = center.space or self.ball.space
+        pts = center.support[:, None, :] + self.ball.eps(path) * self.offsets
+        if space is not None:
+            pts = space.clip(pts)
+        return DiscreteMeasure(pts.reshape(-1, center.dimension),
+                               (center.weights[:, None] * self.shares).ravel(), space=space)
+
+    def atoms_at(self, paths, u):
+        """Row i of u inverted on the member's cdf at path i."""
+        return np.stack([self(path).atoms_at(ui) for path, ui in zip(paths, u)])
+
+
 @dataclass
 class ParametricBall:
     family: object
@@ -521,11 +566,17 @@ class ParametricBall:
     space: object = None
 
     def center_theta(self, path):
+        """theta0 at stage 0, then the family's estimate on the path."""
         path = as_path(path)
-        if path.shape[0] == 0:
+        t, first = path.shape[0], self.family.min_observations
+        if t == 0:
             if self.theta0 is None:
                 raise ValueError("stage-0 parametric ball needs theta0")
             return np.atleast_1d(np.asarray(self.theta0, dtype=float))
+        if t < first:
+            raise ValueError(f"stage {t}: a {type(self.family).__name__} ball has a center at "
+                             f"stage 0 (theta0) and from stage {first} on, as its estimate "
+                             f"needs {first} observations")
         return self.family.estimate(path)
 
     def center(self, path):
@@ -583,7 +634,7 @@ class ParametricBall:
 
 
 @dataclass
-class FiniteSet:
+class FiniteSet(_CandidateSet):
     """An explicit set of reference kernels, element 0 the reference; its
     radius is 0 and its distance the W_1 to the nearest member."""
 
@@ -608,9 +659,9 @@ class FiniteSet:
     def distance(self, path, candidate):
         return min(w_q_discrete(k(path), candidate, 1) for k in self.references)
 
-    def sample(self, path, count, rng):
-        """The members at the path, whatever the count; no rng draw."""
-        return [k(path) for k in self.references]
+    def candidates(self, t, d, count, rng):
+        """The references, whatever the count; no rng draw."""
+        return list(self.references)
 
     def witnesses(self, p1, p2, rng):
         """Each member at p1 against the same member at p2."""
@@ -713,23 +764,6 @@ def membership(kernel, path, candidate):
     return dist <= eps + MEMBERSHIP_TOL, eps - dist
 
 
-def _displacement_blend(center, candidate, eps, q):
-    """Pull a measure back into the ball along displacement interpolation.
-
-    Moves each transported mass piece a fraction eps/dist of the way from
-    the center toward the candidate, which lands the result at distance
-    <= eps without any rejection loop.
-    """
-    plan, dist = optimal_coupling(center, candidate, q)
-    if dist <= eps:
-        return candidate
-    r = (eps / dist) * (1.0 - 1e-12)
-    i, j = np.nonzero(plan > 1e-15)  # row-major: the pieces in (i, j) order
-    pts = (1.0 - r) * center.support[i] + r * candidate.support[j]
-    wts = plan[i, j]
-    return DiscreteMeasure(pts, wts / wts.sum(), space=center.space)
-
-
 def sample_measures(kernel, path, count, rng):
     """Candidate measures from the ambiguity set, element 0 the center: a
     finite set (a singleton too) gives its members, and a ball `count`
@@ -740,22 +774,6 @@ def sample_measures(kernel, path, count, rng):
     if count < 1:
         raise ValueError("count must be >= 1")
     return kernel.sample(path, count, rng)
-
-
-class PathDependentSet(ValueError):
-    """A kernel's set moves with the path, so one fixed set cannot stand for it."""
-
-
-def fixed_candidates(kernel, t, d, count, rng):
-    """A stage-t kernel's candidates (element 0 the center) sampled once, at
-    the zero path, for every path: only a kernel of declared Lipschitz
-    constant 0 has one set at all paths, and any other raises."""
-    lipschitz = kernel.declared_lipschitz()
-    if lipschitz != 0:
-        raise PathDependentSet(
-            f"stage {t}: the {type(kernel).__name__} has declared Lipschitz constant "
-            f"{lipschitz}, not 0, so one fixed candidate set does not fit its paths")
-    return sample_measures(kernel, np.zeros((t, d)), count, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -420,12 +420,7 @@ def cmd_train(cfg, out_dir, seed):
     algo = _get(cfg, "solver.kind", str, default="algorithm1")
     rng = substream(seed, "training")
     if algo == "algorithm1":
-        try:
-            result = nn.train_algorithm1(problem, config=tcfg, rng=rng)
-        except amb.PathDependentSet as exc:
-            raise ConfigError(f"ambiguity.reference.kind: algorithm1 needs one set at "
-                              f"every path ({exc}); solver.kind 'algorithm2' draws and "
-                              "evaluates the ball along each path") from None
+        result = nn.train_algorithm1(problem, config=tcfg, rng=rng)
     elif algo == "algorithm2":
         if not isinstance(kernels[0], amb.WassersteinBall):
             raise ConfigError("ambiguity.kind: algorithm2 needs 'wasserstein'")
@@ -474,18 +469,16 @@ def _load_policy(out_dir, hp):
 
 
 def cmd_evaluate(cfg, out_dir, seed):
+    """Monte Carlo values of the trained policy on as many candidates as train
+    trained against: solver.train.n_measures, not solve-exact's solver.n_measures."""
     hp, series = _load_problem_and_series(cfg, seed)
     train_series, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
     n_paths = _get(cfg, "evaluate.paths", int, default=2000, minimum=1)
+    n = _train_config(cfg, seed, problem).n_measures
     rng = substream(seed, "evaluation")
-    n = _get(cfg, "solver.n_measures", int, default=3, minimum=1)
-    try:
-        cands = {t: amb.fixed_candidates(k, t, hp.d, n, rng) for t, k in enumerate(kernels)}
-    except amb.PathDependentSet as exc:
-        raise ConfigError(f"ambiguity.reference.kind: evaluate needs one set at every "
-                          f"path ({exc})") from None
+    cands = {t: k.candidates(t, hp.d, n, rng) for t, k in enumerate(kernels)}
     policy = _load_policy(out_dir, hp)
     values = nn.mc_policy_values(problem, policy, cands, n_paths, rng)
     _write(out_dir, "evaluate.json", _json_text({

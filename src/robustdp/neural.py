@@ -6,13 +6,12 @@ an inner objective in the action network's parameters, then regresses the
 stage value network on that same objective at the trained parameters.
 Two inner problems plug into it:
 
-* Algorithm 1 (sampled measure set): the minimum over a fixed per-stage
-  candidate set of Monte Carlo means of the next value.  Candidates are
-  drawn once per stage, which a 0-Lipschitz kernel allows (its set is the
-  same at every path), and held fixed across iterations, so the trained
-  value matches the exact solver run on the same sets, which is what the
-  oracle comparisons require.  A singleton whose reference moves with the
-  path draws along each path instead.
+* Algorithm 1 (sampled measure set): the minimum over a per-stage
+  candidate set of Monte Carlo means of the next value.  The stage kernel's
+  candidates, reference kernels that are members at every path, are drawn
+  once per stage and held fixed across iterations, so the trained value
+  matches the exact solver run on the same sets, as the oracle comparisons
+  require.
 * Algorithm 2 (Wasserstein dual): the minimum over the ball replaced by
 
       (1/N_MC) sum_i min_j { psi(z_j) + lambda ||x_i - z_j||^q } - lambda eps^q
@@ -20,7 +19,7 @@ Two inner problems plug into it:
   with lambda > 0 trained through an exponential reparameterization (one
   lambda per stage, updated jointly with the action network).
 
-Per-path draws are the stage reference kernel's draw(paths, n, rng).
+Per-path draws are a reference kernel's draw(paths, n, rng).
 Everything runs on the numpy tape in autodiff.py, so gradients are exact
 including through the min selections, and runs are bit-reproducible from
 the seed.
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .ambiguity import Singleton, WassersteinBall, dual_inner_min, fixed_candidates
+from .ambiguity import WassersteinBall, dual_inner_min
 from .controls import ConstantSet
 from .dp import rollout
 
@@ -432,11 +431,9 @@ def _prepare(problem, config):
 
 
 class _SampledSetMin:
-    """Algorithm 1's inner problem: the minimum over a stage's fixed
-    candidate measures (ambiguity.fixed_candidates) of the Monte Carlo mean
-    of the next value.  A singleton whose reference moves with the path has
-    no candidates; its draws come per path from the reference (the
-    non-robust special case).
+    """Algorithm 1's inner problem: the minimum over a stage kernel's
+    candidates (reference kernels, each a member at every path) of the Monte
+    Carlo mean of the next value; a singleton's is its reference alone.
 
     The objective runs psi once over all K candidate blocks, block-major:
     the paths and past actions repeated K times and the repeated action
@@ -447,12 +444,8 @@ class _SampledSetMin:
 
     def __init__(self, problem, config, rng):
         d = problem.local_space.dimension
-        self.kernels = problem.kernels
-        self.candidate_sets = {
-            t: None if isinstance(kernel, Singleton) and kernel.declared_lipschitz() != 0
-            else fixed_candidates(kernel, t, d, config.n_measures, rng)
-            for t, kernel in enumerate(self.kernels)
-        }
+        self.candidate_sets = {t: kernel.candidates(t, d, config.n_measures, rng)
+                               for t, kernel in enumerate(problem.kernels)}
 
     def parameters(self, t):
         return []
@@ -462,10 +455,7 @@ class _SampledSetMin:
 
     def draw(self, t, omega_b, n_mc, rng, final=False):
         """One (b, n_mc, d) block of next states per candidate, each its own draw."""
-        cands = self.candidate_sets[t]
-        if cands is None:
-            return [self.kernels[t].reference.draw(omega_b, n_mc, rng)]
-        return [m.atoms_at(rng.random((omega_b.shape[0], n_mc))) for m in cands]
+        return [c.draw(omega_b, n_mc, rng) for c in self.candidate_sets[t]]
 
     def objective(self, t, psi, a, omega_b, past, blocks, own):
         """Var (b,): per path, the least candidate mean of psi."""
@@ -634,10 +624,9 @@ def train_algorithm1(problem, config=None, rng=None):
 
     Stage t = T-1..0: ascend min_k of the Monte Carlo mean of the next
     value network in the action network's parameters, then regress the
-    stage value network on the achieved minimum.  A singleton whose
-    reference moves with the path falls back to per-path reference sampling
-    (the non-robust special case); any other kernel whose set moves with the
-    path raises ambiguity.PathDependentSet.
+    stage value network on the achieved minimum.  Each stage's candidates
+    come once from its kernel's candidates (a singleton's reference alone,
+    the non-robust case) and are returned as result.candidate_sets.
     """
     config = _prepare(problem, config)
     rng = rng or np.random.default_rng(config.seed)
@@ -667,25 +656,24 @@ def mc_policy_values(problem, policy, candidate_sets, n_paths, rng):
     """Monte Carlo values of a policy under each stagewise-constant
     candidate assignment, with common random numbers.
 
-    candidate_sets[t] is the fixed measure list of stage t (element 0 the
-    reference).  Returns the per-candidate values; their minimum is the
-    in-model robust value on the shared sets, and entry 0 the reference
-    value.  Using one uniform draw per (path, stage) for every candidate
-    makes the set-inclusion inequality exact at sample level.  A stage
-    without a fixed set (a singleton drawn per path) raises ValueError.
+    candidate_sets[t] is stage t's list of K candidate kernels (element 0 the
+    reference), K alike at every stage.  Returns the K per-candidate values;
+    their minimum is the in-model robust value on the shared sets, and entry
+    0 the reference value.  One uniform per (path, stage), inverted by every
+    candidate's atoms_at, makes the set-inclusion inequality exact at sample
+    level.
     """
     T, d = problem.horizon, problem.local_space.dimension
-    for t in range(T):
-        if candidate_sets[t] is None:
-            raise ValueError(f"stage {t}: no fixed candidate set, as its singleton "
-                             "is drawn per path")
-    n_cands = min(len(candidate_sets[t]) for t in range(T))
+    counts = [len(candidate_sets[t]) for t in range(T)]
+    if len(set(counts)) > 1:
+        raise ValueError("stagewise-constant assignments need one candidate count, got "
+                         + ", ".join(f"stage {t}: {n}" for t, n in enumerate(counts)))
     u = rng.uniform(size=(n_paths, T))
     values = []
-    for k in range(n_cands):
+    for k in range(counts[0]):
         omega = np.empty((n_paths, T, d))
         for t in range(T):
-            omega[:, t] = candidate_sets[t][k].atoms_at(u[:, t])
+            omega[:, t] = candidate_sets[t][k].atoms_at(omega[:, :t], u[:, t:t + 1])[:, 0]
         vals = problem.terminal(omega, rollout(policy, omega))
         values.append(float(vals.mean()))
     return values

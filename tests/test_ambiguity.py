@@ -382,56 +382,80 @@ def test_parametric_sampling_stays_in_parameter_ball():
         assert 1.5 - 1e-12 <= float(m.theta[0]) <= 2.5 + 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+def reference_of_kind(kind, history, center, space):
+    return {"constant": lambda: amb.ConstantKernel(center),
+            "kernel_weighted": lambda: amb.KernelWeighted(history, 500.0, space=space),
+            "adaptive": lambda: amb.AdaptiveEmpirical(history, space=space)}[kind]()
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2),
-       st.sampled_from(["constant", "adaptive"]))
-def test_fixed_candidates_of_a_path_independent_ball_fit_every_path(seed, t, d, q, radius):
-    # a ball of declared Lipschitz constant 0 is the same set at every path,
-    # so the candidates sampled once at the zero path are members at any path
+       st.sampled_from(["constant", "adaptive"]),
+       st.sampled_from(["constant", "kernel_weighted", "adaptive"]))
+def test_ball_candidates_are_members_at_every_path(seed, t, d, q, radius, reference):
+    # each templated member is in the ball by construction; exact OT
+    # (membership) checks it at random stage-t paths
     rng = np.random.default_rng(seed)
     space = LocalSpace(d, 0.1)
-    center = DiscreteMeasure(rng.uniform(-0.1, 0.1, (5, d)), rng.dirichlet(np.ones(5)),
-                             space=space)
+    history = rng.uniform(-0.1, 0.1, (t + 3 + int(rng.integers(0, 4)), d))
+    center = DiscreteMeasure(history[:3], rng.dirichlet(np.ones(3)), space=space)
     schedule = (amb.ConstantRadius(float(rng.uniform(0.0, 0.05))) if radius == "constant"
                 else amb.AdaptiveRadius(1, 0.1, 50, n_paths=200, n_steps=20))
-    ball = amb.WassersteinBall(amb.ConstantKernel(center), schedule, q, space=space)
-    assert ball.declared_lipschitz() == 0
-    cands = amb.fixed_candidates(ball, t, d, 4, rng)
-    assert len(cands) == 4
+    ball = amb.WassersteinBall(reference_of_kind(reference, history, center, space),
+                               schedule, q, space=space)
+    cands = ball.candidates(t, d, 4, rng)
+    assert len(cands) == 4 and cands[0] is ball.reference
     for path in rng.uniform(-0.1, 0.1, (3, t, d)):
-        for m in cands:
-            ok, slack = amb.membership(ball, path, m)
+        for c in cands:
+            ok, slack = amb.membership(ball, path, c(path))
             assert ok, slack
 
 
-def path_dependent_kernels():
-    history = np.linspace(-0.05, 0.05, 12)[:, None]
+def test_ball_candidates_around_a_constant_kernel_are_equal_at_every_path():
+    rng = np.random.default_rng(4)
     space = LocalSpace(1, 0.1)
-    eps = amb.ConstantRadius(0.01)
-    return {
-        "ball around AdaptiveEmpirical":
-            amb.WassersteinBall(amb.AdaptiveEmpirical(history, space=space), eps, space=space),
-        "ball around KernelWeighted":
-            amb.WassersteinBall(amb.KernelWeighted(history, 500.0, space=space), eps,
-                                space=space),
-        "normal ParametricBall":
-            amb.ParametricBall(amb.NormalDiagFamily(1), eps, theta0=[0.0, 0.01], space=space),
-        "exponential ParametricBall":
-            amb.ParametricBall(amb.ExponentialFamily(), eps, theta0=[0.01]),
-        "singleton around AdaptiveEmpirical":
-            amb.Singleton(amb.AdaptiveEmpirical(history, space=space)),
-    }
+    center = DiscreteMeasure(rng.uniform(-0.1, 0.1, (5, 1)), rng.dirichlet(np.ones(5)),
+                             space=space)
+    ball = amb.WassersteinBall(amb.ConstantKernel(center), amb.ConstantRadius(0.02),
+                               space=space)
+    p1, p2 = rng.uniform(-0.1, 0.1, (2, 3, 1))
+    for c in ball.candidates(3, 1, 4, rng):
+        m1, m2 = c(p1), c(p2)
+        assert m1.support.tobytes() == m2.support.tobytes()
+        assert m1.weights.tobytes() == m2.weights.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(path_dependent_kernels()))
-def test_fixed_candidates_reject_a_path_dependent_set(name):
-    # at the zero path such a set holds candidates that leave it at real
-    # paths (phantom 0.0 atoms of an adaptive center, the weights of the
-    # zero window) or a center that cannot be estimated from zeros
-    kernel = path_dependent_kernels()[name]
-    with pytest.raises(amb.PathDependentSet,
-                       match=f"^stage 2: the {type(kernel).__name__} has declared "):
-        amb.fixed_candidates(kernel, 2, 1, 3, np.random.default_rng(0))
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(1, 2), st.integers(1, 5),
+       st.sampled_from(["constant", "kernel_weighted", "adaptive", "member"]))
+def test_atoms_at_inverts_each_path_measure(seed, t, d, b, kind):
+    # row i of atoms_at(paths, u) is the path-i measure's atoms at u[i]
+    rng = np.random.default_rng(seed)
+    space = LocalSpace(d, 0.1)
+    history = rng.uniform(-0.1, 0.1, (t + 3 + int(rng.integers(0, 4)), d))
+    center = DiscreteMeasure(history[:3], rng.dirichlet(np.ones(3)), space=space)
+    if kind == "member":
+        ball = amb.WassersteinBall(amb.KernelWeighted(history, 500.0, space=space),
+                                   amb.ConstantRadius(0.02), space=space)
+        kernel = ball.candidates(t, d, 2, rng)[1]
+    else:
+        kernel = reference_of_kind(kind, history, center, space)
+    paths, u = rng.uniform(-0.1, 0.1, (b, t, d)), rng.random((b, 7))
+    got = kernel.atoms_at(paths, u)
+    assert np.array_equal(got, np.stack([kernel(p).atoms_at(ui) for p, ui in zip(paths, u)]))
+
+
+def test_parametric_ball_at_stage_1_names_the_stage():
+    # the normal estimate needs two observations; the exponential one has
+    # a center at every stage
+    normal = amb.ParametricBall(amb.NormalDiagFamily(1), amb.ConstantRadius(0.01),
+                                theta0=[0.0, 0.01])
+    with pytest.raises(ValueError, match=r"^stage 1: a NormalDiagFamily ball has a center "
+                                         r"at stage 0 \(theta0\) and from stage 2 on"):
+        normal.center(np.array([[0.01]]))
+    assert normal.center(np.array([[0.01], [0.03]])).n_atoms == normal.n_atoms
+    expo = amb.ParametricBall(amb.ExponentialFamily(), amb.ConstantRadius(0.01))
+    assert expo.center_theta(np.array([[0.02]])).tolist() == [0.02]
 
 
 def test_every_set_class_answers_for_itself():
@@ -606,24 +630,6 @@ def test_transport_random_instances_satisfy_both_bounds(q):
         assert w_q_discrete(mu1, mu2, q) <= bound + 1e-9
 
 
-def displacement_blend_loop(center, candidate, eps, q):
-    """Oracle: the blend as a double loop over the plan entries."""
-    plan, dist = optimal_coupling(center, candidate, q)
-    if dist <= eps:
-        return candidate
-    r = (eps / dist) * (1.0 - 1e-12)
-    pts, wts = [], []
-    for i in range(plan.shape[0]):
-        for j in range(plan.shape[1]):
-            if plan[i, j] > 1e-15:
-                pts.append(
-                    (1.0 - r) * center.support[i] + r * candidate.support[j]
-                )
-                wts.append(plan[i, j])
-    wts = np.array(wts)
-    return DiscreteMeasure(np.array(pts), wts / wts.sum(), space=center.space)
-
-
 def v_lambda_scalar(a, b, c, lam):
     """Oracle: the three-point map on one triple of points."""
     cprime = lam * a + (1.0 - lam) * c
@@ -670,20 +676,6 @@ def random_ball_instance(rng, d, q, n_max=5):
     ball = amb.WassersteinBall(amb.ConstantKernel(ref1), amb.ConstantRadius(eps1), q)
     mu1 = amb.sample_measures(ball, np.zeros((0, d)), 2, rng)[1]
     return mu1, ref1, eps1, ref2, eps2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
-def test_displacement_blend_equals_double_loop(seed, d, q):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    center = DiscreteMeasure(np.round(rng.uniform(-1, 1, (n, d)), 2), rng.dirichlet(np.ones(n)))
-    cand = DiscreteMeasure(rng.uniform(-2, 2, (n + 1, d)), rng.dirichlet(np.ones(n + 1)))
-    eps = float(rng.uniform(0.01, 0.5))
-    got = amb._displacement_blend(center, cand, eps, q)
-    want = displacement_blend_loop(center, cand, eps, q)
-    assert np.array_equal(got.support, want.support)
-    assert np.array_equal(got.weights, want.weights)
 
 
 @settings(max_examples=60, deadline=None)

@@ -277,16 +277,16 @@ PINNED_RUNS = {
              solver={"kind": "algorithm1", "train": dict(
                  TINY_TRAIN, path_sampling="reference", lr_decay=0.5)}),
         {
-            "action_net_0.txt": "eb0e535a705541784730a247b49604ba78951fdb468840bd884d0b7a122df941",
-            "action_net_1.txt": "66cf55ea1b882a09593d31f51d389521e162a87d6fe4323e6f8535ac26d62139",
-            "action_net_2.txt": "b9bb5e3ed7d96de2e319b5f9fc004d861c369f7b9ba237a69ead6c510b5d75a3",
-            "backtest.csv": "d73816fcb47e8116b5cd48fc6293b00d14473328a20cec1da9cb06ba5a565f2a",
-            "backtest.json": "bcf95e8213258eba0a639f048ed2b95283af1674369d8b9b46317efaa64c997c",
-            "evaluate.json": "fd5db6014375f7b9acaaf7de7c988468a099f64f8ede4a1b5acb939463ac7de5",
-            "train.json": "30b7d1f761fd06495ca1059cddbada1472bdf67a37ed8a329f95bba80e9c28fc",
-            "training_log.csv": "3f266767e64ae4ae61e4ad11588fd72649a22e4f9c0db07514ef38871a239755",
-            "value_net_1.txt": "ea1da7d9f65d8cc988883ef75cc24ce5356b4862ad152a1431823650869fa048",
-            "value_net_2.txt": "65cacbfc454d07ebcd6939230f0ebd31e72c9e09ef7b00f3a844e76591cdf972",
+            "action_net_0.txt": "bb95a0883c617c53363656c96c9b44539be9c8c7d30e9df6bf1a15eeec011181",
+            "action_net_1.txt": "d233fe28d17484314bec2c0bf2776b1c9deaef77e9d6538f84f51184df983931",
+            "action_net_2.txt": "9888c1cf547e3ce7cb89cc179cb50cb1ff03cd24913f9cff8fa1742bfdba69c7",
+            "backtest.csv": "5b2f4ed7ff68a4de96f6534e4c70bc0b5c2008f3bce398fc424da5b3e71f4177",
+            "backtest.json": "620704b3bdf920947e6b41ae4d32ed0b428d8c4375963c5ded736746a7a713b5",
+            "evaluate.json": "799bbdb2b4c1edef57fda8952a56c77caa34b7aa97e1d4bfa4c49e79730ac8d5",
+            "train.json": "5a1b4d1b786c1a865c64d820b4371386d2540e453d2987937b476cc6225e08ae",
+            "training_log.csv": "9cc329d0ff643a0907545e51bcc4efde43733ae2f16eb03c740232031eb27648",
+            "value_net_1.txt": "c3c4e38bf2d323456d988f9ad1e6b63eb0f654a8058dddfe94f9faee395ff409",
+            "value_net_2.txt": "2218ed9e03ea49a7edcde1635a65b935d22d241cb79f3dc1d051c09e3a0c1995",
         },
     ),
     "algorithm2": (
@@ -340,7 +340,7 @@ SOLVE_EXACT_VARIANTS = {
 
 def basket_config(tmp):
     """One stage of a two-asset basket call on a 14-row CSV under the
-    adaptive radius, on 2 grid points per asset: the d = 2 transport LP."""
+    adaptive radius, on 2 grid points per asset: the d = 2 solver path."""
     cfg = on_csv(mutated(BASE_CONFIG, "ambiguity.radius", ADAPTIVE_RADIUS),
                  write_csv(tmp, n=14, d=2, name="basket.csv"))
     for dotted, value in [("problem.dimension", 2), ("problem.horizon", 1),
@@ -355,24 +355,24 @@ def basket_config(tmp):
 # as PINNED_RUNS were.
 PINNED_EXACT_RUNS = {
     "solve-exact": {
-        "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
-        "value_table.txt": "0782242a4688ebc762213e0fc2d2c87f4ad0f1e36ea62ec313fb715642dc5a55",
+        "value.json": "9b77a06c33e1a602081d647649a7d35a31340c0b0c8986f5634acd42d825f162",
+        "value_table.txt": "7be317c21f93eb5618c1034411fec49d3f59a300d743788c927c2c876df4b881",
     },
     "solve-exact/csv": {
-        "value.json": "c56bd99788f63b833f3e700dbd7515f4f5d9cea5e3d26d925e94796b98c0f4a0",
-        "value_table.txt": "f8744ab4299cf839bfe849a37db799e61c01c8b8cf5e808b4b35c9090c8f4136",
+        "value.json": "e65df100350b036cd245173d0eb6bcf3643f136ebeb2f803c2597d5daf0af8ef",
+        "value_table.txt": "c05bf12ad65d848eea2528ebbfcbad40ac0efc7500154bf84e52903c505dec3f",
     },
     "solve-exact/adaptive-radius": {
-        "value.json": "89407fd151695810bb64797c0d6e59b5461b451127add208d7ee23efad263bac",
-        "value_table.txt": "92b0a3a87d075eaa7e70cf014bf3667b2b669ca0284bd6b28e8331769c637ca8",
+        "value.json": "754d1aa12d1de6916be64c45e86cd3c9cd8ae22bf9c485488a1673a0b1dec08b",
+        "value_table.txt": "ce92176f5a3380b8ac3da8248d20cad2c5eb61fb7c2cb9a99e6177becf092045",
     },
     "solve-exact/kernel-weighted": {
-        "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
-        "value_table.txt": "76fcc73eae5270d256e77db4ed92995c0b1041150ce5224d2a2c43325d1b7431",
+        "value.json": "fb52ce93db5d73170dc69ae11cba6888fb1524b95ca2eca150e77e1a4da6595c",
+        "value_table.txt": "c93b59bd141690c73ce83b955a309787c9f88cc826b892e1261744bca6e0a436",
     },
     "solve-exact/adaptive-reference": {
         "value.json": "6fb3230766f93af711330f85a9f744af7fd89b76715d3b50dd082a022b49fef1",
-        "value_table.txt": "ac087b186a2aa749d6e3c9c38a3cf4f345be9d91d518e8ef28410ce8d3e4a222",
+        "value_table.txt": "1f6e32f9149d2862e96d71aedaf9975b4603d925a35ffb978c108b4d267fc4cf",
     },
     "oracle-check": {
         "oracle_check.json": "7814ec278e10c7f5290e3edf127789810f61f5361b4381d53ddaed7a9d0de91d",
@@ -400,8 +400,7 @@ def test_exact_artifacts_are_pinned(tmp_path, run):
 
 
 def test_basket_solve_exact_is_reproducible(tmp_path):
-    # d = 2 solves transport LPs with HiGHS, whose output may vary by build,
-    # so this run is checked run against run rather than pinned
+    # the d = 2 solver path, checked run against run rather than pinned
     path = write_config(tmp_path, basket_config(tmp_path))
     for run in ("a", "b"):
         assert cli.main(["solve-exact", "--config", path, "--out", str(tmp_path / run)]) == 0
@@ -446,42 +445,49 @@ def test_algorithm2_without_a_ball_names_the_ambiguity_kind(tmp_path, capsys):
     assert "ambiguity.kind" in json.loads(capsys.readouterr().err)["error"]
 
 
-@pytest.mark.parametrize("kind", ["adaptive", "kernel_weighted"])
-def test_algorithm1_on_a_path_dependent_ball_is_json_error(tmp_path, capsys, kind):
-    # one fixed candidate set per stage cannot stand for a ball that moves
-    # with the path; algorithm2 draws and evaluates it per path instead
-    cfg = mutated(BASE_CONFIG, "ambiguity.reference", {"kind": kind})
-    train = {"kind": "algorithm1", "train": TINY_MUTATED_TRAIN}
+PATH_DEPENDENT_AMBIGUITY = {
+    "ball-adaptive": {"kind": "wasserstein", "reference": {"kind": "adaptive"}},
+    "ball-kernel_weighted": {"kind": "wasserstein", "reference": {"kind": "kernel_weighted"}},
+    "singleton-adaptive": {"kind": "singleton", "reference": {"kind": "adaptive"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_DEPENDENT_AMBIGUITY))
+def test_path_dependent_reference_trains_and_evaluates(tmp_path, name):
+    # around a reference that moves with the path, every candidate is a
+    # member at every path: algorithm1 trains on them and evaluate scores
+    # as many, with the same bytes on a second run
+    cfg = dict(BASE_CONFIG, ambiguity=dict(BASE_CONFIG["ambiguity"],
+                                           **PATH_DEPENDENT_AMBIGUITY[name]),
+               solver={"kind": "algorithm1", "train": TINY_MUTATED_TRAIN},
+               evaluate={"paths": 64})
+    path = write_config(tmp_path, cfg)
+    artifacts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        for command in ("train", "evaluate"):
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+        artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    values = json.loads(artifacts[0]["evaluate.json"])["per_candidate"]
+    count = TINY_MUTATED_TRAIN["n_measures"] if name.startswith("ball") else 1
+    assert len(values) == count and np.all(np.isfinite(values))
+    assert artifacts[0] == artifacts[1]
+
+
+def test_evaluate_scores_the_count_train_trained_against(tmp_path):
+    # evaluate reads solver.train.n_measures, as train does; solve-exact's
+    # solver.n_measures leaves evaluate.json as it is
+    cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": TINY_MUTATED_TRAIN},
+               evaluate={"paths": 64})
     out = tmp_path / "run"
-    rc = cli.main(["train", "--config", write_config(tmp_path, dict(cfg, solver=train)),
-                   "--out", str(out)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"].startswith("ambiguity.reference.kind: ") and err["command"] == "train"
-    assert "stage 0: the WassersteinBall" in err["error"] and "'algorithm2'" in err["error"]
-    assert not out.exists()
-    train = dict(train, kind="algorithm2")
-    rc = cli.main(["train", "--config", write_config(tmp_path, dict(cfg, solver=train)),
-                   "--out", str(out)])
-    assert rc == 0
-
-
-@pytest.mark.parametrize("ambiguity, named", [
-    ({"kind": "wasserstein", "reference": {"kind": "kernel_weighted"}}, "WassersteinBall"),
-    ({"kind": "singleton", "reference": {"kind": "adaptive"}}, "Singleton"),
-])
-def test_evaluate_on_a_path_dependent_reference_is_json_error(tmp_path, capsys, ambiguity,
-                                                             named):
-    # evaluate scores fixed candidate sets, so it refuses a reference that
-    # moves with the path before it reads any trained network
-    cfg = dict(BASE_CONFIG, ambiguity=ambiguity)
-    rc = cli.main(["evaluate", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "run")])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"].startswith("ambiguity.reference.kind: ") and err["command"] == "evaluate"
-    assert f"stage 0: the {named}" in err["error"]
-    assert not (tmp_path / "run").exists()
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    texts = []
+    for n in (1, 4):
+        path = write_config(tmp_path, mutated(cfg, "solver.n_measures", n), f"n{n}.json")
+        assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 0
+        texts.append((out / "evaluate.json").read_text())
+    assert texts[0] == texts[1]
+    assert len(json.loads(texts[0])["per_candidate"]) == TINY_MUTATED_TRAIN["n_measures"]
 
 
 def test_corrupt_network_is_json_error(tmp_path, capsys):
@@ -517,7 +523,7 @@ def test_diverging_training_is_json_error(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "train"
-    assert err["error"].startswith("training diverged at stage 1, value phase")
+    assert err["error"].startswith("training diverged at stage 1, action phase")
 
 
 @pytest.mark.parametrize("kind, horizon, message", [

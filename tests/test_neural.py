@@ -1083,10 +1083,10 @@ def test_single_measure_training_is_nonrobust():
 
 
 def test_nonrobust_result_sets_evaluate_and_keep_the_per_path_stream():
-    # a singleton around a 0-Lipschitz reference gets its one fixed center,
-    # whose draws are the reference's own draw stream: the run equals, by
-    # bytes, the per-path route of a reference whose constant is unknown,
-    # and mc_policy_values takes the result's own sets
+    # a singleton's one candidate is its reference, whatever its declared
+    # constant: the run around a reference whose constant is unknown equals
+    # the 0-Lipschitz run by bytes, and mc_policy_values takes either
+    # result's own sets to the same value
     from robustdp import hedging as hg
 
     hp = hg.HedgingProblem(d=1, horizon=2, return_bound=0.1, payoff=hg.CallPayoff(1.0))
@@ -1100,16 +1100,27 @@ def test_nonrobust_result_sets_evaluate_and_keep_the_per_path_stream():
         prob = hg.make_control_problem(hp, [amb.Singleton(reference)] * 2)
         runs[name] = prob, nn.train_algorithm1(prob, config=cfg)
     (prob, fixed), (prob_pp, pp) = runs["fixed"], runs["per_path"]
-    assert pp.candidate_sets == {0: None, 1: None}
+    assert pp.candidate_sets == {0: [per_path], 1: [per_path]}
     assert [len(fixed.candidate_sets[t]) for t in (0, 1)] == [1, 1]
     assert same_bits(fixed.value_estimate, pp.value_estimate)
     assert nn.log_to_csv(fixed.log) == nn.log_to_csv(pp.log)
     values = nn.mc_policy_values(prob, fixed.policy, fixed.candidate_sets, 64,
                                  np.random.default_rng(0))
     assert len(values) == 1 and np.isfinite(values[0])
-    with pytest.raises(ValueError, match="^stage 0: no fixed candidate set"):
-        nn.mc_policy_values(prob_pp, pp.policy, pp.candidate_sets, 64,
-                            np.random.default_rng(0))
+    assert same_bits(values, nn.mc_policy_values(prob_pp, pp.policy, pp.candidate_sets, 64,
+                                                 np.random.default_rng(0)))
+
+
+def test_mc_policy_values_refuses_stages_of_different_counts():
+    # a stagewise-constant assignment k needs a k-th candidate at every
+    # stage; scoring the smallest count would drop candidates unseen
+    ref = amb.ConstantKernel(DiscreteMeasure([[-0.05], [0.05]], [0.5, 0.5]))
+    others = [amb.ConstantKernel(DiscreteMeasure.dirac([x])) for x in (-0.02, 0.02)]
+    prob, cfg = tiny_hedge([amb.FiniteSet([ref] + others), amb.Singleton(ref)])
+    res = nn.train_algorithm1(prob, config=cfg)
+    assert [len(res.candidate_sets[t]) for t in (0, 1)] == [3, 1]
+    with pytest.raises(ValueError, match="one candidate count, got stage 0: 3, stage 1: 1$"):
+        nn.mc_policy_values(prob, res.policy, res.candidate_sets, 16, np.random.default_rng(0))
 
 
 def test_policy_outputs_admissible():
@@ -1327,14 +1338,22 @@ def tiny_hedge(kernels):
     return hg.make_control_problem(hp, kernels), cfg
 
 
-def test_algorithm1_rejects_a_ball_that_moves_with_the_path():
-    # around an adaptive reference the zero-path candidates leave the ball
-    # at real paths; algorithm 2 draws and evaluates the ball per path
+@pytest.mark.parametrize("reference", ["adaptive", "kernel_weighted"])
+def test_algorithm1_trains_on_a_ball_that_moves_with_the_path(reference):
+    # the candidates around a path-dependent reference are members at every
+    # path; they train and score like those of a fixed ball, reproducibly
     history = np.linspace(-0.05, 0.05, 12)[:, None]
-    ball = amb.WassersteinBall(amb.AdaptiveEmpirical(history), amb.ConstantRadius(0.01))
+    ref = (amb.AdaptiveEmpirical(history) if reference == "adaptive"
+           else amb.KernelWeighted(history, 500.0))
+    ball = amb.WassersteinBall(ref, amb.ConstantRadius(0.01))
     prob, cfg = tiny_hedge([ball] * 3)
-    with pytest.raises(amb.PathDependentSet, match="^stage 0: the WassersteinBall"):
-        nn.train_algorithm1(prob, config=cfg)
+    runs = [nn.train_algorithm1(prob, config=cfg) for _ in range(2)]
+    values = [nn.mc_policy_values(prob, r.policy, r.candidate_sets, 32, np.random.default_rng(1))
+              for r in runs]
+    assert [len(runs[0].candidate_sets[t]) for t in range(3)] == [cfg.n_measures] * 3
+    assert np.isfinite(runs[0].value_estimate) and np.all(np.isfinite(values[0]))
+    assert same_bits(runs[0].value_estimate, runs[1].value_estimate)
+    assert same_bits(values[0], values[1])
     assert np.isfinite(nn.train_algorithm2(prob, config=cfg).value_estimate)
 
 

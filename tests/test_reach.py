@@ -41,15 +41,18 @@ from test_cli import (
 
 PACKAGE = Path(robustdp.__file__).resolve().parent
 
-# the trainers drawing next states along each path: around the two
-# path-dependent references, and a singleton's reference per path
+# train and evaluate drawing next states along each path: Algorithm 1 on a
+# ball's two-copy members and on a singleton's reference, Algorithm 2 on its
+# ball's reference, around the two path-dependent references
 PATH_DRAW_RUNS = {
-    "algorithm1-singleton-kernel-weighted": mutated(
-        dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": TINY_MUTATED_TRAIN}),
-        "ambiguity", {"kind": "singleton", "reference": {"kind": "kernel_weighted"}}),
-    "algorithm2-adaptive-reference": mutated(
-        dict(BASE_CONFIG, solver={"kind": "algorithm2", "train": TINY_MUTATED_TRAIN}),
-        "ambiguity.reference", {"kind": "adaptive"}),
+    f"{kind}-{ambiguity}-{reference}": mutated(
+        dict(BASE_CONFIG, solver={"kind": kind, "train": TINY_MUTATED_TRAIN},
+             evaluate={"paths": 64}),
+        "ambiguity", dict(BASE_CONFIG["ambiguity"], kind=ambiguity,
+                          reference={"kind": reference}))
+    for kind, ambiguity, reference in (("algorithm1", "wasserstein", "kernel_weighted"),
+                                       ("algorithm1", "singleton", "kernel_weighted"),
+                                       ("algorithm2", "wasserstein", "adaptive"))
 }
 
 
@@ -69,7 +72,8 @@ def cli_runs(tmp_path):
     for name, build in sorted(SOLVE_EXACT_VARIANTS.items()):
         runs.append((name, ["solve-exact", *config(name, build(tmp_path))]))
     runs.append(("basket", ["solve-exact", *config("basket", basket_config(tmp_path))]))
-    runs += [(name, ["train", *config(name, cfg)]) for name, cfg in PATH_DRAW_RUNS.items()]
+    runs += [(name, [command, *config(name, cfg)]) for name, cfg in PATH_DRAW_RUNS.items()
+             for command in ("train", "evaluate")]
     return runs
 
 
@@ -113,6 +117,7 @@ ALLOWLIST = {
     "ambiguity.ExponentialFamily.project": FAMILY,
     "ambiguity.FiniteSet.center": FINITE_SET,
     "ambiguity.FiniteSet.distance": FINITE_SET,
+    "ambiguity.FiniteSet.declared_lipschitz": UNIT + " (lipschitz_audit of a finite set)",
     "ambiguity.FiniteSet.eps": FINITE_SET,
     "ambiguity.FiniteSet.witnesses": UNIT + " (lipschitz_audit of a finite set)",
     "ambiguity.NormalDiagFamily.__init__": FAMILY,
@@ -166,6 +171,8 @@ ALLOWLIST = {
     "dp.evaluate_policy": SADDLE,
     "dp.evaluate_policy.<locals>.rec": SADDLE,
     "dp.holder_constant_recursion": UNIT,
+    "measures._lp_plan": "exact OT at d >= 2 (criterion 3), membership's oracle for the "
+                         "two-copy members, which no command needs",
     "measures.moment": UNIT,
     "neural.Mlp.set_parameters": "feature-input training only (warm_start), which no command "
                                  "sets; criterion 9",
