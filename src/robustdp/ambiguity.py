@@ -502,15 +502,27 @@ class WassersteinBall(_CandidateSet):
         reference, then count - 1 two-copy members, each drawing its template
         for stage t (none for count 1).  Around a set of declared Lipschitz
         constant 0 a member is the ConstantKernel of its measure at the zero
-        path, and a zero radius at stage t gives count copies of the reference."""
+        path, certified by exact W_q against the ball: the two-copy bound
+        needs the reference's atoms inside the ball's space, so a reference
+        with an atom outside it raises.  A zero radius at stage t gives count
+        copies of the reference."""
         zero = np.zeros((t, d))
         if self.eps(zero) == 0.0:
             return [self.reference] * count
         n_atoms = self.center(zero).n_atoms
         members = [_TwoCopyMember(self, n_atoms, d, rng) for _ in range(count - 1)]
         if self.declared_lipschitz() == 0:
-            members = [ConstantKernel(m(zero)) for m in members]
+            members = [ConstantKernel(self._certified(t, m(zero))) for m in members]
         return [self.reference] + members
+
+    def _certified(self, t, member):
+        """The member, once membership (exact OT) finds it in the ball."""
+        inside, slack = membership(self, np.zeros((t, member.dimension)), member)
+        if not inside:
+            raise ValueError(f"stage {t}: a two-copy member lies {-slack:.6g} outside the "
+                             "WassersteinBall; its reference has atoms outside the "
+                             "ball's space")
+        return member
 
     def witnesses(self, p1, p2, rng):
         """The center at p1 and, given an rng and a positive radius, two

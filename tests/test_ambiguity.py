@@ -411,6 +411,22 @@ def test_ball_candidates_are_members_at_every_path(seed, t, d, q, radius, refere
             assert ok, slack
 
 
+def test_a_member_outside_the_ball_names_the_reference_outside_the_space():
+    # a copy of an atom outside the box clips farther than eps from it, so
+    # the exact-OT certificate of a fixed member refuses the ball
+    space = LocalSpace(1, 0.1)
+    center = DiscreteMeasure([[0.5], [0.0]], [0.5, 0.5])
+    ball = amb.WassersteinBall(amb.ConstantKernel(center), amb.ConstantRadius(0.01),
+                               space=space)
+    with pytest.raises(ValueError, match="stage 2: a two-copy member lies .* outside the "
+                                         "WassersteinBall; its reference has atoms outside"):
+        ball.candidates(2, 1, 3, np.random.default_rng(0))
+    inside = amb.WassersteinBall(amb.ConstantKernel(DiscreteMeasure([[0.05], [0.0]],
+                                                                    [0.5, 0.5])),
+                                 amb.ConstantRadius(0.01), space=space)
+    assert len(inside.candidates(2, 1, 3, np.random.default_rng(0))) == 3
+
+
 def test_ball_candidates_around_a_constant_kernel_are_equal_at_every_path():
     rng = np.random.default_rng(4)
     space = LocalSpace(1, 0.1)

@@ -474,6 +474,25 @@ def test_path_dependent_reference_trains_and_evaluates(tmp_path, name):
     assert artifacts[0] == artifacts[1]
 
 
+def test_evaluate_on_a_zero_radius_path_dependent_ball_scores_its_reference(tmp_path):
+    # the ball's default radius is 0, so its candidates are copies of the
+    # kernel_weighted reference: evaluate scores each as the singleton does
+    ball = {"kind": "wasserstein", "reference": {"kind": "kernel_weighted"}}
+    singleton = dict(ball, kind="singleton")
+    out = tmp_path / "run"
+    values = {}
+    for name, ambiguity in (("ball", ball), ("singleton", singleton)):
+        cfg = dict(BASE_CONFIG, ambiguity=ambiguity, evaluate={"paths": 64},
+                   solver={"kind": "algorithm1", "train": TINY_MUTATED_TRAIN})
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        if name == "ball":
+            assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+        assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 0
+        values[name] = json.loads((out / "evaluate.json").read_text())["per_candidate"]
+    assert values["ball"] == values["singleton"] * TINY_MUTATED_TRAIN["n_measures"]
+    assert np.all(np.isfinite(values["ball"]))
+
+
 def test_evaluate_scores_the_count_train_trained_against(tmp_path):
     # evaluate reads solver.train.n_measures, as train does; solve-exact's
     # solver.n_measures leaves evaluate.json as it is

@@ -171,8 +171,6 @@ ALLOWLIST = {
     "dp.evaluate_policy": SADDLE,
     "dp.evaluate_policy.<locals>.rec": SADDLE,
     "dp.holder_constant_recursion": UNIT,
-    "measures._lp_plan": "exact OT at d >= 2 (criterion 3), membership's oracle for the "
-                         "two-copy members, which no command needs",
     "measures.moment": UNIT,
     "neural.Mlp.set_parameters": "feature-input training only (warm_start), which no command "
                                  "sets; criterion 9",
