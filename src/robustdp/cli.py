@@ -362,8 +362,6 @@ def cmd_solve_exact(cfg, out_dir, seed):
     hp, series = _load_problem_and_series(cfg, seed)
     train, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train.values)
-    if _get(cfg, "solver.kind", str, default="exact") != "exact":
-        raise ConfigError("solver.kind: expected 'exact'")
     resolution = _get(cfg, "controls.resolution", int, default=3, minimum=1)
     grid_points = _get(cfg, "solver.grid_points", int, default=3, minimum=1)
     problem = hg.make_control_problem(hp, kernels, action_resolution=resolution)
@@ -386,13 +384,14 @@ def cmd_solve_exact(cfg, out_dir, seed):
     return 0
 
 
-def _train_config(cfg, seed, problem):
+def _train_config(cfg, seed):
     """TrainConfig from solver.train, each field checked alone (none depends on
     another) and named by its config path; the seed is the top-level one.
-    warm_start is also checked against the problem, as training would."""
+    warm_start is not a field here: the CLI's nets read the path and past
+    actions, so no stage net has its successor's shape to start from."""
     given = _get(cfg, "solver.train", dict, default={})
     defaults = {f.name: f.default for f in dataclasses.fields(nn.TrainConfig)
-                if f.name != "seed"}
+                if f.name not in ("seed", "warm_start")}
     kwargs = {}
     for key in given:
         if key not in defaults:
@@ -403,12 +402,7 @@ def _train_config(cfg, seed, problem):
             nn.TrainConfig(**{key: kwargs[key]})
         except ValueError as exc:
             raise ConfigError(f"solver.train.{key}: {exc}") from None
-    config = nn.TrainConfig(seed=seed, **kwargs)
-    try:
-        nn._check_warm_start(problem, config)
-    except ValueError as exc:
-        raise ConfigError(f"solver.train.warm_start: {exc}") from None
-    return config
+    return nn.TrainConfig(seed=seed, **kwargs)
 
 
 def cmd_train(cfg, out_dir, seed):
@@ -416,7 +410,7 @@ def cmd_train(cfg, out_dir, seed):
     train_series, _ = _split_series(cfg, series)
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
-    tcfg = _train_config(cfg, seed, problem)
+    tcfg = _train_config(cfg, seed)
     algo = _get(cfg, "solver.kind", str, default="algorithm1")
     rng = substream(seed, "training")
     if algo == "algorithm1":
@@ -476,7 +470,7 @@ def cmd_evaluate(cfg, out_dir, seed):
     kernels = _build_kernels(cfg, hp, train_series.values)
     problem = hg.make_control_problem(hp, kernels)
     n_paths = _get(cfg, "evaluate.paths", int, default=2000, minimum=1)
-    n = _train_config(cfg, seed, problem).n_measures
+    n = _train_config(cfg, seed).n_measures
     rng = substream(seed, "evaluation")
     cands = {t: k.candidates(t, hp.d, n, rng) for t, k in enumerate(kernels)}
     policy = _load_policy(out_dir, hp)
@@ -496,10 +490,9 @@ def cmd_hedge_backtest(cfg, out_dir, seed):
     hp, series = _load_problem_and_series(cfg, seed)
     train_series, test_series = _split_series(cfg, series)
     policies = {}
-    if hp.d == 1:
+    if hp.d == 1 and isinstance(hp.payoff, hg.CallPayoff):
         vol = hg.estimate_annual_vol(train_series)
-        strike = _get(cfg, "problem.payoff.strike", float, default=1.0)
-        policies["black_scholes"] = hg.bs_delta_hedge(hp, vol, strike)
+        policies["black_scholes"] = hg.bs_delta_hedge(hp, vol, hp.payoff.strike)
     nets_dir = Path(out_dir)
     if (nets_dir / "action_net_0.txt").exists():
         policies["trained"] = _load_policy(out_dir, hp)

@@ -2,9 +2,10 @@
 
 Three variants: a constant compact set (box or explicit finite list), a
 ball around a Lipschitz center map inside a convex ambient set, and a box
-with Lipschitz per-coordinate bounds.  `clamp_to` is the projection used
-to carry an action admissible at one path to a nearby path while moving
-it no more than the declared Lipschitz constant times the path distance.
+with Lipschitz per-coordinate bounds.  Each set's `clamp` is the projection
+used to carry an action admissible at one path to a nearby path while
+moving it no more than the declared Lipschitz constant times the path
+distance, which the tests verify on random instances.
 """
 
 from __future__ import annotations
@@ -13,12 +14,51 @@ import numpy as np
 
 from .ambiguity import as_path, v_lambda
 
-__all__ = ["ConstantSet", "BallSet", "BoxSet", "grid", "clamp_to"]
+__all__ = ["ConstantSet", "BallSet", "BoxSet"]
 
 ADMISSIBLE_TOL = 1e-9
 
 
-class ConstantSet:
+class _ActionSet:
+    """What every action set shares: each subclass has `dim`, `resolution`,
+    `bounds_at(path)`, `contains_rows(path, actions)` and
+    `clamp(path_target, action)`."""
+
+    def contains(self, path, action):
+        """contains_rows on a batch of one action."""
+        action = np.atleast_1d(np.asarray(action, dtype=float))
+        return bool(self.contains_rows(path, action[None])[0])
+
+    def grid(self, path):
+        """Finite subset of the action set at `path`, corners included.
+
+        Uniform per coordinate with the set's `resolution` points;
+        deterministic ordering (C-order over the product), so argmax
+        tie-breaking is reproducible.
+        """
+        res = self.resolution
+        if res is None:
+            raise ValueError("no grid resolution configured")
+        if np.isscalar(res):
+            res = [int(res)] * self.dim
+        if any(r < 1 for r in res):
+            raise ValueError("resolution must be >= 1 per coordinate")
+        low, high = self.bounds_at(path)
+        axes = []
+        for j in range(self.dim):
+            if res[j] == 1:
+                axes.append(np.array([0.5 * (low[j] + high[j])]))
+            else:
+                axes.append(np.linspace(low[j], high[j], res[j]))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        keep = pts[self.contains_rows(path, pts)]
+        if not len(keep):
+            raise ValueError("discretization produced an empty action set")
+        return keep
+
+
+class ConstantSet(_ActionSet):
     """Path-independent action set: a box [low, high] or a finite list."""
 
     def __init__(self, low=None, high=None, points=None, resolution=None):
@@ -42,9 +82,6 @@ class ConstantSet:
     def bounds_at(self, path):
         return self.low, self.high
 
-    def contains(self, path, action):
-        return _contains_one(self, path, action)
-
     def contains_rows(self, path, actions):
         """Membership of each row of actions (k, m), as a (k,) mask."""
         if self.points is not None:
@@ -52,8 +89,24 @@ class ConstantSet:
             return np.any(np.all(near, axis=2), axis=1)
         return _in_box(actions, self.low, self.high)
 
+    def grid(self, path):
+        """The listed points, or the box's uniform grid."""
+        if self.points is None:
+            return super().grid(path)
+        return self.points.copy()
 
-class BallSet:
+    def clamp(self, path_target, action):
+        """The box clip, or the listed point nearest the action (the action
+        itself when it is listed)."""
+        action = np.atleast_1d(np.asarray(action, dtype=float))
+        if self.points is None:
+            return np.clip(action, self.low, self.high)
+        if self.contains(path_target, action):
+            return action.copy()
+        return self.points[int(np.argmin(np.linalg.norm(self.points - action, axis=1)))].copy()
+
+
+class BallSet(_ActionSet):
     """{ a in ambient : ||a - center(path)|| <= radius(path) }.
 
     center must be Lipschitz with the declared constant; the ambient set is
@@ -87,9 +140,6 @@ class BallSet:
             high = np.minimum(high, self.ambient_high)
         return low, high
 
-    def contains(self, path, action):
-        return _contains_one(self, path, action)
-
     def contains_rows(self, path, actions):
         """Membership of each row of actions (k, m), as a (k,) mask."""
         keep = (np.linalg.norm(actions - self.center(path), axis=1)
@@ -100,8 +150,35 @@ class BallSet:
             keep &= np.all(actions <= np.asarray(self.ambient_high) + ADMISSIBLE_TOL, axis=1)
         return keep
 
+    def clamp(self, path_target, action, path_source=None):
+        """The three-point map shared with the ambiguity module, applied in
+        action space between the source and target centers, then clipped
+        to the ambient box.  Without a source path it is a plain radial
+        pull toward the target center: admissible, but with no
+        displacement guarantee."""
+        action = np.atleast_1d(np.asarray(action, dtype=float))
+        c_t = self.center(path_target)
+        r_t = float(self.radius(path_target))
+        if path_source is not None:
+            c_s = self.center(path_source)
+            r_s = float(self.radius(path_source))
+            lam = 0.0 if r_s == 0.0 else max(r_s - r_t, 0.0) / r_s
+            out = v_lambda(c_s, c_t, action, lam)
+        else:
+            dist = float(np.linalg.norm(action - c_t))
+            out = (
+                action.copy()
+                if dist <= r_t + ADMISSIBLE_TOL
+                else c_t + (action - c_t) * (r_t / dist)
+            )
+        if self.ambient_low is not None:
+            out = np.maximum(out, self.ambient_low)
+        if self.ambient_high is not None:
+            out = np.minimum(out, self.ambient_high)
+        return out
 
-class BoxSet:
+
+class BoxSet(_ActionSet):
     """Product of intervals [low_j(path), high_j(path)] with Lipschitz bounds."""
 
     def __init__(self, low_fns, high_fns, lipschitz, resolution=None):
@@ -125,99 +202,17 @@ class BoxSet:
             raise ValueError("box bounds crossed: set would be empty")
         return low, np.maximum(high, low)
 
-    def contains(self, path, action):
-        return _contains_one(self, path, action)
-
     def contains_rows(self, path, actions):
         """Membership of each row of actions (k, m), as a (k,) mask."""
         return _in_box(actions, *self.bounds_at(path))
 
-
-def _contains_one(spec, path, action):
-    """spec.contains_rows on a batch of one action."""
-    action = np.atleast_1d(np.asarray(action, dtype=float))
-    return bool(spec.contains_rows(path, action[None])[0])
+    def clamp(self, path_target, action):
+        """Coordinatewise a + (low - a)^+ - (a - high)^+ at path_target."""
+        action = np.atleast_1d(np.asarray(action, dtype=float))
+        low, high = self.bounds_at(path_target)
+        return action + np.clip(low - action, 0.0, None) - np.clip(action - high, 0.0, None)
 
 
 def _in_box(actions, low, high):
     return np.all((actions >= low - ADMISSIBLE_TOL) & (actions <= high + ADMISSIBLE_TOL),
                   axis=1)
-
-
-def grid(spec, path):
-    """Finite subset of the action set at `path`, corners included.
-
-    Uniform per coordinate with the spec's `resolution` points;
-    deterministic ordering (C-order over the product), so argmax
-    tie-breaking is reproducible.
-    """
-    if getattr(spec, "points", None) is not None:
-        return spec.points.copy()
-    res = spec.resolution
-    if res is None:
-        raise ValueError("no grid resolution configured")
-    if np.isscalar(res):
-        res = [int(res)] * spec.dim
-    if any(r < 1 for r in res):
-        raise ValueError("resolution must be >= 1 per coordinate")
-    low, high = spec.bounds_at(path)
-    axes = []
-    for j in range(spec.dim):
-        if res[j] == 1:
-            axes.append(np.array([0.5 * (low[j] + high[j])]))
-        else:
-            axes.append(np.linspace(low[j], high[j], res[j]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = pts[spec.contains_rows(path, pts)]
-    if not len(keep):
-        raise ValueError("discretization produced an empty action set")
-    return keep
-
-
-def clamp_to(spec, path_target, action, path_source=None):
-    """Project an action admissible somewhere onto the set at path_target.
-
-    Box variant: coordinatewise a + (low - a)^+ - (a - high)^+.  Ball
-    variant: the three-point map shared with the ambiguity module, applied
-    in action space between the source and target centers (when the source
-    path is omitted, a plain radial pull toward the target center is used;
-    it is admissible but carries no displacement guarantee).  Constant sets
-    return the action unchanged (boxes clip).  The displacement is bounded
-    by the spec's Lipschitz constant times the path distance, which the
-    tests verify on random instances.
-    """
-    action = np.atleast_1d(np.asarray(action, dtype=float))
-    if isinstance(spec, ConstantSet):
-        if spec.points is not None:
-            if not spec.contains(path_target, action):
-                dists = np.linalg.norm(spec.points - action, axis=1)
-                return spec.points[int(np.argmin(dists))].copy()
-            return action.copy()
-        return np.clip(action, spec.low, spec.high)
-    if isinstance(spec, BoxSet):
-        low, high = spec.bounds_at(path_target)
-        return action + np.clip(low - action, 0.0, None) - np.clip(
-            action - high, 0.0, None
-        )
-    if isinstance(spec, BallSet):
-        c_t = spec.center(path_target)
-        r_t = float(spec.radius(path_target))
-        if path_source is not None:
-            c_s = spec.center(path_source)
-            r_s = float(spec.radius(path_source))
-            lam = 0.0 if r_s == 0.0 else max(r_s - r_t, 0.0) / r_s
-            out = v_lambda(c_s, c_t, action, lam)
-        else:
-            dist = float(np.linalg.norm(action - c_t))
-            out = (
-                action.copy()
-                if dist <= r_t + ADMISSIBLE_TOL
-                else c_t + (action - c_t) * (r_t / dist)
-            )
-        if spec.ambient_low is not None:
-            out = np.maximum(out, spec.ambient_low)
-        if spec.ambient_high is not None:
-            out = np.minimum(out, spec.ambient_high)
-        return out
-    raise TypeError(f"unknown action spec {type(spec)!r}")

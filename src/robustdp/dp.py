@@ -34,7 +34,6 @@ from .ambiguity import (
     sample_measures,
     membership,
 )
-from .controls import clamp_to, grid
 from .measures import cost_matrix, moment
 
 __all__ = [
@@ -172,8 +171,8 @@ class TabularPolicy:
     stage_actions[t] is an (n^t, m_t) array whose row u is the action at
     the grid node of mixed-radix id u (see SolveResult).  act snaps each
     stage column of the paths to its nearest grid point (lowest index on
-    ties), looks up that node's action and clamps it with clamp_to into
-    the action set at the real path; the past actions are not read."""
+    ties), looks up that node's action and clamps it with the action set's
+    clamp into the set at the real path; the past actions are not read."""
 
     def __init__(self, local_grid, stage_actions, action_specs):
         self.local_grid = local_grid
@@ -187,7 +186,7 @@ class TabularPolicy:
             u = u * len(self.local_grid) + _nearest_rows(self.local_grid, omega[:, s])
         spec = self.action_specs[t]
         return np.stack([
-            clamp_to(spec, path, a) for path, a in zip(omega[:, :t], self.stage_actions[t][u])
+            spec.clamp(path, a) for path, a in zip(omega[:, :t], self.stage_actions[t][u])
         ])
 
 
@@ -266,7 +265,7 @@ def _action_grids(problem, local_grid):
     for t in range(problem.horizon):
         for node in itertools.product(range(n), repeat=t):
             path = local_grid[list(node)]
-            grids[(t, node)] = grid(problem.action_specs[t], path)
+            grids[(t, node)] = problem.action_specs[t].grid(path)
     return grids
 
 

@@ -77,6 +77,8 @@ class DiscreteMeasure:
             raise ValueError("support must be a nonempty (n, d) array")
         if support.shape[0] != weights.shape[0]:
             raise ValueError("support and weights must have matching length")
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(weights))):
+            raise ValueError("support and weights must be finite")
         if np.any(weights < -WEIGHT_TOL):
             raise ValueError("negative weight")
         total = float(weights.sum())

@@ -37,7 +37,7 @@ BASE_CONFIG = {
         "reference": {"kind": "empirical"},
     },
     "controls": {"resolution": 3},
-    "solver": {"kind": "exact", "grid_points": 3, "n_measures": 2},
+    "solver": {"grid_points": 3, "n_measures": 2},
     "data": {"synthetic": {"days": 80, "annual_vol": 0.3}},
 }
 
@@ -250,6 +250,17 @@ def test_train_and_evaluate_and_backtest(tmp_path):
     assert "black_scholes" in report["summary"]
 
 
+def test_backtest_of_a_one_asset_basket_has_no_black_scholes_baseline(tmp_path, capsys):
+    # the Black-Scholes baseline hedges a call; a basket has no strike to read
+    cfg = mutated(BASE_CONFIG, "problem.payoff",
+                  {"kind": "basket", "weights": [0.5], "strikes": [0.9]})
+    rc = cli.main(["hedge-backtest", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "no policies available" in err["error"] and err["command"] == "hedge-backtest"
+
+
 @pytest.mark.parametrize("kind", ["algorithm1", "algorithm2"])
 def test_train_logs_value_regression_loss(tmp_path, kind):
     train = {"iter_a": 3, "iter_psi": 60, "n_mc": 4, "batch_size": 4, "hidden_layers": 1,
@@ -423,8 +434,8 @@ def test_basket_solve_exact_is_reproducible(tmp_path):
     ({"lr_decay": 0}, "lr_decay"),
     ({"lr_decay": 2.0}, "lr_decay"),
     # the CLI's nets read the path and past actions, so no stage net has its
-    # successor's shape to start from
-    ({"warm_start": True}, "net_inputs 'features'"),
+    # successor's shape to start from, and warm_start is not a field
+    ({"warm_start": True}, "unknown field"),
 ])
 def test_bad_train_config_is_json_error(tmp_path, capsys, train, named):
     cfg = dict(BASE_CONFIG, solver={"kind": "algorithm1", "train": train})
@@ -617,14 +628,16 @@ def mutated(cfg, dotted, value):
     ("solver.kind", True),
 ])
 def test_wrongly_typed_config_key_is_json_error(tmp_path, capsys, dotted, value):
+    # solve-exact has one solver and reads no solver.kind; train reads it
+    command = "train" if dotted == "solver.kind" else "solve-exact"
     cfg = mutated(BASE_CONFIG, dotted, value)
-    rc = cli.main(["solve-exact", "--config", write_config(tmp_path, cfg),
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "run")])
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert dotted in err["error"] and err["command"] == "solve-exact"
+    assert dotted in err["error"] and err["command"] == command
 
 
 @pytest.mark.parametrize("dotted, value", [

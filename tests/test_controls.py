@@ -3,30 +3,30 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from robustdp.ambiguity import ConstantRadius
-from robustdp.controls import BallSet, BoxSet, ConstantSet, clamp_to, grid
+from robustdp.controls import BallSet, BoxSet, ConstantSet
 
 
 def test_box_grid_endpoints():
     spec = ConstantSet(low=[0.0], high=[1.0], resolution=3)
-    pts = grid(spec, np.zeros((0, 1)))
+    pts = spec.grid(np.zeros((0, 1)))
     assert np.allclose(pts.ravel(), [0.0, 0.5, 1.0])
 
 
 def test_finite_set_grid_is_itself():
     spec = ConstantSet(points=[[-1.0], [0.0], [1.0]])
-    pts = grid(spec, np.zeros((0, 1)))
+    pts = spec.grid(np.zeros((0, 1)))
     assert np.allclose(pts, [[-1.0], [0.0], [1.0]])
 
 
 def test_ball_grid_five_points():
     spec = BallSet(lambda p: np.zeros(1), 0.0, ConstantRadius(1.0), dim=1, resolution=5)
-    pts = grid(spec, np.zeros((0, 1)))
+    pts = spec.grid(np.zeros((0, 1)))
     assert np.allclose(pts.ravel(), np.linspace(-1, 1, 5))
 
 
 def test_grid_resolution_one_midpoint():
     spec = ConstantSet(low=[0.0, -2.0], high=[1.0, 2.0], resolution=1)
-    pts = grid(spec, np.zeros((0, 2)))
+    pts = spec.grid(np.zeros((0, 2)))
     assert np.allclose(pts, [[0.5, 0.0]])
 
 
@@ -35,14 +35,14 @@ def test_grid_membership_invariant():
     low = rng.uniform(-1, 0, size=3)
     high = low + rng.uniform(0.1, 1, size=3)
     spec = ConstantSet(low=low, high=high, resolution=4)
-    for p in grid(spec, np.zeros((0, 1))):
+    for p in spec.grid(np.zeros((0, 1))):
         assert spec.contains(np.zeros((0, 1)), p)
 
 
 def test_grid_errors_on_bad_resolution():
     spec = ConstantSet(low=[0.0], high=[1.0], resolution=0)
     with pytest.raises(ValueError, match="resolution must be >= 1"):
-        grid(spec, np.zeros((0, 1)))
+        spec.grid(np.zeros((0, 1)))
 
 
 def make_box(lip=0.5, resolution=None):
@@ -55,25 +55,39 @@ def test_clamp_same_path_identity():
     spec = make_box()
     path = np.array([[0.3]])
     a = np.array([0.5])
-    assert np.allclose(clamp_to(spec, path, a), a)
+    assert np.allclose(spec.clamp(path, a), a)
 
 
 def test_clamp_lower_bound():
     spec = BoxSet([lambda p: 0.5], [lambda p: 1.0], lipschitz=1.0)
-    out = clamp_to(spec, np.array([[0.0]]), np.array([0.2]))
+    out = spec.clamp(np.array([[0.0]]), np.array([0.2]))
     assert out[0] == pytest.approx(0.5)
 
 
 def test_clamp_idempotent():
+    # every set kind: the clamp lands in the set at the target path, and a
+    # second clamp there leaves it where it is
     rng = np.random.default_rng(5)
-    spec = make_box(0.7)
+    ball = BallSet(lambda p: np.array([0.4 * float(p.sum()) if p.size else 0.0]), 0.4,
+                   ConstantRadius(0.5), dim=1, ambient_low=[-0.6], ambient_high=[0.8])
+    specs = {"constant box": ConstantSet(low=[-0.5], high=[1.0]),
+             "constant list": ConstantSet(points=[[-1.0], [0.25], [1.5]]),
+             "box": make_box(0.7), "ball": ball}
+    for name, spec in specs.items():
+        for _ in range(20):
+            path = rng.uniform(-1, 1, size=(2, 1))
+            once = spec.clamp(path, rng.uniform(-2, 2, size=1))
+            assert spec.contains(path, once), name
+            assert np.allclose(spec.clamp(path, once), once), name
+    # from a source path the three-point map carries an action admissible
+    # there; carried again from the target path to itself, it stays put
+    source = np.array([[0.9], [-0.2]])
     for _ in range(20):
         path = rng.uniform(-1, 1, size=(2, 1))
-        a = rng.uniform(-2, 2, size=1)
-        once = clamp_to(spec, path, a)
-        twice = clamp_to(spec, path, once)
-        assert np.allclose(once, twice)
-        assert spec.contains(path, once)
+        a = ball.clamp(source, rng.uniform(-2, 2, size=1))
+        once = ball.clamp(path, a, path_source=source)
+        assert ball.contains(path, once)
+        assert np.allclose(ball.clamp(path, once, path_source=path), once)
 
 
 def test_clamp_displacement_bounded_by_lipschitz_constant():
@@ -95,7 +109,7 @@ def test_clamp_displacement_bounded_by_lipschitz_constant():
         p2 = rng.uniform(-1, 1, size=(3, 1))
         low, high = spec.bounds_at(p1)
         a = rng.uniform(low, high)
-        moved = clamp_to(spec, p2, a)
+        moved = spec.clamp(p2, a)
         assert spec.contains(p2, moved)
         dist = np.linalg.norm(p1 - p2, axis=1).sum()
         assert np.linalg.norm(a - moved) <= spec.lipschitz * dist + 1e-9
@@ -110,7 +124,7 @@ def test_ball_clamp_with_source_path_matches_three_point_bound():
         p2 = rng.uniform(-1, 1, size=(2, 1))
         c1 = spec.center(p1)
         a = c1 + rng.uniform(-0.5, 0.5, size=1)
-        moved = clamp_to(spec, p2, a, path_source=p1)
+        moved = spec.clamp(p2, a, path_source=p1)
         assert spec.contains(p2, moved)
         dist = np.linalg.norm(p1 - p2, axis=1).sum()
         assert np.linalg.norm(a - moved) <= spec.lipschitz * dist + 1e-9
@@ -123,8 +137,8 @@ def test_grid_points_clamp_to_neighbor_set():
     p1 = np.array([[0.2], [0.1]])
     p2 = np.array([[-0.3], [0.4]])
     dist = np.linalg.norm(p1 - p2, axis=1).sum()
-    for a in grid(spec, p1):
-        moved = clamp_to(spec, p2, a)
+    for a in spec.grid(p1):
+        moved = spec.clamp(p2, a)
         assert spec.contains(p2, moved)
         assert np.linalg.norm(a - moved) <= spec.lipschitz * dist + 1e-9
 
@@ -132,7 +146,7 @@ def test_grid_points_clamp_to_neighbor_set():
 def test_crossed_bounds_error():
     spec = BoxSet([lambda p: 1.0], [lambda p: 0.0], lipschitz=1.0, resolution=2)
     with pytest.raises(ValueError):
-        grid(spec, np.zeros((0, 1)))
+        spec.grid(np.zeros((0, 1)))
 
 
 def member(spec, path, p):
@@ -186,6 +200,6 @@ def test_grid_equals_per_point_contains_filter(seed, kind, dim, res, ambient):
     want = mesh[inside]
     if not len(want):
         with pytest.raises(ValueError, match="empty action set"):
-            grid(spec, path)
+            spec.grid(path)
         return
-    assert np.array_equal(grid(spec, path), want)
+    assert np.array_equal(spec.grid(path), want)

@@ -12,7 +12,7 @@ from conftest import (
 )
 from robustdp import ambiguity as amb
 from robustdp import dp
-from robustdp.controls import BallSet, BoxSet, ConstantSet, clamp_to
+from robustdp.controls import BallSet, BoxSet, ConstantSet
 from robustdp.measures import DiscreteMeasure, LocalSpace
 
 SPACE = LocalSpace(1, 1.0)
@@ -393,7 +393,7 @@ def test_tabular_act_is_nearest_node_lookup_then_clamp(seed, kinds):
         for path in omega[:, :t]:
             node = tuple(dp.nearest_index(GRID3, x) for x in path)
             a = res.action_grids[(t, node)][res.chosen_idx[t][node]]
-            want.append(clamp_to(specs[t], path, a))
+            want.append(specs[t].clamp(path, a))
         assert got.tobytes() == np.stack(want).tobytes()
 
 

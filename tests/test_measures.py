@@ -41,6 +41,17 @@ def test_negative_weight_rejected():
         DiscreteMeasure([[0.0], [1.0]], [1.2, -0.2])
 
 
+@pytest.mark.parametrize("support, weights", [
+    ([[0.0], [1.0]], [float("nan"), 0.5]),
+    ([[0.0], [1.0]], [float("inf"), 0.5]),
+    ([[float("nan")], [1.0]], [0.5, 0.5]),
+    ([[float("-inf")], [1.0]], [0.5, 0.5]),
+])
+def test_non_finite_weight_or_support_rejected(support, weights):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(support, weights)
+
+
 def test_support_outside_local_space_rejected():
     space = LocalSpace(1, 0.5)
     with pytest.raises(ValueError):

@@ -154,17 +154,16 @@ ALLOWLIST = {
     "controls.BallSet.__init__": UNIT,
     "controls.BallSet.bounds_at": UNIT,
     "controls.BallSet.center": UNIT,
-    "controls.BallSet.contains": UNIT,
+    "controls.BallSet.clamp": UNIT,
     "controls.BallSet.contains_rows": UNIT,
     "controls.BallSet.dim": UNIT,
     "controls.BoxSet.__init__": UNIT,
     "controls.BoxSet.bounds_at": UNIT,
-    "controls.BoxSet.contains": UNIT,
+    "controls.BoxSet.clamp": UNIT,
     "controls.BoxSet.contains_rows": UNIT,
     "controls.BoxSet.dim": UNIT,
-    "controls.ConstantSet.contains": SADDLE + ": clamp_to on a finite action set",
-    "controls._contains_one": SADDLE + ": clamp_to on a finite action set",
-    "controls.clamp_to": SADDLE + ": TabularPolicy.act",
+    "controls.ConstantSet.clamp": SADDLE + ": TabularPolicy.act",
+    "controls._ActionSet.contains": SADDLE + ": ConstantSet.clamp on a finite action set",
     "dp.TabularPolicy.act": SADDLE,
     "dp.WorstCaseKernel.measure": SADDLE,
     "dp._dual_lower": "grid-ball lower bound (criterion 10); ROADMAP item 6 gives it a CLI switch",
